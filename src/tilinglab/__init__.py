@@ -24,8 +24,10 @@ from .graphs import (
     symmetrize,
 )
 from .constructions import (
+    ExtremalInstance,
     ExtremalParamError,
     ExtremalParams,
+    UncoverableResult,
     blowup_tournament_packing,
     certify_uncoverable,
     clique_pattern,
@@ -35,6 +37,7 @@ from .constructions import (
     hs_tight_instance,
     pattern_from_name,
     pattern_power,
+    preset_star_sizes,
     transitive_pattern,
     transitive_tournament,
 )
@@ -86,7 +89,6 @@ from .absorbing import (
     HPath,
     PipelineResult,
     StarBlowup,
-    TruncatedHPath,
     absorb,
     auxiliary_graph,
     build_absorbing_family,
@@ -96,7 +98,6 @@ from .absorbing import (
     find_connecting_path,
     is_absorbing_for,
     is_h_path,
-    is_truncated_h_path,
     length1_connectors,
     pipeline,
     q_prime,
@@ -104,11 +105,6 @@ from .absorbing import (
     truncate_path,
     truncated_star_blowup,
     verify_star_blowup,
-)
-from .constructions import (
-    ExtremalInstance,
-    UncoverableResult,
-    preset_star_sizes,
 )
 
 __version__ = "0.1.0"

@@ -49,23 +49,24 @@ class HPath:
     """Blocks X_1..X_t of size h-1 with connectors y_1..y_{t+1}.
 
     Each X_i spans the pattern together with y_i and with y_{i+1}; the
-    endpoints are y_1 and y_{t+1} and t is the length.
+    endpoints are y_1 and y_{t+1} and t is the length.  In a truncated
+    path both endpoints are None, so its endsets are X_1 and X_t.
     """
 
     pattern: PatternGraph
     blocks: tuple[tuple[int, ...], ...]
-    connectors: tuple[int, ...]
+    connectors: tuple[int | None, ...]
 
     @property
     def length(self) -> int:
         return len(self.blocks)
 
     @property
-    def endpoints(self) -> tuple[int, int]:
+    def endpoints(self) -> tuple[int | None, int | None]:
         return self.connectors[0], self.connectors[-1]
 
     def vertices(self) -> list[int]:
-        out = list(self.connectors)
+        out = [y for y in self.connectors if y is not None]
         for b in self.blocks:
             out.extend(b)
         return out
@@ -75,37 +76,21 @@ class HPath:
         return [v for v in self.vertices() if v != x and v != y]
 
 
-@dataclass(frozen=True)
-class TruncatedHPath:
-    """Blocks X_1..X_t with inner connectors y_2..y_t; endsets X_1 and X_t."""
-
-    pattern: PatternGraph
-    blocks: tuple[tuple[int, ...], ...]
-    connectors: tuple[int, ...]  # y_2..y_t
-
-    @property
-    def length(self) -> int:
-        return len(self.blocks)
-
-    @property
-    def endsets(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return self.blocks[0], self.blocks[-1]
-
-    def vertices(self) -> list[int]:
-        out = list(self.connectors)
-        for b in self.blocks:
-            out.extend(b)
-        return out
-
-
 def is_h_path(host: Graph | Digraph, p: HPath) -> VerifyResult:
-    """Check sizes, distinctness and both spanning conditions per block."""
+    """Check sizes, distinctness and the spanning condition of every block
+    with each connector beside it; a truncated path has none at its ends."""
     h = p.pattern.order
     t = p.length
     if t < 1:
         return VerifyResult(False, "length must be >= 1")
     if len(p.connectors) != t + 1:
         return VerifyResult(False, f"expected {t + 1} connectors")
+    if (p.endpoints[0] is None) != (p.endpoints[1] is None):
+        return VerifyResult(False, "a truncated path misses both endpoints")
+    if None in p.endpoints and t < 2:
+        return VerifyResult(False, "truncated path needs length >= 2")
+    if None in p.connectors[1:-1]:
+        return VerifyResult(False, "only the endpoints may be missing")
     for i, block in enumerate(p.blocks, start=1):
         if len(block) != h - 1:
             return VerifyResult(False, f"block {i} has size {len(block)} != {h - 1}")
@@ -113,11 +98,9 @@ def is_h_path(host: Graph | Digraph, p: HPath) -> VerifyResult:
     if len(set(verts)) != len(verts):
         dup = sorted(v for v in set(verts) if verts.count(v) > 1)[0]
         return VerifyResult(False, f"vertex {dup} repeated")
-    if len(verts) != t * h + 1:
-        return VerifyResult(False, f"order {len(verts)} != t*h+1 = {t * h + 1}")
     for i, block in enumerate(p.blocks):
         for y in (p.connectors[i], p.connectors[i + 1]):
-            if spans_pattern(host, block + (y,), p.pattern) is None:
+            if y is not None and spans_pattern(host, block + (y,), p.pattern) is None:
                 return VerifyResult(
                     False,
                     f"block {i + 1} with connector {y} does not span {p.pattern.name}",
@@ -125,46 +108,16 @@ def is_h_path(host: Graph | Digraph, p: HPath) -> VerifyResult:
     return VerifyResult(True)
 
 
-def is_truncated_h_path(host: Graph | Digraph, q: TruncatedHPath) -> VerifyResult:
-    h = q.pattern.order
-    t = q.length
-    if t < 2:
-        return VerifyResult(False, "truncated path needs length >= 2")
-    if len(q.connectors) != t - 1:
-        return VerifyResult(False, f"expected {t - 1} connectors")
-    for i, block in enumerate(q.blocks, start=1):
-        if len(block) != h - 1:
-            return VerifyResult(False, f"block {i} has size {len(block)} != {h - 1}")
-    verts = q.vertices()
-    if len(set(verts)) != len(verts):
-        return VerifyResult(False, "repeated vertex")
-    if len(verts) != t * h - 1:
-        return VerifyResult(False, f"order {len(verts)} != t*h-1 = {t * h - 1}")
-    # connectors[j] is y_{j+2}; block i (1-based) pairs with y_i and y_{i+1},
-    # except the end blocks which each have a single condition.
-    checks = [(0, q.connectors[0]), (t - 1, q.connectors[t - 2])]
-    for i in range(1, t - 1):
-        checks.append((i, q.connectors[i - 1]))
-        checks.append((i, q.connectors[i]))
-    for bi, y in checks:
-        if spans_pattern(host, q.blocks[bi] + (y,), q.pattern) is None:
-            return VerifyResult(
-                False,
-                f"block {bi + 1} with connector {y} does not span {q.pattern.name}",
-            )
-    return VerifyResult(True)
-
-
-def truncate_path(p: HPath) -> TruncatedHPath:
+def truncate_path(p: HPath) -> HPath:
     """Drop the two endpoints; the result is the truncated path of p."""
-    return TruncatedHPath(p.pattern, p.blocks, p.connectors[1:-1])
+    return HPath(p.pattern, p.blocks, (None,) + p.connectors[1:-1] + (None,))
 
 
 def concat_paths(p1: HPath, p2: HPath) -> HPath:
     """Join paths sharing one endpoint; lengths add, outer endpoints remain."""
     if p1.pattern != p2.pattern:
         raise ValueError("patterns differ")
-    if p1.connectors[-1] != p2.connectors[0]:
+    if p1.connectors[-1] is None or p1.connectors[-1] != p2.connectors[0]:
         raise ValueError(
             f"right endpoint {p1.connectors[-1]} != left endpoint {p2.connectors[0]}"
         )
@@ -196,7 +149,7 @@ def length1_connectors(
         raise ValueError("endpoints must differ")
     count = 0
     mask = host.full_mask() & ~(1 << y)
-    for verts, _ in enumerate_copies(host, pattern, through=x, within=mask):
+    for verts in enumerate_copies(host, pattern, through=x, within=mask):
         block = tuple(v for v in verts if v != x)
         if spans_pattern(host, block + (y,), pattern) is None:
             continue
@@ -271,6 +224,8 @@ def find_connecting_path(
     """
     if x == y:
         raise ValueError("endpoints must differ")
+    if not (0 <= x < host.n and 0 <= y < host.n):
+        raise ValueError(f"endpoints must be vertices 0..{host.n - 1}")
     if t < 1:
         raise ValueError("t >= 1 required")
     if aux is None:
@@ -307,13 +262,15 @@ def connector_degree_profile(host: Graph | Digraph, p: HPath) -> list[int]:
     expansion property (each hop is expected to reach higher-degree
     vertices on degree-sequence hosts; nothing is enforced here).
 
-    Digraph hosts report dominant degrees.
+    Digraph hosts report dominant degrees; missing end connectors of a
+    truncated path are skipped.
     """
+    ys = [y for y in p.connectors if y is not None]
     if isinstance(host, Digraph):
         from .graphs import dominant_view
 
-        return [dominant_view(host, y).dominant for y in p.connectors]
-    return [host.degree(y) for y in p.connectors]
+        return [dominant_view(host, y).dominant for y in ys]
+    return [host.degree(y) for y in ys]
 
 
 # -- clique-path star blow-ups ------------------------------------------------
@@ -420,7 +377,7 @@ def star_blowup(p: HPath, h: int) -> StarBlowup:
     return _build_star_blowup(r, p.length, h, truncated=False)
 
 
-def truncated_star_blowup(p: HPath | TruncatedHPath, h: int) -> StarBlowup:
+def truncated_star_blowup(p: HPath, h: int) -> StarBlowup:
     """The truncated variant, with hrt-1 vertices."""
     r = p.pattern.clique_order
     if not r:
@@ -452,7 +409,7 @@ def q_prime(sb: StarBlowup) -> StarBlowup:
     )
 
 
-def _repartition(sb: StarBlowup) -> HPath | TruncatedHPath:
+def _repartition(sb: StarBlowup) -> HPath:
     """Regroup an expanded path into blocks of hr-1 plus single connectors.
 
     Every inner connector set donates h-1 vertices to the block on its
@@ -476,10 +433,8 @@ def _repartition(sb: StarBlowup) -> HPath | TruncatedHPath:
     pattern = PatternGraph(pattern_power("K", r, h), name=f"K{r}^{h}")
     inner = tuple(conns[i] for i in range(2, t + 1))
     if sb.truncated:
-        return TruncatedHPath(pattern, blocks, inner)
-    y1 = sb.y_blocks[0][0]
-    yend = sb.y_blocks[t][0]
-    return HPath(pattern, blocks, (y1,) + inner + (yend,))
+        return HPath(pattern, blocks, (None,) + inner + (None,))
+    return HPath(pattern, blocks, (sb.y_blocks[0][0],) + inner + (sb.y_blocks[t][0],))
 
 
 def verify_star_blowup(sb: StarBlowup) -> VerifyResult:
@@ -490,10 +445,7 @@ def verify_star_blowup(sb: StarBlowup) -> VerifyResult:
         return VerifyResult(
             False, f"order {sb.order()} != {expected} (size law violated)"
         )
-    regrouped = _repartition(sb)
-    if isinstance(regrouped, HPath):
-        return is_h_path(sb.graph, regrouped)
-    return is_truncated_h_path(sb.graph, regrouped)
+    return is_h_path(sb.graph, _repartition(sb))
 
 
 # -- absorbing families --------------------------------------------------------
@@ -808,27 +760,16 @@ def _almost_pack(
         return m
     tr = transitive_pattern(r)
     work = Packing.uniform(host.n, m.parts, tr)
-    improved = True
-    while improved:
-        improved = False
+    added = True
+    while added:
         work, _ = swap_to_fixpoint(dhost, r, work)
-        mask = host.full_mask() & ~work.covered_mask()
-        added = []
-        for anchor in bits(mask):
-            active = mask
-            for part in added:
-                for u in part:
-                    active &= ~(1 << u)
-            if not active >> anchor & 1:
-                continue
-            for verts, _ in enumerate_copies(dhost, tr, through=anchor, within=active):
-                added.append(verts)
-                improved = True
-                break
-        if added:
-            work = Packing.uniform(
-                host.n, list(work.parts) + added, tr
-            )
+        # relabelling keeps id order, so the parts are those a greedy pass
+        # over the uncovered vertices of dhost itself would commit
+        rest, mapping = dhost.induced(bits(host.full_mask() & ~work.covered_mask()))
+        added = [
+            tuple(mapping[v] for v in part) for part in greedy_packing(rest, tr).parts
+        ]
+        work = Packing.uniform(host.n, list(work.parts) + added, tr)
     return Packing.uniform(host.n, work.parts, pattern)
 
 

@@ -21,7 +21,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import absorbing, constructions, degseq, exchange, packing
@@ -243,9 +243,13 @@ def cmd_improve(args) -> int:
 def cmd_path(args) -> int:
     g = _load(args.file)
     pat = _pattern(args.pattern)
-    path = absorbing.find_connecting_path(
-        g, pat, args.x, args.y, args.t, beta_count=args.beta_count
-    )
+    try:
+        path = absorbing.find_connecting_path(
+            g, pat, args.x, args.y, args.t, beta_count=args.beta_count
+        )
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if path is None:
         _say(args, "no connecting path found (search exhausted)")
         return EXIT_NONE
@@ -339,7 +343,11 @@ def cmd_pipeline(args) -> int:
 def cmd_certify(args) -> int:
     g = _load(args.file)
     pat = _pattern(args.pattern)
-    res = constructions.certify_uncoverable(g, args.vertex, pat)
+    try:
+        res = constructions.certify_uncoverable(g, args.vertex, pat)
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if res.uncoverable:
         _say(
             args,
@@ -384,20 +392,6 @@ class ExperimentSpec:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.seed is None:
             raise ValueError("a seed is required: every trial derives from it")
-
-    def to_dict(self) -> dict:
-        return {
-            "sampler": self.sampler,
-            "n": self.n,
-            "r": self.r,
-            "gamma": self.gamma,
-            "p": self.p,
-            "pattern": self.pattern,
-            "trials": self.trials,
-            "seed": self.seed,
-            "budget_nodes": self.budget_nodes,
-            "max_attempts": self.max_attempts,
-        }
 
 
 def _sample_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -501,7 +495,7 @@ def experiment_csv(spec: "ExperimentSpec | dict", jobs: int = 1) -> str:
     run in parallel; rows are always emitted in trial order.
     """
     if isinstance(spec, ExperimentSpec):
-        spec = spec.to_dict()
+        spec = asdict(spec)
     trials = range(spec["trials"])
     if jobs > 1:
         import multiprocessing

@@ -165,8 +165,13 @@ class ExtremalParams:
 
 
 def preset_star_sizes(n: int, v2_size: int) -> tuple[int, ...]:
-    """The source construction's star sizes: sqrt(n)/2 stars of size
-    floor/ceil of 2|V_2|/sqrt(n).  Requires n to be a perfect square."""
+    """Preset star sizes: floor(sqrt(n)/2) stars whose sizes differ by at
+    most one and sum to |V_2|.  Requires n to be a perfect square.
+
+    For even sqrt(n) these are the source construction's sqrt(n)/2 stars;
+    the floor for odd sqrt(n) is a local choice, not taken from the source.
+    Any star forest on V_2 keeps v uncoverable.
+    """
     s = math.isqrt(n)
     if s * s != n:
         raise ExtremalParamError(
@@ -175,9 +180,9 @@ def preset_star_sizes(n: int, v2_size: int) -> tuple[int, ...]:
     count = s // 2
     if count < 1:
         raise ExtremalParamError("n too small for the preset star count")
-    low = (2 * v2_size) // s
+    low = v2_size // count
     high_count = v2_size - count * low
-    if low < 1 or not 0 <= high_count <= count:
+    if low < 1:
         raise ExtremalParamError(
             "preset star sizes do not cover V_2; pass star_sizes explicitly"
         )
@@ -255,16 +260,12 @@ class UncoverableResult:
     uncoverable: bool
     refutation: tuple[int, ...] | None
 
-    @property
-    def certified(self) -> bool:
-        return self.uncoverable
-
 
 def certify_uncoverable(
     g: Graph | Digraph, v: int, pattern: PatternGraph
 ) -> UncoverableResult:
     """Exhaustively search for any vertex set through v spanning the pattern."""
-    for verts, _ in enumerate_copies(g, pattern, through=v):
+    for verts in enumerate_copies(g, pattern, through=v):
         return UncoverableResult(v, pattern.name, False, verts)
     return UncoverableResult(v, pattern.name, True, None)
 

@@ -35,29 +35,92 @@ def _check_endpoint(v: int, n: int) -> None:
         raise GraphFormatError(f"vertex {v} out of range 0..{n - 1}")
 
 
-class Graph:
-    """Simple undirected graph: no loops, no parallel edges."""
+class _GraphBase:
+    """What Graph and Digraph share: the order, pair validation, equality
+    on the pair set and induced subgraphs built from the adjacency rows.
 
-    __slots__ = ("n", "adj", "edges")
+    A subclass stores its pairs and rows under its own names and exposes
+    them through ``_pairs`` and ``_rows`` (``adj`` for graphs, ``out`` for
+    digraphs).
+    """
 
-    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
         if n < 0:
             raise GraphFormatError("vertex count must be nonnegative")
-        adj = [0] * n
-        edge_set = set()
-        for u, v in edges:
+        self.n = n
+
+    def _checked(self, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
+        """The pairs, each with both endpoints in range and distinct."""
+        n = self.n
+        for u, v in pairs:
             _check_endpoint(u, n)
             _check_endpoint(v, n)
             if u == v:
                 raise GraphFormatError(f"loop at vertex {u}")
+            yield u, v
+
+    def edge_count(self) -> int:
+        return len(self._pairs())
+
+    def vertices(self) -> range:
+        return range(self.n)
+
+    def full_mask(self) -> int:
+        return (1 << self.n) - 1
+
+    def induced(self, vertices: Iterable[int]) -> tuple["_GraphBase", list[int]]:
+        """Induced subgraph plus the list mapping new ids to original ids.
+
+        New ids follow the original id order.
+        """
+        vs = sorted(set(vertices))
+        keep = 0
+        for v in vs:
+            keep |= 1 << v
+        pos = {v: i for i, v in enumerate(vs)}
+        rows = self._rows()
+        pairs = [(i, pos[w]) for i, v in enumerate(vs) for w in _bits(rows[v] & keep)]
+        return type(self)(len(vs), pairs), vs
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, type(self))
+            and self.n == other.n
+            and self._pairs() == other._pairs()
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self._pairs()))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}(n={self.n}, m={len(self._pairs())})"
+
+
+class Graph(_GraphBase):
+    """Simple undirected graph: no loops, no parallel edges."""
+
+    __slots__ = ("adj", "edges")
+
+    def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
+        super().__init__(n)
+        adj = [0] * n
+        edge_set = set()
+        for u, v in self._checked(edges):
             if u > v:
                 u, v = v, u
             edge_set.add((u, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self.n = n
         self.adj = tuple(adj)
         self.edges = frozenset(edge_set)
+
+    def _pairs(self) -> frozenset[tuple[int, int]]:
+        return self.edges
+
+    def _rows(self) -> tuple[int, ...]:
+        return self.adj
 
     # -- queries ---------------------------------------------------------
 
@@ -70,17 +133,8 @@ class Graph:
     def neighbors(self, v: int) -> list[int]:
         return list(_bits(self.adj[v]))
 
-    def edge_count(self) -> int:
-        return len(self.edges)
-
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
-
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
 
     def complement(self) -> "Graph":
         g = Graph.__new__(Graph)
@@ -95,55 +149,33 @@ class Graph:
         )
         return g
 
-    def induced(self, vertices: Iterable[int]) -> tuple["Graph", list[int]]:
-        """Induced subgraph plus the list mapping new ids to original ids."""
-        vs = sorted(set(vertices))
-        pos = {v: i for i, v in enumerate(vs)}
-        edges = [
-            (pos[u], pos[v]) for u, v in self.edges if u in pos and v in pos
-        ]
-        return Graph(len(vs), edges), vs
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.edges))
-
-    def __repr__(self) -> str:
-        return f"Graph(n={self.n}, m={len(self.edges)})"
-
-
-class Digraph:
+class Digraph(_GraphBase):
     """Simple directed graph: no loops, at most one arc per ordered pair.
 
     Antiparallel arc pairs are allowed; an edge both ways is two arcs.
     """
 
-    __slots__ = ("n", "out", "inn", "arcs")
+    __slots__ = ("out", "inn", "arcs")
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
-        if n < 0:
-            raise GraphFormatError("vertex count must be nonnegative")
+        super().__init__(n)
         out = [0] * n
         inn = [0] * n
         arc_set = set()
-        for u, v in arcs:
-            _check_endpoint(u, n)
-            _check_endpoint(v, n)
-            if u == v:
-                raise GraphFormatError(f"loop at vertex {u}")
+        for u, v in self._checked(arcs):
             arc_set.add((u, v))
             out[u] |= 1 << v
             inn[v] |= 1 << u
-        self.n = n
         self.out = tuple(out)
         self.inn = tuple(inn)
         self.arcs = frozenset(arc_set)
+
+    def _pairs(self) -> frozenset[tuple[int, int]]:
+        return self.arcs
+
+    def _rows(self) -> tuple[int, ...]:
+        return self.out
 
     # -- queries ---------------------------------------------------------
 
@@ -162,38 +194,8 @@ class Digraph:
     def in_degree_in(self, v: int, mask: int) -> int:
         return (self.inn[v] & mask).bit_count()
 
-    def edge_count(self) -> int:
-        return len(self.arcs)
-
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
-
-    def vertices(self) -> range:
-        return range(self.n)
-
-    def full_mask(self) -> int:
-        return (1 << self.n) - 1
-
-    def induced(self, vertices: Iterable[int]) -> tuple["Digraph", list[int]]:
-        vs = sorted(set(vertices))
-        pos = {v: i for i, v in enumerate(vs)}
-        arcs = [
-            (pos[u], pos[v]) for u, v in self.arcs if u in pos and v in pos
-        ]
-        return Digraph(len(vs), arcs), vs
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Digraph)
-            and self.n == other.n
-            and self.arcs == other.arcs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.arcs))
-
-    def __repr__(self) -> str:
-        return f"Digraph(n={self.n}, m={len(self.arcs)})"
 
 
 @dataclass(frozen=True)

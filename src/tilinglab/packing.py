@@ -464,13 +464,16 @@ def enumerate_copies(
     pattern: PatternGraph,
     through: int | None = None,
     within: int | None = None,
-) -> Iterator[tuple[tuple[int, ...], dict[int, int]]]:
-    """Yield every vertex set spanning the pattern, with one witness each.
+) -> Iterator[tuple[int, ...]]:
+    """Yield every vertex set spanning the pattern, as a sorted tuple.
 
-    ``through`` restricts to sets containing that vertex; ``within`` is a
-    bitmask restricting the host vertices considered.  No set is yielded
-    twice.
+    ``through`` restricts to sets containing that vertex, which must be a
+    host vertex; ``within`` is a bitmask restricting the host vertices
+    considered.  No set is yielded twice.  A caller that wants a witness
+    mapping calls `spans_pattern` on the set.
     """
+    if through is not None and not 0 <= through < host.n:
+        raise ValueError(f"vertex {through} out of range 0..{host.n - 1}")
     if pattern.order > host.n:
         return
     if pattern.is_digraph != isinstance(host, Digraph):
@@ -479,43 +482,24 @@ def enumerate_copies(
     if through is not None and not mask >> through & 1:
         return
     if pattern.transitive_order:
-        for verts in _transitive_copies(host, pattern.order, mask, through):
-            order = transitive_order(host, verts)
-            yield verts, {i: v for i, v in enumerate(order)}
+        yield from _transitive_copies(host, pattern.order, mask, through)
         return
     if pattern.clique_order:
-        for verts in _clique_copies(host, pattern.order, mask, through):
-            yield verts, {i: v for i, v in enumerate(verts)}
+        yield from _clique_copies(host, pattern.order, mask, through)
         return
     if pattern.multipartite:
-        for verts in _multipartite_copies(host, pattern, mask, through):
-            witness = _spans_multipartite(host, verts, pattern)
-            yield verts, witness
+        yield from _multipartite_copies(host, pattern, mask, through)
         return
     seen: set[tuple[int, ...]] = set()
-    if through is None:
-        for emb in _enumerate_embeddings(host, pattern, mask):
+    fixings = (
+        [None] if through is None else [{p: through} for p in range(pattern.order)]
+    )
+    for fixed in fixings:
+        for emb in _enumerate_embeddings(host, pattern, mask, fixed):
             verts = tuple(sorted(emb.values()))
             if verts not in seen:
                 seen.add(verts)
-                yield verts, emb
-    else:
-        for p in range(pattern.order):
-            for emb in _enumerate_embeddings(host, pattern, mask, fixed={p: through}):
-                verts = tuple(sorted(emb.values()))
-                if verts not in seen:
-                    seen.add(verts)
-                    yield verts, emb
-
-
-def _copies_through(
-    host: Graph | Digraph,
-    pattern: PatternGraph,
-    v: int,
-    mask: int,
-) -> Iterator[tuple[int, ...]]:
-    for verts, _ in enumerate_copies(host, pattern, through=v, within=mask):
-        yield verts
+                yield verts
 
 
 # -- exact solvers ------------------------------------------------------------
@@ -544,7 +528,7 @@ def find_perfect_packing(
         if mask == 0:
             return True
         v = (mask & -mask).bit_length() - 1
-        for verts in _copies_through(host, pattern, v, mask):
+        for verts in enumerate_copies(host, pattern, v, mask):
             part_mask = 0
             for u in verts:
                 part_mask |= 1 << u
@@ -612,7 +596,7 @@ def max_packing(
             return
         v = (mask & -mask).bit_length() - 1
         for pat in patterns:
-            for verts in _copies_through(host, pat, v, mask):
+            for verts in enumerate_copies(host, pat, v, mask):
                 part_mask = 0
                 for u in verts:
                     part_mask |= 1 << u
@@ -656,7 +640,7 @@ def greedy_packing(
     for anchor in order:
         if not mask >> anchor & 1:
             continue
-        for verts in _copies_through(host, pattern, anchor, mask):
+        for verts in enumerate_copies(host, pattern, anchor, mask):
             for u in verts:
                 mask &= ~(1 << u)
             parts.append(verts)
@@ -701,19 +685,7 @@ def is_perfect_packing(
 
 def verify_parts(host: Graph | Digraph, packing: Packing) -> VerifyResult:
     """Disjointness and per-part spanning only (no coverage requirement)."""
-    seen: set[int] = set()
-    for idx, (part, pat) in enumerate(zip(packing.parts, packing.patterns)):
-        for v in part:
-            if not 0 <= v < host.n:
-                return VerifyResult(False, f"part {idx}: vertex {v} out of range")
-            if v in seen:
-                return VerifyResult(False, f"disjointness violated at vertex {v}")
-            seen.add(v)
-        if spans_pattern(host, part, pat) is None:
-            return VerifyResult(
-                False, f"part {idx}: {tuple(part)} does not span {pat.name}"
-            )
-    return VerifyResult(True)
+    return is_perfect_packing(host, packing, universe=packing.covered())
 
 
 def equitable_complement_packing(g: Graph, r: int) -> Packing | None:

@@ -63,6 +63,21 @@ def brute_spans(host, verts, name: str) -> bool:
     raise ValueError(name)
 
 
+def brute_embeds(host, verts, base) -> bool:
+    """Some bijection from the pattern ``base`` onto verts maps every
+    pattern edge (arc) onto a host edge (arc), by raw set membership."""
+    directed = isinstance(base, Digraph)
+    pattern_pairs = base.arcs if directed else base.edges
+    host_pairs = host.arcs if directed else host.edges
+    for image in itertools.permutations(verts):
+        mapped = ((image[a], image[b]) for a, b in pattern_pairs)
+        if directed and all(pair in host_pairs for pair in mapped):
+            return True
+        if not directed and all((min(p), max(p)) in host_pairs for p in mapped):
+            return True
+    return False
+
+
 def partitions_into(vs: list[int], h: int):
     """All partitions of vs into parts of size h (vs sorted, no repeats)."""
     if not vs:

@@ -9,7 +9,6 @@ from tilinglab.absorbing import (
     AbsorbingFamily,
     FamilyConstructionError,
     HPath,
-    TruncatedHPath,
     absorb,
     auxiliary_graph,
     build_absorbing_family,
@@ -18,7 +17,6 @@ from tilinglab.absorbing import (
     find_connecting_path,
     is_absorbing_for,
     is_h_path,
-    is_truncated_h_path,
     length1_connectors,
     pipeline,
     q_prime,
@@ -99,9 +97,21 @@ def test_truncate():
         HPath(pat, ((7, 8),), (6, 9)),
     )
     q = truncate_path(p)
-    assert isinstance(q, TruncatedHPath)
+    assert q.endpoints == (None, None) and q.connectors[1:-1] == (3, 6)
     assert len(q.vertices()) == 3 * 3 - 1
-    assert is_truncated_h_path(host, q).ok
+    assert is_h_path(host, q).ok
+
+    res = is_h_path(host, HPath(pat, q.blocks, q.connectors[:-1]))
+    assert not res.ok and "connectors" in res.reason
+    res = is_h_path(host, truncate_path(HPath(pat, ((1, 2),), (0, 3))))
+    assert not res.ok and "length" in res.reason
+    res = is_h_path(host, HPath(pat, q.blocks, (None, None, 6, None)))
+    assert not res.ok and "missing" in res.reason
+    for half in ((0, 3, 6, None), (None, 3, 6, 9)):
+        res = is_h_path(host, HPath(pat, q.blocks, half))
+        assert not res.ok and "both endpoints" in res.reason
+    with pytest.raises(ValueError, match="endpoint"):
+        concat_paths(q, q)
 
 
 def test_length1_connectors_examples():
@@ -382,6 +392,7 @@ def test_connector_degree_profile():
     p = find_connecting_path(host, clique_pattern(3), 0, 11, 2)
     prof = connector_degree_profile(host, p)
     assert prof == [11, 11, 11]
+    assert connector_degree_profile(host, truncate_path(p)) == [11]
     d = symmetrize(complete_graph(8))
     pd = find_connecting_path(d, transitive_pattern(3), 0, 7, 2)
     assert connector_degree_profile(d, pd) == [7, 7, 7]

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -254,7 +255,7 @@ def test_experiment_spec_validation():
     with pytest.raises(ValueError, match="sampler"):
         ExperimentSpec("warp", 6, 3, "0", 0.5, "K3", 5, 1)
     spec = ExperimentSpec("gnp-min-degree", 6, 3, "0", 0.75, "K3", 5, 9)
-    assert experiment_csv(spec) == experiment_csv(spec.to_dict())
+    assert experiment_csv(spec) == experiment_csv(asdict(spec))
     assert main(["experiment", "--sampler", "warp", "--n", "6", "--pattern",
                  "K3", "--trials", "2", "--quiet"]) == 2
 
@@ -271,3 +272,23 @@ def test_gen_hs_tight(tmp_path):
                  str(out)]) == 0
     g = graph_from_json(out.read_text())
     assert min(g.degree(v) for v in range(9)) == 5  # one below 2n/3
+
+
+def test_certify_and_path_input_errors(tmp_path, capsys):
+    out = tmp_path / "k.json"
+    assert main(["gen", "kr-power", "--r", "3", "--t", "3", "--out", str(out)]) == 0
+    k = str(out)
+    assert main(["pack", k, "--pattern", "K3", "--quiet",
+                 "--out", str(tmp_path / "p.json")]) == 0
+    # vertices outside the 9-vertex host are input errors, never certificates
+    assert main(["certify", k, "--pattern", "K3", "--vertex", "9"]) == 2
+    assert main(["certify", k, "--pattern", "K3", "--vertex", "-1"]) == 2
+    assert main(["path", k, "--pattern", "K3", "--x", "0", "--y", "0", "--t", "1"]) == 2
+    assert main(["path", k, "--pattern", "K3", "--x", "0", "--y", "1", "--t", "0"]) == 2
+    assert main(["path", k, "--pattern", "K3", "--x", "9", "--y", "0", "--t", "1"]) == 2
+    assert main(["path", k, "--pattern", "K3", "--x", "-1", "--y", "0", "--t", "1"]) == 2
+    assert main(["path", k, "--pattern", "K3", "--x", "0", "--y", "9", "--t", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "NONE-FOUND" not in captured.out
+    assert "no connecting path" not in captured.out + captured.err
+    assert captured.err.count("input error") == 7

@@ -157,6 +157,12 @@ def test_extremal_invalid_params():
 
 def test_preset_star_sizes():
     assert preset_star_sizes(36, 16) == (6, 5, 5)
+    assert preset_star_sizes(144, 52) == (9, 9, 9, 9, 8, 8)
+    # odd square n: floor(sqrt(n)/2) stars still cover V_2
+    inst = extremal_instance(ExtremalParams(3, (2, 2, 2), 81, 1))
+    assert tuple(len(s) for s in inst.stars) == (8, 8, 8, 7)
+    inst = extremal_instance(ExtremalParams(3, (2, 2, 2), 225, 1))
+    assert tuple(len(s) for s in inst.stars) == (12, 12, 11, 11, 11, 11, 11)
     with pytest.raises(ExtremalParamError):
         preset_star_sizes(35, 16)
 

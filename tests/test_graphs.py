@@ -164,3 +164,22 @@ def test_parsers_reject_bad_input():
         parse_edge_list("3 2 graph\n0 1\n")
     with pytest.raises(GraphFormatError):
         parse_edge_list("3 1 digraph\n0 9\n")
+
+
+def test_induced_matches_edge_filter():
+    rng = random.Random(21)
+    for _ in range(20):
+        n = rng.randint(1, 12)
+        for host in (sample_gnp(rng, n, 0.5), sample_digraph(rng, n, 0.4)):
+            directed = isinstance(host, Digraph)
+            pairs = host.arcs if directed else host.edges
+            unsorted = [rng.randrange(n) for _ in range(rng.randint(0, 2 * n))]
+            for chosen in (unsorted, [], [rng.randrange(n)]):
+                sub, mapping = host.induced(chosen)
+                vs = sorted(set(chosen))
+                assert mapping == vs and sub.n == len(vs)
+                assert type(sub) is type(host)
+                pos = {v: i for i, v in enumerate(vs)}
+                want = {(pos[u], pos[v]) for u, v in pairs if u in pos and v in pos}
+                assert (sub.arcs if directed else sub.edges) == want
+                assert directed or not hasattr(sub, "arcs")

@@ -12,7 +12,7 @@ from tilinglab.constructions import (
     transitive_pattern,
     transitive_tournament,
 )
-from tilinglab.graphs import Digraph, Graph, symmetrize
+from tilinglab.graphs import Digraph, Graph, PatternGraph, symmetrize
 from tilinglab.packing import (
     BudgetExhausted,
     Packing,
@@ -28,9 +28,11 @@ from tilinglab.packing import (
 )
 
 from oracles import (
+    brute_embeds,
     brute_spans,
     oracle_max_coverage,
     oracle_perfect_decision,
+    sample_digraph,
     sample_gnp,
     sample_tournament,
 )
@@ -42,10 +44,10 @@ def test_enumerate_counts():
     assert len(list(enumerate_copies(complete_graph(4), clique_pattern(3)))) == 4
     t3 = transitive_tournament(3)
     copies = list(enumerate_copies(t3, transitive_pattern(3)))
-    assert [c[0] for c in copies] == [(0, 1, 2)]
+    assert copies == [(0, 1, 2)]
 
     t32 = pattern_power("T", 3, 2)
-    sets = {c[0] for c in enumerate_copies(t32, transitive_pattern(3))}
+    sets = set(enumerate_copies(t32, transitive_pattern(3)))
     brute = {
         trip
         for trip in itertools.combinations(range(6), 3)
@@ -56,24 +58,67 @@ def test_enumerate_counts():
 
 def test_enumerate_through_and_no_duplicates():
     g = complete_graph(6)
-    through = [c[0] for c in enumerate_copies(g, clique_pattern(3), through=2)]
+    through = list(enumerate_copies(g, clique_pattern(3), through=2))
     assert all(2 in s for s in through)
     assert len(through) == len(set(through)) == 10
 
     # generic enumerator path: multipartite pattern sets are deduped
     host = pattern_power("K", 3, 2)
     pat = pattern_from_name("K2,2,2")
-    sets = [c[0] for c in enumerate_copies(host, pat)]
+    sets = list(enumerate_copies(host, pat))
     assert len(sets) == len(set(sets)) == 1
 
 
 def test_enumerate_witnesses_embed():
     host = sample_gnp(random.Random(3), 8, 0.7)
     pat = pattern_from_name("K2,2")
-    for verts, emb in enumerate_copies(host, pat):
+    for verts in enumerate_copies(host, pat):
+        emb = spans_pattern(host, verts, pat)
         assert sorted(emb.values()) == list(verts)
         for (a, b) in pat.base.edges:
             assert host.has_edge(emb[a], emb[b])
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        clique_pattern(3),
+        transitive_pattern(3),
+        pattern_from_name("K2,2"),
+        PatternGraph(Graph(4, [(0, 1), (1, 2), (2, 3)])),  # P4: generic
+        PatternGraph(Digraph(3, [(0, 1), (1, 2), (2, 0)])),  # C3: generic
+    ],
+    ids=lambda pat: pat.name,
+)
+def test_enumerate_copies_match_oracle(pattern):
+    rng = random.Random(31)
+    for _ in range(6):
+        if pattern.is_digraph:
+            host = sample_digraph(rng, 7, 0.5)
+        else:
+            host = sample_gnp(rng, 8, 0.6)
+        within = rng.getrandbits(host.n)
+        through = rng.randrange(host.n)
+        spanning = [
+            c
+            for c in itertools.combinations(range(host.n), pattern.order)
+            if brute_embeds(host, c, pattern.base)
+        ]
+        for t, w in ((None, None), (through, None), (None, within), (through, within)):
+            got = list(enumerate_copies(host, pattern, through=t, within=w))
+            want = [
+                c
+                for c in spanning
+                if (t is None or t in c) and (w is None or all(w >> v & 1 for v in c))
+            ]
+            assert len(got) == len(set(got))
+            assert sorted(got) == want
+    # a vertex outside the host is an error; one only masked out has no copy
+    for bad in (-1, host.n):
+        with pytest.raises(ValueError, match="out of range"):
+            list(enumerate_copies(host, pattern, through=bad))
+    without_0 = host.full_mask() & ~1
+    assert list(enumerate_copies(host, pattern, through=0, within=without_0)) == []
 
 
 def test_transitive_order_helper():
