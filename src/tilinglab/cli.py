@@ -72,6 +72,17 @@ def _pattern(name: str):
         raise SystemExit(EXIT_INPUT)
 
 
+def _host_and_pattern(args):
+    """The host file and the pattern; exits 2 when their kinds differ."""
+    g = _load(args.file)
+    pat = _pattern(args.pattern)
+    if pat.is_digraph != isinstance(g, Digraph):
+        kind = "digraph" if pat.is_digraph else "graph"
+        print(f"input error: pattern {pat.name} needs a {kind} host", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
+    return g, pat
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     if not text:
         return ()
@@ -179,8 +190,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_pack(args) -> int:
-    g = _load(args.file)
-    pat = _pattern(args.pattern)
+    g, pat = _host_and_pattern(args)
     budget = packing.SearchBudget(args.budget_nodes) if args.budget_nodes else None
     try:
         result = packing.find_perfect_packing(g, pat, budget)
@@ -195,8 +205,7 @@ def cmd_pack(args) -> int:
 
 
 def cmd_maxpack(args) -> int:
-    g = _load(args.file)
-    pat = _pattern(args.pattern)
+    g, pat = _host_and_pattern(args)
     budget = packing.SearchBudget(args.budget_nodes) if args.budget_nodes else None
     res = packing.max_packing(g, pat, budget)
     obj = res.packing.to_json_obj()
@@ -241,8 +250,7 @@ def cmd_improve(args) -> int:
 
 
 def cmd_path(args) -> int:
-    g = _load(args.file)
-    pat = _pattern(args.pattern)
+    g, pat = _host_and_pattern(args)
     try:
         path = absorbing.find_connecting_path(
             g, pat, args.x, args.y, args.t, beta_count=args.beta_count
@@ -266,8 +274,7 @@ def cmd_path(args) -> int:
 
 
 def cmd_absorbfam(args) -> int:
-    g = _load(args.file)
-    pat = _pattern(args.pattern)
+    g, pat = _host_and_pattern(args)
     try:
         fam = absorbing.build_absorbing_family(
             g,
@@ -296,8 +303,7 @@ def _family_from_json(obj: dict) -> absorbing.AbsorbingFamily:
 
 
 def cmd_absorb(args) -> int:
-    g = _load(args.file)
-    pat = _pattern(args.pattern)
+    g, pat = _host_and_pattern(args)
     try:
         with open(args.family) as fh:
             fam = _family_from_json(json.load(fh))
@@ -319,8 +325,7 @@ def cmd_absorb(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
-    g = _load(args.file)
-    pat = _pattern(args.pattern)
+    g, pat = _host_and_pattern(args)
     res = absorbing.pipeline(
         g,
         pat,
@@ -341,8 +346,7 @@ def cmd_pipeline(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    g = _load(args.file)
-    pat = _pattern(args.pattern)
+    g, pat = _host_and_pattern(args)
     try:
         res = constructions.certify_uncoverable(g, args.vertex, pat)
     except ValueError as exc:
@@ -392,6 +396,10 @@ class ExperimentSpec:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.seed is None:
             raise ValueError("a seed is required: every trial derives from it")
+        pat = constructions.pattern_from_name(self.pattern)
+        if pat.is_digraph != (self.sampler == "gnp-dominant"):
+            kind = "digraph" if pat.is_digraph else "graph"
+            raise ValueError(f"pattern {pat.name} needs a {kind} sampler")
 
 
 def _sample_graph(rng: random.Random, n: int, p: float) -> Graph:

@@ -26,7 +26,7 @@ from fractions import Fraction
 
 from .constructions import blowup_tournament_packing, transitive_pattern
 from .degseq import ConditionReport, check_dominant_margin
-from .graphs import Digraph, bits, blow_up, dominant_degree_sequence
+from .graphs import Digraph, bits, blow_up, dominant_degree_sequence, dominant_view
 from .packing import (
     Packing,
     SearchBudget,
@@ -165,13 +165,12 @@ def swap_improve(
     at an end.
     """
     _require_tournament_packing(d, m, r)
-    _, views = dominant_degree_sequence(d)
     covered = m.covered_mask()
     uncovered = sorted(
         (v for v in range(d.n) if not covered >> v & 1), key=lambda v: I[v]
     )
     for x in uncovered:
-        xmask = views[x].dominant_mask(d)
+        xmask = dominant_view(d, x).dominant_mask(d)
         for pi, part in enumerate(m.parts):
             for y in part:
                 if I[y] <= I[x]:

@@ -136,19 +136,6 @@ class Graph(_GraphBase):
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def complement(self) -> "Graph":
-        g = Graph.__new__(Graph)
-        g.n = self.n
-        full = (1 << self.n) - 1
-        g.adj = tuple((full & ~self.adj[v]) & ~(1 << v) for v in range(self.n))
-        g.edges = frozenset(
-            (u, v)
-            for u in range(self.n)
-            for v in range(u + 1, self.n)
-            if not self.has_edge(u, v)
-        )
-        return g
-
 
 class Digraph(_GraphBase):
     """Simple directed graph: no loops, at most one arc per ordered pair.
@@ -357,37 +344,6 @@ def _clique_order(g: Graph) -> int | None:
     return None
 
 
-def _multipartite_classes(g: Graph) -> tuple[int, ...] | None:
-    """Class sizes if g is complete multipartite (>= 2 classes), else None.
-
-    The complement of a complete multipartite graph is a disjoint union of
-    cliques, one per class.
-    """
-    comp = g.complement()
-    seen = 0
-    sizes = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        # component by BFS over the complement
-        frontier = 1 << v
-        block = 0
-        while frontier:
-            block |= frontier
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= comp.adj[u]
-            frontier = nxt & ~block
-        for u in _bits(block):
-            if (comp.adj[u] | (1 << u)) & block != block:
-                return None  # component is not a clique
-        sizes.append(block.bit_count())
-        seen |= block
-    if len(sizes) < 2:
-        return None
-    return tuple(sorted(sizes, reverse=True))
-
-
 def _is_transitive_tournament(d: Digraph) -> bool:
     degs = sorted((d.out_degree(v) for v in range(d.n)), reverse=True)
     return len(d.arcs) == d.n * (d.n - 1) // 2 and degs == list(
@@ -395,12 +351,117 @@ def _is_transitive_tournament(d: Digraph) -> bool:
     )
 
 
+@dataclass(frozen=True)
+class TwinClasses:
+    """A pattern's vertices split into twin classes.
+
+    Two vertices are twins when swapping them is an automorphism: the same
+    neighbours apart from each other and, in a digraph, arcs between them
+    both ways or neither.  Inside a class and between two classes the
+    pattern is therefore homogeneous, and a vertex set spans the pattern
+    exactly when it splits into groups of the class sizes that meet these
+    class-level adjacencies.
+
+    ``need[i][j]`` names the arcs a vertex put in class j needs with one
+    put in class i: bit 1 the arc from the class-i vertex, bit 2 the arc
+    back to it (a graph edge sets both).  The diagonal entry is 3 for a
+    class of mutually joined twins.
+    Each ``groups`` entry is a slice ``(a, b)`` of consecutive classes of
+    equal size that any permutation among themselves maps onto the pattern.
+    """
+
+    classes: tuple[tuple[int, ...], ...]
+    need: tuple[tuple[int, ...], ...]
+    groups: tuple[tuple[int, int], ...]
+
+
+def _partition(items: Iterable, same) -> list[list]:
+    """Classes of an equivalence relation, in order of first appearance."""
+    classes: list[list] = []
+    for x in items:
+        home = next((c for c in classes if same(c[0], x)), None)
+        if home is None:
+            classes.append([x])
+        else:
+            home.append(x)
+    return classes
+
+
+def arc_rows(g: Graph | Digraph) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Out- and in-neighbourhood rows; a graph's edges go both ways."""
+    if isinstance(g, Digraph):
+        return g.out, g.inn
+    return g.adj, g.adj
+
+
+def _twin_classes(base: Graph | Digraph) -> TwinClasses:
+    fwd, back = arc_rows(base)
+
+    def code(p: int, q: int) -> int:
+        return (fwd[p] >> q & 1) | (back[p] >> q & 1) << 1
+
+    def twins(u: int, v: int) -> bool:
+        keep = ~(1 << u | 1 << v)
+        return (
+            fwd[u] & keep == fwd[v] & keep
+            and back[u] & keep == back[v] & keep
+            and code(u, v) in (0, 3)
+        )
+
+    classes = _partition(range(base.n), twins)
+
+    def need(a: list[int], b: list[int]) -> int:
+        return code(a[0], b[-1])  # 0 inside a one-vertex class: no loops
+
+    def swappable(a: list[int], b: list[int]) -> bool:
+        return (
+            len(a) == len(b)
+            and need(a, a) == need(b, b)
+            and need(a, b) in (0, 3)
+            and all(need(a, c) == need(b, c) for c in classes if c is not a and c is not b)
+        )
+
+    # swapping whole classes is again a twin relation, so its groups are
+    # the classes of an equivalence and can be listed one after another
+    groups = _partition(classes, swappable)
+    ordered = [c for g in groups for c in g]
+    slices = []
+    start = 0
+    for g in groups:
+        if len(g) > 1:
+            slices.append((start, start + len(g)))
+        start += len(g)
+    return TwinClasses(
+        tuple(tuple(c) for c in ordered),
+        tuple(tuple(need(a, b) for b in ordered) for a in ordered),
+        tuple(slices),
+    )
+
+
+def _multipartite_classes(tw: TwinClasses) -> tuple[int, ...] | None:
+    """Class sizes if the pattern is complete multipartite (>= 2 classes).
+
+    Then every twin class is joined to every other.  A twin class without
+    inner edges is one part, and each vertex of a joined one is a part.
+    """
+    k = len(tw.classes)
+    if any(tw.need[i][j] != 3 for i in range(k) for j in range(k) if i != j):
+        return None
+    sizes = []
+    for i, c in enumerate(tw.classes):
+        sizes.extend([1] * len(c) if tw.need[i][i] else [len(c)])
+    return tuple(sorted(sizes, reverse=True)) if len(sizes) >= 2 else None
+
+
 class PatternGraph:
     """A small pattern to pack, with cached structural classification.
 
     Wraps either a Graph or a Digraph.  For graphs the exact chromatic
-    number is computed on demand and cached.  The classification flags are
-    what the copy-enumeration and spanning routines dispatch on.
+    number is computed on demand and cached; so are the twin classes, for
+    either kind.
+    Copy enumeration and spanning tests run their clique and transitive
+    loops on ``clique_order`` and ``transitive_order``, and the twin-class
+    search on every other pattern; ``multipartite`` names the pattern.
     """
 
     __slots__ = (
@@ -412,6 +473,7 @@ class PatternGraph:
         "multipartite",
         "transitive_order",
         "_chi",
+        "_twins",
     )
 
     def __init__(self, base: Graph | Digraph, name: str | None = None):
@@ -421,6 +483,7 @@ class PatternGraph:
         self.order = base.n
         self.is_digraph = isinstance(base, Digraph)
         self._chi: int | None = None
+        self._twins: TwinClasses | None = None
         if self.is_digraph:
             self.clique_order = None
             self.multipartite = None
@@ -428,7 +491,7 @@ class PatternGraph:
         else:
             self.clique_order = _clique_order(base)
             self.multipartite = (
-                None if self.clique_order else _multipartite_classes(base)
+                None if self.clique_order else _multipartite_classes(self.twin_classes())
             )
             self.transitive_order = None
         self.name = name or self._default_name()
@@ -449,6 +512,11 @@ class PatternGraph:
         if self._chi is None:
             self._chi = chromatic_number(self.base)
         return self._chi
+
+    def twin_classes(self) -> TwinClasses:
+        if self._twins is None:
+            self._twins = _twin_classes(self.base)
+        return self._twins
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PatternGraph) and self.base == other.base

@@ -8,10 +8,11 @@ other module produces.
 
 A vertex set "spans" a pattern when the host contains the pattern as a
 subgraph on that set (extra edges are fine).  Spanning tests and copy
-enumeration dispatch on the pattern's structure: cliques and transitive
-tournaments get dedicated mask-based generators, complete multipartite
-patterns go through a complement-component grouping test, and everything
-else falls back to a generic embedding search.
+enumeration take one of three routes, chosen by the pattern's
+classification: cliques and transitive tournaments keep their own
+mask-based loops, and every other pattern goes through one search over
+the pattern's twin classes (`PatternGraph.twin_classes`), which fills the
+classes of a complete multipartite pattern as it fills any other.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Digraph, Graph, PatternGraph, bits
+from .graphs import Digraph, Graph, PatternGraph, TwinClasses, arc_rows, bits
 
 
 class BudgetExhausted(RuntimeError):
@@ -143,241 +144,90 @@ def transitive_order(d: Digraph, verts: Sequence[int]) -> list[int] | None:
     return order
 
 
-def _complement_components(g: Graph, verts: Sequence[int]) -> list[list[int]]:
-    """Connected components of the non-adjacency relation inside verts."""
-    vm = 0
-    for v in verts:
-        vm |= 1 << v
-    comps = []
-    todo = vm
-    while todo:
-        start = todo & -todo
-        block = 0
-        frontier = start
-        while frontier:
-            block |= frontier
-            nxt = 0
-            for u in bits(frontier):
-                nxt |= vm & ~g.adj[u] & ~(1 << u)
-            frontier = nxt & ~block
-        comps.append(list(bits(block)))
-        todo &= ~block
-    return comps
+# A state of the twin-class search holds, per pattern twin class, the room
+# left, the mask of host vertices still allowed in it and the host vertices
+# put in it.  The room and the allowed masks alone decide every completion.
+_TwinState = tuple[list[int], list[int], list[int]]
 
 
-def _group_components(sizes: list[int], classes: list[int]) -> list[int] | None:
-    """Assign component sizes to class bins filled exactly; returns bin index
-    per component, or None."""
-    order = sorted(range(len(sizes)), key=lambda i: -sizes[i])
-    remaining = list(classes)
-    assign = [-1] * len(sizes)
-
-    def rec(k: int) -> bool:
-        if k == len(order):
-            return all(r == 0 for r in remaining)
-        i = order[k]
-        seen = set()
-        for b, room in enumerate(remaining):
-            if room >= sizes[i] and room not in seen:
-                seen.add(room)  # bins with equal residual capacity are symmetric
-                remaining[b] -= sizes[i]
-                assign[i] = b
-                if rec(k + 1):
-                    return True
-                remaining[b] += sizes[i]
-                assign[i] = -1
-        return False
-
-    return assign if rec(0) else None
+def _twin_start(tw: TwinClasses, allowed: int) -> dict[object, _TwinState]:
+    k = len(tw.classes)
+    return {None: ([len(c) for c in tw.classes], [allowed] * k, [0] * k)}
 
 
-def _packable_under_capacity(sizes: list[int], caps: list[int]) -> bool:
-    """Can each size go entirely into one bin without exceeding capacities?
-    Bins may stay under-filled."""
-    order = sorted(sizes, reverse=True)
-    residual = sorted(caps, reverse=True)
+def _twin_advance(
+    tw: TwinClasses,
+    rows: tuple[tuple[int, ...], tuple[int, ...]],
+    states: dict[object, _TwinState],
+    v: int,
+    above: int,
+) -> dict[object, _TwinState]:
+    """The states after putting host vertex v in each class that allows it.
 
-    def rec(k: int) -> bool:
-        if k == len(order):
-            return True
-        seen = set()
-        for b, room in enumerate(residual):
-            if room >= order[k] and room not in seen:
-                seen.add(room)
-                residual[b] -= order[k]
-                if rec(k + 1):
-                    residual[b] += order[k]
-                    return True
-                residual[b] += order[k]
-        return False
-
-    return rec(0)
-
-
-def _multipartite_copies(
-    g: Graph, pattern: PatternGraph, within: int, through: int | None
-) -> Iterator[tuple[int, ...]]:
-    """Canonical (ids-ascending) enumeration of sets spanning a complete
-    multipartite pattern.
-
-    A partial set stays viable only while its non-adjacency components can
-    each nest inside one pattern class: in any completion, non-adjacent
-    vertices must share a class, so the restriction of the final class
-    partition witnesses exactly this bin-packing.
+    Every allowed mask keeps only vertices in ``above``.  Equal states merge,
+    and so do states that differ by a permutation of a swappable group.
     """
-    classes = list(pattern.multipartite)
-    max_class = classes[0]
+    fwd = rows[0][v] & above
+    back = rows[1][v] & above
+    keep = (above, fwd, back, fwd & back)
+    bit = 1 << v
+    out: dict[object, _TwinState] = {}
+    for rooms, masks, members in states.values():
+        for i, m in enumerate(masks):
+            if not m & bit:
+                continue
+            nmasks = [x & keep[c] for x, c in zip(masks, tw.need[i])]
+            nrooms = rooms.copy()
+            nrooms[i] -= 1
+            if not nrooms[i]:
+                nmasks[i] = 0
+            pairs = list(zip(nrooms, nmasks))
+            for a, b in tw.groups:
+                pairs[a:b] = sorted(pairs[a:b])
+            key = tuple(pairs)
+            if key not in out:
+                nmembers = members.copy()
+                nmembers[i] |= bit
+                out[key] = (nrooms, nmasks, nmembers)
+    return out
+
+
+def _twin_copies(
+    host: Graph | Digraph, pattern: PatternGraph, within: int, through: int | None
+) -> Iterator[tuple[int, ...]]:
+    """Canonical (ids-ascending, ``through`` first) enumeration of the sets
+    spanning the pattern, carrying every twin-class state of the partial set.
+
+    A full class allows nothing, so at the last level the union of the
+    allowed masks is exactly the set of completing vertices.
+    """
+    tw = pattern.twin_classes()
+    rows = arc_rows(host)
     h = pattern.order
+    current: list[int] = []
 
-    def push(comps: list[int], v: int) -> list[int] | None:
-        """Component masks after adding v; None when a component overflows.
-        Components only merge as the set grows, so this is incremental."""
-        nonnb = ~g.adj[v]
-        merged = 1 << v
-        out = []
-        for comp in comps:
-            if comp & nonnb:
-                merged |= comp
-            else:
-                out.append(comp)
-        if merged.bit_count() > max_class:
-            return None
-        out.append(merged)
-        return out
-
-    def extend(
-        current: list[int], comps: list[int], lo: int
-    ) -> Iterator[tuple[int, ...]]:
-        if len(current) == h:
-            # at full size the capacities bind exactly, so feasibility at
-            # the last extension already certified the span
-            yield tuple(sorted(current))
-            return
-        cand = within & ~((1 << lo) - 1)
+    def extend(states: dict[object, _TwinState]) -> Iterator[tuple[int, ...]]:
+        cand = 0
+        for _, masks, _ in states.values():
+            for m in masks:
+                cand |= m
         if len(current) + cand.bit_count() < h:
             return
+        if len(current) == h - 1:
+            for v in bits(cand):
+                yield tuple(sorted(current + [v]))
+            return
         for v in bits(cand):
-            nxt = push(comps, v)
-            if nxt is not None and _packable_under_capacity(
-                [c.bit_count() for c in nxt], classes
-            ):
-                current.append(v)
-                yield from extend(current, nxt, v + 1)
-                current.pop()
+            current.append(v)
+            yield from extend(_twin_advance(tw, rows, states, v, -(2 << v)))
+            current.pop()
 
     if through is None:
-        yield from extend([], [], 0)
+        yield from extend(_twin_start(tw, within))
     else:
-        if not within >> through & 1:
-            return
-        within &= ~(1 << through)
-        yield from extend([through], [1 << through], 0)
-
-
-def _spans_multipartite(
-    g: Graph, verts: Sequence[int], pattern: PatternGraph
-) -> dict | None:
-    """Group the host set's non-adjacency components into the pattern's
-    classes; a witness maps each pattern class onto one group."""
-    pattern_classes = _complement_components(pattern.base, range(pattern.order))
-    comps = _complement_components(g, verts)
-    assign = _group_components(
-        [len(c) for c in comps], [len(c) for c in pattern_classes]
-    )
-    if assign is None:
-        return None
-    groups: list[list[int]] = [[] for _ in pattern_classes]
-    for comp, b in zip(comps, assign):
-        groups[b].extend(comp)
-    witness = {}
-    for cls, group in zip(pattern_classes, groups):
-        for p, v in zip(sorted(cls), sorted(group)):
-            witness[p] = v
-    return witness
-
-
-def _pattern_embed_order(pattern: PatternGraph) -> list[int]:
-    """Static embedding order: highest degree first, then most-constrained."""
-    base = pattern.base
-    if pattern.is_digraph:
-        deg = [base.out_degree(v) + base.in_degree(v) for v in range(base.n)]
-        und = [base.out[v] | base.inn[v] for v in range(base.n)]
-    else:
-        deg = [base.degree(v) for v in range(base.n)]
-        und = [base.adj[v] for v in range(base.n)]
-    order = []
-    placed = 0
-    rest = set(range(base.n))
-    while rest:
-        best = max(
-            rest,
-            key=lambda p: ((und[p] & placed).bit_count(), deg[p], -p),
-        )
-        order.append(best)
-        placed |= 1 << best
-        rest.remove(best)
-    return order
-
-
-def _enumerate_embeddings(
-    host: Graph | Digraph,
-    pattern: PatternGraph,
-    within: int,
-    fixed: dict[int, int] | None = None,
-) -> Iterator[dict[int, int]]:
-    """All embeddings (pattern vertex -> host vertex) inside the mask.
-
-    ``fixed`` pre-places pattern vertices.  Distinct embeddings may share an
-    image set; callers that want copies must dedupe.
-    """
-    base = pattern.base
-    order = _pattern_embed_order(pattern)
-    if fixed:
-        order = [p for p in fixed] + [p for p in order if p not in fixed]
-    digraph = pattern.is_digraph
-    if digraph:
-        pdeg = [base.out_degree(v) + base.in_degree(v) for v in range(base.n)]
-        hdeg = [host.out_degree(v) + host.in_degree(v) for v in range(host.n)]
-    else:
-        pdeg = [base.degree(v) for v in range(base.n)]
-        hdeg = [host.degree(v) for v in range(host.n)]
-    img: dict[int, int] = {}
-    used = 0
-
-    def candidates(p: int) -> int:
-        cand = within & ~used
-        for q, iq in img.items():
-            if digraph:
-                if base.has_arc(p, q):
-                    cand &= host.inn[iq]
-                if base.has_arc(q, p):
-                    cand &= host.out[iq]
-            else:
-                if base.has_edge(p, q):
-                    cand &= host.adj[iq]
-        return cand
-
-    def rec(k: int) -> Iterator[dict[int, int]]:
-        if k == len(order):
-            yield dict(img)
-            return
-        nonlocal used
-        p = order[k]
-        if fixed and p in fixed:
-            v = fixed[p]
-            if used >> v & 1 or not (within >> v & 1) or not (candidates(p) >> v & 1):
-                return
-            cand_list = [v]
-        else:
-            cand_list = [v for v in bits(candidates(p)) if hdeg[v] >= pdeg[p]]
-        for v in cand_list:
-            img[p] = v
-            used |= 1 << v
-            yield from rec(k + 1)
-            used &= ~(1 << v)
-            del img[p]
-
-    yield from rec(0)
+        current.append(through)
+        start = _twin_start(tw, within)
+        yield from extend(_twin_advance(tw, rows, start, through, ~(1 << through)))
 
 
 def spans_pattern(
@@ -399,14 +249,18 @@ def spans_pattern(
             if not host.has_edge(u, v):
                 return None
         return {i: v for i, v in enumerate(vs)}
-    if pattern.multipartite:
-        return _spans_multipartite(host, vs, pattern)
+    tw = pattern.twin_classes()
+    rows = arc_rows(host)
     mask = 0
     for v in vs:
         mask |= 1 << v
-    for emb in _enumerate_embeddings(host, pattern, mask):
-        return emb
-    return None
+    states = _twin_start(tw, mask)
+    for v in vs:
+        states = _twin_advance(tw, rows, states, v, -(2 << v))
+        if not states:
+            return None
+    _, _, members = next(iter(states.values()))
+    return {p: u for cls, m in zip(tw.classes, members) for p, u in zip(cls, bits(m))}
 
 
 # -- copy enumeration ---------------------------------------------------------
@@ -428,8 +282,6 @@ def _clique_copies(
     if through is None:
         yield from extend([], within, 0)
     else:
-        if not within >> through & 1:
-            return
         yield from extend([through], within & g.adj[through], 0)
 
 
@@ -453,8 +305,6 @@ def _transitive_copies(
     if through is None:
         yield from extend([], 0)
     else:
-        if not within >> through & 1:
-            return
         within &= ~(1 << through)
         yield from extend([through], 0)
 
@@ -472,14 +322,12 @@ def enumerate_copies(
     considered.  No set is yielded twice.  A caller that wants a witness
     mapping calls `spans_pattern` on the set.
     """
-    if through is not None and not 0 <= through < host.n:
-        raise ValueError(f"vertex {through} out of range 0..{host.n - 1}")
-    if pattern.order > host.n:
-        return
     if pattern.is_digraph != isinstance(host, Digraph):
         raise ValueError("pattern and host kinds differ")
+    if through is not None and not 0 <= through < host.n:
+        raise ValueError(f"vertex {through} out of range 0..{host.n - 1}")
     mask = host.full_mask() if within is None else within
-    if through is not None and not mask >> through & 1:
+    if pattern.order > host.n or through is not None and not mask >> through & 1:
         return
     if pattern.transitive_order:
         yield from _transitive_copies(host, pattern.order, mask, through)
@@ -487,19 +335,7 @@ def enumerate_copies(
     if pattern.clique_order:
         yield from _clique_copies(host, pattern.order, mask, through)
         return
-    if pattern.multipartite:
-        yield from _multipartite_copies(host, pattern, mask, through)
-        return
-    seen: set[tuple[int, ...]] = set()
-    fixings = (
-        [None] if through is None else [{p: through} for p in range(pattern.order)]
-    )
-    for fixed in fixings:
-        for emb in _enumerate_embeddings(host, pattern, mask, fixed):
-            verts = tuple(sorted(emb.values()))
-            if verts not in seen:
-                seen.add(verts)
-                yield verts
+    yield from _twin_copies(host, pattern, mask, through)
 
 
 # -- exact solvers ------------------------------------------------------------

@@ -292,3 +292,33 @@ def test_certify_and_path_input_errors(tmp_path, capsys):
     assert "NONE-FOUND" not in captured.out
     assert "no connecting path" not in captured.out + captured.err
     assert captured.err.count("input error") == 7
+
+
+def test_pattern_kind_mismatch_is_input_error(tmp_path, capsys):
+    from tilinglab.cli import ExperimentSpec
+    from tilinglab.constructions import transitive_tournament
+
+    k6 = write_graph(tmp_path, "k6.json", complete_graph(6))
+    t6 = write_graph(tmp_path, "t6.json", transitive_tournament(6))
+    fam = tmp_path / "fam.json"
+    fam.write_text('{"gadgets": []}')
+    for host, pattern in ((k6, "T3"), (t6, "K3")):
+        for extra in (
+            ["pack"], ["maxpack"], ["pipeline"], ["absorbfam"],
+            ["certify", "--vertex", "0"],
+            ["path", "--x", "0", "--y", "1", "--t", "1"],
+            ["absorb", "--family", str(fam)],
+        ):
+            argv = [extra[0], host, "--pattern", pattern, *extra[1:], "--quiet"]
+            assert main(argv) == 2, argv
+    err = capsys.readouterr().err
+    assert err.count("input error") == 14 and "Traceback" not in err
+    # experiments refuse before sampling anything
+    base = ["experiment", "--n", "6", "--r", "3", "--trials", "2", "--quiet"]
+    for sampler, pattern in (("gnp-dominant", "K3"), ("gnp", "T3"), ("gnp", "Q7")):
+        assert main(base + ["--sampler", sampler, "--pattern", pattern]) == 2
+    assert capsys.readouterr().err.count("input error") == 3
+    with pytest.raises(ValueError, match="needs a digraph sampler"):
+        ExperimentSpec("gnp-margin", 6, 3, "0", 0.5, "T3", 5, 1)
+    with pytest.raises(ValueError, match="cannot parse"):
+        ExperimentSpec("gnp", 6, 3, "0", 0.5, "Q7", 5, 1)

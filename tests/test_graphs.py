@@ -6,6 +6,7 @@ from tilinglab.graphs import (
     Digraph,
     Graph,
     GraphFormatError,
+    PatternGraph,
     blow_up,
     chromatic_number,
     degree_sequence,
@@ -19,6 +20,7 @@ from tilinglab.graphs import (
 from tilinglab.constructions import (
     complete_graph,
     complete_multipartite,
+    pattern_from_name,
     transitive_tournament,
 )
 
@@ -183,3 +185,64 @@ def test_induced_matches_edge_filter():
                 want = {(pos[u], pos[v]) for u, v in pairs if u in pos and v in pos}
                 assert (sub.arcs if directed else sub.edges) == want
                 assert directed or not hasattr(sub, "arcs")
+
+
+def _is_automorphism(base, perm) -> bool:
+    if isinstance(base, Digraph):
+        return {(perm[u], perm[v]) for u, v in base.arcs} == base.arcs
+    return {tuple(sorted((perm[u], perm[v]))) for u, v in base.edges} == base.edges
+
+
+@pytest.mark.parametrize(
+    "pattern",
+    [
+        pattern_from_name("K2,2,2"),
+        pattern_from_name("K2,3,2"),
+        pattern_from_name("K1,3"),
+        pattern_from_name("T3^2"),
+        PatternGraph(Graph(3), name="E3"),
+        PatternGraph(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]), name="C5"),
+        PatternGraph(PETERSEN, name="Petersen"),
+        PatternGraph(Digraph(4, [(0, 1), (1, 0), (0, 2), (1, 2), (2, 3)]), name="D4"),
+        # 0 and 1 agree everywhere but on the one-way arc 0 -> 1: not twins
+        PatternGraph(Digraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), name="D4-one-way"),
+        # two independent pairs joined one way: equal classes that do not swap
+        PatternGraph(blow_up(Digraph(2, [(0, 1)]), 2), name="T2^2"),
+    ],
+    ids=lambda pat: pat.name,
+)
+def test_twin_classes_match_automorphisms(pattern):
+    base = pattern.base
+    tw = pattern.twin_classes()
+    assert pattern.twin_classes() is tw  # built once per pattern
+    assert sorted(v for c in tw.classes for v in c) == list(range(base.n))
+    home = {v: i for i, c in enumerate(tw.classes) for v in c}
+    for u in range(base.n):
+        for v in range(u + 1, base.n):
+            swap = list(range(base.n))
+            swap[u], swap[v] = v, u
+            assert _is_automorphism(base, swap) == (home[u] == home[v])
+    has = base.has_arc if isinstance(base, Digraph) else base.has_edge
+    for i, a in enumerate(tw.classes):
+        for j, b in enumerate(tw.classes):
+            p, q = a[0], b[-1]
+            assert tw.need[i][j] == (has(p, q) if p != q else 0) | (has(q, p) if p != q else 0) << 1
+    grouped = {(i, j) for a, b in tw.groups for i in range(a, b) for j in range(a, b)}
+    for i, a in enumerate(tw.classes):
+        for j, b in enumerate(tw.classes):
+            if i < j and len(a) == len(b):
+                swap = list(range(base.n))
+                for x, y in zip(a, b):
+                    swap[x], swap[y] = y, x
+                assert _is_automorphism(base, swap) == ((i, j) in grouped)
+
+
+def test_twin_classes_examples():
+    k222 = pattern_from_name("K2,2,2").twin_classes()
+    assert k222.classes == ((0, 1), (2, 3), (4, 5)) and k222.groups == ((0, 3),)
+    assert k222.need == ((0, 3, 3), (3, 0, 3), (3, 3, 0))
+    t32 = pattern_from_name("T3^2").twin_classes()
+    assert t32.classes == ((0, 1), (2, 3), (4, 5)) and t32.groups == ()
+    assert t32.need == ((0, 1, 1), (2, 0, 1), (2, 2, 0))
+    d4 = PatternGraph(Digraph(4, [(0, 1), (1, 0), (0, 2), (1, 2), (2, 3)])).twin_classes()
+    assert d4.classes == ((0, 1), (2,), (3,)) and d4.need[0][0] == 3

@@ -39,6 +39,22 @@ from oracles import (
 
 C5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
 
+# patterns the twin-class search serves, with different class structures
+TWIN_PATTERNS = [
+    pattern_from_name("K2,2"),
+    PatternGraph(Graph(4, [(0, 1), (1, 2), (2, 3)])),  # P4: generic
+    PatternGraph(Digraph(3, [(0, 1), (1, 2), (2, 0)])),  # C3: generic
+    pattern_from_name("K1,3"),
+    pattern_from_name("K2,2,2"),
+    PatternGraph(C5, name="C5"),
+    PatternGraph(Graph(3), name="E3"),
+    # 0 and 1 form a 2-cycle and are twins: a class joined both ways
+    PatternGraph(Digraph(4, [(0, 1), (1, 0), (0, 2), (1, 2), (2, 3)]), name="D4"),
+    # 0 and 1 agree everywhere but on the one-way arc 0 -> 1
+    PatternGraph(Digraph(4, [(0, 1), (0, 2), (1, 2), (2, 3)]), name="D4-one-way"),
+    pattern_from_name("T3^2"),
+]
+
 
 def test_enumerate_counts():
     assert len(list(enumerate_copies(complete_graph(4), clique_pattern(3)))) == 4
@@ -81,22 +97,19 @@ def test_enumerate_witnesses_embed():
 
 @pytest.mark.parametrize(
     "pattern",
-    [
-        clique_pattern(3),
-        transitive_pattern(3),
-        pattern_from_name("K2,2"),
-        PatternGraph(Graph(4, [(0, 1), (1, 2), (2, 3)])),  # P4: generic
-        PatternGraph(Digraph(3, [(0, 1), (1, 2), (2, 0)])),  # C3: generic
-    ],
+    [clique_pattern(3), transitive_pattern(3), *TWIN_PATTERNS],
     ids=lambda pat: pat.name,
 )
 def test_enumerate_copies_match_oracle(pattern):
     rng = random.Random(31)
+    # the six-vertex patterns need dense hosts to have copies at all
+    dense = pattern.order >= 6
+    found = 0
     for _ in range(6):
         if pattern.is_digraph:
-            host = sample_digraph(rng, 7, 0.5)
+            host = sample_digraph(rng, 7, 0.9 if dense else 0.5)
         else:
-            host = sample_gnp(rng, 8, 0.6)
+            host = sample_gnp(rng, 8, 0.85 if dense else 0.6)
         within = rng.getrandbits(host.n)
         through = rng.randrange(host.n)
         spanning = [
@@ -112,13 +125,49 @@ def test_enumerate_copies_match_oracle(pattern):
                 if (t is None or t in c) and (w is None or all(w >> v & 1 for v in c))
             ]
             assert len(got) == len(set(got))
-            assert sorted(got) == want
+            assert got == sorted(got) == want
+            found += len(got)
+    assert found > 0
     # a vertex outside the host is an error; one only masked out has no copy
     for bad in (-1, host.n):
         with pytest.raises(ValueError, match="out of range"):
             list(enumerate_copies(host, pattern, through=bad))
     without_0 = host.full_mask() & ~1
     assert list(enumerate_copies(host, pattern, through=0, within=without_0)) == []
+    # a host of the other kind is an error, even one too small for a copy
+    other = Graph(2) if pattern.is_digraph else Digraph(2)
+    with pytest.raises(ValueError, match="kinds differ"):
+        list(enumerate_copies(other, pattern))
+
+
+@pytest.mark.parametrize("pattern", TWIN_PATTERNS, ids=lambda pat: pat.name)
+def test_spans_pattern_witness(pattern):
+    """On hosts with extra edges, a witness maps the pattern onto the set and
+    carries every pattern edge or arc; None exactly when no embedding exists."""
+    rng = random.Random(57)
+    h = pattern.order
+    if pattern.is_digraph:
+        hosts = [sample_digraph(rng, h + 1, p) for p in (0.6, 0.8, 0.9, 0.95)]
+        hosts.append(symmetrize(complete_graph(h + 1)))
+        pairs = pattern.base.arcs
+    else:
+        hosts = [sample_gnp(rng, h + 2, p) for p in (0.5, 0.7, 0.85)]
+        hosts.append(complete_graph(max(h, 8)))  # K8 for K2,2,2
+        pairs = pattern.base.edges
+    spanned = missed = 0
+    for host in hosts:
+        has = host.has_arc if pattern.is_digraph else host.has_edge
+        for verts in itertools.combinations(range(host.n), h):
+            emb = spans_pattern(host, verts, pattern)
+            assert (emb is not None) == brute_embeds(host, verts, pattern.base)
+            if emb is None:
+                missed += 1
+                continue
+            spanned += 1
+            assert sorted(emb) == list(range(h))
+            assert sorted(emb.values()) == list(verts)
+            assert all(has(emb[a], emb[b]) for a, b in pairs)
+    assert spanned and (missed or not pairs)  # an edgeless pattern spans every set
 
 
 def test_transitive_order_helper():
