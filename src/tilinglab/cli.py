@@ -427,7 +427,7 @@ def _accepts(sampler: str, g, r: int, gamma) -> bool:
     if sampler == "gnp":
         return True
     if sampler == "gnp-min-degree":
-        return degseq.check_baselines(g, r)["hajnal-szemeredi"].satisfied
+        return degseq.evaluate(degseq.DegreeCondition("hajnal-szemeredi", r), g).satisfied
     if sampler == "gnp-exact":
         return g.n % r == 0 and degseq.check_exact_sequence(g, r).satisfied
     if sampler == "gnp-margin":

@@ -171,10 +171,10 @@ def evaluate(condition: DegreeCondition, g: Graph | Digraph) -> ConditionReport:
         return check_exact_sequence(g, condition.r)
     if condition.name == "margin":
         return check_margin_sequence(g, condition.r, condition.gamma)
-    reports = check_baselines(g, condition.r, condition.gamma)
-    if condition.name in reports:
-        return reports[condition.name]
-    raise ValueError(f"unknown condition name {condition.name!r}")
+    check = _BASELINES.get(condition.name)
+    if check is None:
+        raise ValueError(f"unknown condition name {condition.name!r}")
+    return check(g, condition.r, as_fraction(condition.gamma))
 
 
 def check_baselines(g: Graph, r: int, gamma=0) -> dict[str, ConditionReport]:
@@ -189,28 +189,31 @@ def check_baselines(g: Graph, r: int, gamma=0) -> dict[str, ConditionReport]:
     if r < 2:
         raise ValueError("r >= 2 required")
     gamma = as_fraction(gamma)
-    n = g.n
+    return {name: check(g, r, gamma) for name, check in _BASELINES.items()}
+
+
+def _min_degree_check(name: str, g: Graph, threshold: Fraction) -> ConditionReport:
     seq = degree_sequence(g)
     delta = Fraction(seq[0]) if seq else Fraction(0)
-    reports: dict[str, ConditionReport] = {}
-
-    hs_threshold = Fraction((r - 1) * n, r)
-    reports["hajnal-szemeredi"] = ConditionReport(
-        "hajnal-szemeredi",
-        satisfied=delta >= hs_threshold,
-        first_violating_index=None if delta >= hs_threshold else 1,
-        slack_profile=(delta - hs_threshold,),
+    return ConditionReport(
+        name,
+        satisfied=delta >= threshold,
+        first_violating_index=None if delta >= threshold else 1,
+        slack_profile=(delta - threshold,),
     )
 
-    ay_threshold = hs_threshold + gamma * n
-    reports["alon-yuster"] = ConditionReport(
-        "alon-yuster",
-        satisfied=delta >= ay_threshold,
-        first_violating_index=None if delta >= ay_threshold else 1,
-        slack_profile=(delta - ay_threshold,),
-    )
 
-    ore_threshold = 2 * hs_threshold - 1
+def _hajnal_szemeredi(g: Graph, r: int, gamma: Fraction) -> ConditionReport:
+    return _min_degree_check("hajnal-szemeredi", g, Fraction((r - 1) * g.n, r))
+
+
+def _alon_yuster(g: Graph, r: int, gamma: Fraction) -> ConditionReport:
+    return _min_degree_check("alon-yuster", g, Fraction((r - 1) * g.n, r) + gamma * g.n)
+
+
+def _ore(g: Graph, r: int, gamma: Fraction) -> ConditionReport:
+    n = g.n
+    ore_threshold = 2 * Fraction((r - 1) * n, r) - 1
     ore_worst: Fraction | None = None
     for u in range(n):
         for v in range(u + 1, n):
@@ -218,7 +221,7 @@ def check_baselines(g: Graph, r: int, gamma=0) -> dict[str, ConditionReport]:
                 s = Fraction(g.degree(u) + g.degree(v)) - ore_threshold
                 if ore_worst is None or s < ore_worst:
                     ore_worst = s
-    reports["ore"] = ConditionReport(
+    return ConditionReport(
         "ore",
         satisfied=ore_worst is None or ore_worst >= 0,
         vacuous=ore_worst is None,
@@ -226,6 +229,10 @@ def check_baselines(g: Graph, r: int, gamma=0) -> dict[str, ConditionReport]:
         detail="no non-adjacent pairs" if ore_worst is None else None,
     )
 
+
+def _posa(g: Graph, r: int, gamma: Fraction) -> ConditionReport:
+    n = g.n
+    seq = degree_sequence(g)
     posa_slacks = []
     posa_bad = None
     for i in range(1, n + 1):
@@ -239,11 +246,19 @@ def check_baselines(g: Graph, r: int, gamma=0) -> dict[str, ConditionReport]:
         posa_slacks.append(Fraction(seq[mid - 1] - mid))
         if seq[mid - 1] < mid and posa_bad is None:
             posa_bad = mid
-    reports["posa"] = ConditionReport(
+    return ConditionReport(
         "posa",
         satisfied=posa_bad is None,
         vacuous=not posa_slacks,
         first_violating_index=posa_bad,
         slack_profile=tuple(posa_slacks),
     )
-    return reports
+
+
+# the baselines by name, in report order; check_baselines and evaluate read it
+_BASELINES = {
+    "hajnal-szemeredi": _hajnal_szemeredi,
+    "alon-yuster": _alon_yuster,
+    "ore": _ore,
+    "posa": _posa,
+}

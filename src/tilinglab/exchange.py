@@ -30,7 +30,6 @@ from .graphs import Digraph, bits, blow_up, dominant_degree_sequence, dominant_v
 from .packing import (
     Packing,
     SearchBudget,
-    BudgetExhausted,
     greedy_packing,
     max_packing,
     transitive_order,
@@ -337,15 +336,10 @@ def expand_coverage(
         m = seed_packing
         phase = "seed:given"
     elif seed_policy == "max" or (seed_policy == "auto" and d.n <= small_cutoff):
-        try:
-            res = max_packing(d, transitive_pattern(r), budget)
-            m = res.packing
-            seed_optimal = res.optimal
-            exhausted = not res.optimal
-        except BudgetExhausted:
-            m = greedy_packing(d, transitive_pattern(r))
-            seed_optimal = False
-            exhausted = True
+        res = max_packing(d, transitive_pattern(r), budget)
+        m = res.packing
+        seed_optimal = res.optimal
+        exhausted = not res.optimal
         phase = "seed:max"
     elif seed_policy in ("auto", "greedy"):
         m = greedy_packing(d, transitive_pattern(r))

@@ -175,12 +175,6 @@ class Digraph(_GraphBase):
     def in_degree(self, v: int) -> int:
         return self.inn[v].bit_count()
 
-    def out_degree_in(self, v: int, mask: int) -> int:
-        return (self.out[v] & mask).bit_count()
-
-    def in_degree_in(self, v: int, mask: int) -> int:
-        return (self.inn[v] & mask).bit_count()
-
     def sorted_arcs(self) -> list[tuple[int, int]]:
         return sorted(self.arcs)
 

@@ -1,10 +1,9 @@
 """Copy enumeration and exact packing search.
 
 This module is the ground-truth oracle of the package: `find_perfect_packing`
-decides perfect packings by exhaustive backtracking (branching on the
-lowest-index uncovered vertex), `max_packing` maximises covered vertices by
-branch-and-bound, and `is_perfect_packing` re-verifies every structure any
-other module produces.
+(exhaustive backtracking) and `max_packing` (branch-and-bound) share one
+explicit-stack search branching on the lowest-index uncovered vertex, and
+`is_perfect_packing` re-verifies every structure any other module produces.
 
 A vertex set "spans" a pattern when the host contains the pattern as a
 subgraph on that set (extra edges are fine).  Spanning tests and copy
@@ -315,12 +314,12 @@ def enumerate_copies(
     through: int | None = None,
     within: int | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield every vertex set spanning the pattern, as a sorted tuple.
+    """A generator of every vertex set spanning the pattern, as a sorted tuple.
 
     ``through`` restricts to sets containing that vertex, which must be a
-    host vertex; ``within`` is a bitmask restricting the host vertices
-    considered.  No set is yielded twice.  A caller that wants a witness
-    mapping calls `spans_pattern` on the set.
+    host vertex (else ValueError, at the call); ``within`` is a bitmask
+    restricting the host vertices considered.  No set is yielded twice.  A
+    caller that wants a witness mapping calls `spans_pattern` on the set.
     """
     if pattern.is_digraph != isinstance(host, Digraph):
         raise ValueError("pattern and host kinds differ")
@@ -328,17 +327,81 @@ def enumerate_copies(
         raise ValueError(f"vertex {through} out of range 0..{host.n - 1}")
     mask = host.full_mask() if within is None else within
     if pattern.order > host.n or through is not None and not mask >> through & 1:
-        return
+        return (verts for verts in ())
     if pattern.transitive_order:
-        yield from _transitive_copies(host, pattern.order, mask, through)
-        return
+        return _transitive_copies(host, pattern.order, mask, through)
     if pattern.clique_order:
-        yield from _clique_copies(host, pattern.order, mask, through)
-        return
-    yield from _twin_copies(host, pattern, mask, through)
+        return _clique_copies(host, pattern.order, mask, through)
+    return _twin_copies(host, pattern, mask, through)
 
 
 # -- exact solvers ------------------------------------------------------------
+
+
+def _search(
+    host: Graph | Digraph,
+    patterns: Sequence[PatternGraph],
+    budget: SearchBudget | None,
+    coverable: list[int] | None = None,
+) -> Iterator[tuple[tuple[tuple[int, ...], PatternGraph], ...]]:
+    """Depth-first search over residual vertex masks, yielding each packing,
+    as (part, pattern) pairs, that covers more vertices than any before it.
+    Every node ticks the budget, if any, and branches on its lowest
+    uncovered vertex v: every copy through v, pattern by pattern, then,
+    given ``coverable``, leaving v uncovered.  Without it only a perfect
+    packing counts; with it a node is pruned when its covered count plus
+    ``coverable[uncovered]`` cannot beat the incumbent.  The stack holds only
+    open choice points: a one-part look-ahead finds a node's last branch,
+    and the node is popped before the search descends into it."""
+    options = list(patterns) + ([] if coverable is None else [None])  # None skips v
+    parts: list[tuple[tuple[int, ...], PatternGraph]] = []
+    stack = []  # (mask, covered, len(parts), option, its copies, its next part)
+    mask = host.full_mask()
+    covered = 0
+    best = host.n - 1 if coverable is None else -1
+    while True:
+        if budget is not None:
+            budget.tick()
+        verts = None
+        if coverable is None or covered + coverable[mask.bit_count()] > best:
+            if covered > best:
+                best = covered
+                yield tuple(parts)
+            if mask:
+                k = 0  # the first option inline: one call fewer per node
+                copies = enumerate_copies(host, options[0], (mask & -mask).bit_length() - 1, mask)
+                verts = next(copies, None)
+                if verts is None and len(options) > 1:
+                    k, copies, verts = _open(host, options, 1, mask)
+        if verts is None:
+            if not stack:
+                return
+            mask, covered, depth, k, copies, verts = stack.pop()
+            del parts[depth:]
+        pat = options[k]
+        following = next(copies, None)
+        if following is None and k + 1 < len(options):
+            k, copies, following = _open(host, options, k + 1, mask)
+        if following is not None:
+            stack.append((mask, covered, len(parts), k, copies, following))
+        for u in verts:
+            mask &= ~(1 << u)
+        if pat is not None:
+            parts.append((verts, pat))
+            covered += len(verts)
+
+
+def _open(host: Graph | Digraph, options: list, k: int, mask: int) -> tuple:
+    """(option, its copies, first part) of the first branch from option k
+    on at the node of ``mask``; the part is None when no branch is left."""
+    v = (mask & -mask).bit_length() - 1
+    for k in range(k, len(options)):
+        pat = options[k]
+        copies = iter([(v,)]) if pat is None else enumerate_copies(host, pat, v, mask)
+        first = next(copies, None)
+        if first is not None:
+            return k, copies, first
+    return k, None, None
 
 
 def find_perfect_packing(
@@ -353,29 +416,10 @@ def find_perfect_packing(
     certifies nonexistence.  Raises BudgetExhausted if a node budget runs
     out (never silently reported as None).
     """
-    h = pattern.order
-    if host.n % h != 0:
+    if host.n % pattern.order != 0:
         return None
-    chosen: list[tuple[int, ...]] = []
-
-    def rec(mask: int) -> bool:
-        if budget is not None:
-            budget.tick()
-        if mask == 0:
-            return True
-        v = (mask & -mask).bit_length() - 1
-        for verts in enumerate_copies(host, pattern, v, mask):
-            part_mask = 0
-            for u in verts:
-                part_mask |= 1 << u
-            chosen.append(verts)
-            if rec(mask & ~part_mask):
-                return True
-            chosen.pop()
-        return False
-
-    if rec(host.full_mask()):
-        packing = Packing.uniform(host.n, chosen, pattern)
+    for found in _search(host, (pattern,), budget):
+        packing = Packing.uniform(host.n, (verts for verts, _ in found), pattern)
         check = is_perfect_packing(host, packing)
         assert check.ok, check.reason
         return packing
@@ -413,40 +457,15 @@ def max_packing(
     coverable = [0] * (host.n + 1)
     for x in range(1, host.n + 1):
         coverable[x] = x if reachable[x] else coverable[x - 1]
-    best_parts: list[tuple[tuple[int, ...], PatternGraph]] = []
-    best_cov = -1
-    stack_parts: list[tuple[tuple[int, ...], PatternGraph]] = []
-    exhausted = False
-
-    def rec(mask: int, covered: int) -> None:
-        nonlocal best_cov, best_parts
-        own_budget.tick()
-        remaining = mask.bit_count()
-        bound = covered + coverable[remaining]
-        if bound <= best_cov:
-            return
-        if covered > best_cov:
-            best_cov = covered
-            best_parts = list(stack_parts)
-        if mask == 0:
-            return
-        v = (mask & -mask).bit_length() - 1
-        for pat in patterns:
-            for verts in enumerate_copies(host, pat, v, mask):
-                part_mask = 0
-                for u in verts:
-                    part_mask |= 1 << u
-                stack_parts.append((verts, pat))
-                rec(mask & ~part_mask, covered + len(verts))
-                stack_parts.pop()
-        rec(mask & ~(1 << v), covered)  # leave v uncovered
-
+    best: tuple = ()
+    optimal = True
     try:
-        rec(host.full_mask(), 0)
+        # the loop variable keeps the last incumbent if the budget runs out
+        for best in _search(host, patterns, own_budget, coverable):
+            pass
     except BudgetExhausted:
-        exhausted = True
-    packing = Packing.tagged(host.n, best_parts)
-    return MaxPackingResult(packing, optimal=not exhausted, nodes=own_budget.nodes)
+        optimal = False
+    return MaxPackingResult(Packing.tagged(host.n, best), optimal, own_budget.nodes)
 
 
 def greedy_packing(

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written from scratch against the raw edge
 sets, without calling the library's spanning or solver code, so that
-agreement actually means something.
+agreement actually means something.  The one exception is the pair of
+recursive reference searches at the end: they call `enumerate_copies`,
+which is checked against `brute_embeds` on its own, and pin down the
+branching order, node counts and incumbents of the library's search.
 """
 
 from __future__ import annotations
@@ -10,7 +13,8 @@ from __future__ import annotations
 import itertools
 import random
 
-from tilinglab.graphs import Digraph, Graph
+from tilinglab.graphs import Digraph, Graph, PatternGraph
+from tilinglab.packing import BudgetExhausted, SearchBudget, enumerate_copies
 
 
 def sample_gnp(rng: random.Random, n: int, p: float) -> Graph:
@@ -149,3 +153,77 @@ def has_path_on_4_vertices(g: Graph, inside: list[int]) -> bool:
         ):
             return True
     return False
+
+
+def reference_perfect_packing(host, pattern, budget=None):
+    """The recursive perfect-packing search, branching on the lowest
+    uncovered vertex: its parts in the order chosen, or None."""
+    if host.n % pattern.order != 0:
+        return None
+    chosen = []
+
+    def rec(mask):
+        if budget is not None:
+            budget.tick()
+        if mask == 0:
+            return True
+        v = (mask & -mask).bit_length() - 1
+        for verts in enumerate_copies(host, pattern, v, mask):
+            part_mask = 0
+            for u in verts:
+                part_mask |= 1 << u
+            chosen.append(verts)
+            if rec(mask & ~part_mask):
+                return True
+            chosen.pop()
+        return False
+
+    return chosen if rec(host.full_mask()) else None
+
+
+def reference_max_packing(host, pattern, budget=None):
+    """The recursive branch-and-bound for maximum coverage: (best parts as
+    (part, pattern) pairs, optimal, nodes)."""
+    patterns = [pattern] if isinstance(pattern, PatternGraph) else list(pattern)
+    own_budget = budget if budget is not None else SearchBudget(None)
+    orders = sorted({p.order for p in patterns})
+    reachable = [False] * (host.n + 1)
+    reachable[0] = True
+    for o in orders:
+        for s in range(o, host.n + 1):
+            if reachable[s - o]:
+                reachable[s] = True
+    coverable = [0] * (host.n + 1)
+    for x in range(1, host.n + 1):
+        coverable[x] = x if reachable[x] else coverable[x - 1]
+    best_parts = []
+    best_cov = -1
+    stack_parts = []
+
+    def rec(mask, covered):
+        nonlocal best_cov, best_parts
+        own_budget.tick()
+        if covered + coverable[mask.bit_count()] <= best_cov:
+            return
+        if covered > best_cov:
+            best_cov = covered
+            best_parts = list(stack_parts)
+        if mask == 0:
+            return
+        v = (mask & -mask).bit_length() - 1
+        for pat in patterns:
+            for verts in enumerate_copies(host, pat, v, mask):
+                part_mask = 0
+                for u in verts:
+                    part_mask |= 1 << u
+                stack_parts.append((verts, pat))
+                rec(mask & ~part_mask, covered + len(verts))
+                stack_parts.pop()
+        rec(mask & ~(1 << v), covered)  # leave v uncovered
+
+    optimal = True
+    try:
+        rec(host.full_mask(), 0)
+    except BudgetExhausted:
+        optimal = False
+    return best_parts, optimal, own_budget.nodes

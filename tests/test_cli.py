@@ -5,7 +5,7 @@ import pytest
 
 from tilinglab.cli import main
 from tilinglab.constructions import complete_graph, complete_multipartite
-from tilinglab.graphs import graph_from_json, graph_to_json
+from tilinglab.graphs import Graph, graph_from_json, graph_to_json
 
 
 def write_graph(tmp_path, name, g):
@@ -74,6 +74,20 @@ def test_maxpack(tmp_path, capsys):
     assert main(["maxpack", k5, "--pattern", "K3"]) == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["covered"] == 3 and obj["optimal"] is True
+
+
+def test_pack_and_maxpack_on_deep_hosts(tmp_path, capsys):
+    # searches far deeper than Python's recursion limit answer normally
+    n = 3000
+    cycle = write_graph(tmp_path, "c3000.json", Graph(n, [(i, (i + 1) % n) for i in range(n)]))
+    assert main(["pack", cycle, "--pattern", "K2"]) == 0
+    parts = json.loads(capsys.readouterr().out)["parts"]
+    assert len(parts) == n // 2 and sorted(v for p in parts for v in p) == list(range(n))
+
+    edgeless = write_graph(tmp_path, "e1500.json", Graph(1500))
+    assert main(["maxpack", edgeless, "--pattern", "K2"]) == 0
+    obj = json.loads(capsys.readouterr().out)
+    assert (obj["covered"], obj["optimal"], obj["nodes"]) == (0, True, 1500)
 
 
 def test_improve_and_trace(tmp_path):

@@ -224,3 +224,23 @@ def test_evaluate_dispatch():
         evaluate(DegreeCondition("nope", 3), complete_graph(6))
     with pytest.raises(ValueError):
         evaluate(DegreeCondition("exact", 3), symmetrize(complete_graph(6)))
+
+
+def test_evaluate_matches_check_baselines():
+    from tilinglab.degseq import evaluate
+
+    rng = random.Random(56)
+    hosts = [Graph(0), Graph(1), Graph(2), complete_graph(2), complete_graph(7)]
+    hosts += [sample_gnp(rng, rng.randint(3, 14), rng.uniform(0.2, 1.0)) for _ in range(40)]
+    vacuous = set()
+    for g in hosts:
+        r = rng.choice((2, 3, 4))
+        gamma = rng.choice((Fraction(0), Fraction(1, 20), Fraction(1, 7)))
+        reports = check_baselines(g, r, gamma)
+        assert list(reports) == ["hajnal-szemeredi", "alon-yuster", "ore", "posa"]
+        for name, rep in reports.items():
+            assert rep.name == name
+            assert evaluate(DegreeCondition(name, r, gamma), g) == rep
+            if rep.vacuous:
+                vacuous.add(name)
+    assert vacuous == {"ore", "posa"}

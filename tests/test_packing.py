@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -32,6 +33,8 @@ from oracles import (
     brute_spans,
     oracle_max_coverage,
     oracle_perfect_decision,
+    reference_max_packing,
+    reference_perfect_packing,
     sample_digraph,
     sample_gnp,
     sample_tournament,
@@ -408,3 +411,103 @@ def test_degenerate_hosts():
     assert is_perfect_packing(empty, p).ok
     single = Graph(1, [])
     assert find_perfect_packing(single, clique_pattern(2)) is None
+
+
+# the search must branch, count nodes and keep incumbents exactly as the
+# recursive reference does: (pattern or family, directed host)
+SEARCH_CASES = {
+    "K2": (clique_pattern(2), False),
+    "K3": (clique_pattern(3), False),
+    "T3": (transitive_pattern(3), True),
+    "K2,2": (pattern_from_name("K2,2"), False),
+    "C5": (PatternGraph(C5, name="C5"), False),
+    "T3+T4": ([transitive_pattern(3), transitive_pattern(4)], True),
+}
+
+
+def _search_hosts(name, count, orders):
+    pattern, directed = SEARCH_CASES[name]
+    rng = random.Random(f"search:{name}")
+    for _ in range(count):
+        n = rng.choice(orders)
+        p = rng.uniform(0.3, 1.0)
+        yield pattern, (sample_digraph(rng, n, p) if directed else sample_gnp(rng, n, p))
+
+
+def _decide(solve, host, pattern, limit):
+    """(parts or None, or "exhausted"; nodes ticked) of one decision run."""
+    budget = SearchBudget(limit)
+    try:
+        found = solve(host, pattern, budget)
+    except BudgetExhausted:
+        return "exhausted", budget.nodes
+    if found is None or isinstance(found, list):
+        return found, budget.nodes
+    return list(found.parts), budget.nodes
+
+
+def _maximise(host, pattern, limit):
+    budget = SearchBudget(limit)
+    res = max_packing(host, pattern, budget)
+    assert res.nodes == budget.nodes
+    return list(zip(res.packing.parts, res.packing.patterns)), res.optimal, res.nodes
+
+
+@pytest.mark.parametrize("name", list(SEARCH_CASES))
+def test_search_matches_recursive_reference(name):
+    outcomes = set()
+    for pattern, host in _search_hosts(name, 25, (5, 6, 8, 9, 10, 12)):
+        if isinstance(pattern, PatternGraph):
+            got = _decide(find_perfect_packing, host, pattern, None)
+            assert got == _decide(reference_perfect_packing, host, pattern, None)
+            outcomes.add(got[0] is None)
+        got = _maximise(host, pattern, None)
+        assert got == reference_max_packing(host, pattern)
+        assert got[1]
+    # some hosts have a perfect packing and some have none
+    assert outcomes in (set(), {True, False})
+
+
+@pytest.mark.parametrize(
+    "name,orders", [("K3", (6, 9)), ("T3", (6, 9)), ("C5", (10,)), ("T3+T4", (7, 8, 9))]
+)
+def test_search_budget_limits_match_recursive_reference(name, orders):
+    for pattern, host in _search_hosts(name, 4, orders):
+        if isinstance(pattern, PatternGraph):
+            _, total = _decide(find_perfect_packing, host, pattern, None)
+            for limit in range(1, total + 1):
+                got = _decide(find_perfect_packing, host, pattern, limit)
+                assert got == _decide(reference_perfect_packing, host, pattern, limit)
+                assert (got[0] == "exhausted") == (limit < total)
+        total = max_packing(host, pattern).nodes
+        for limit in range(1, total + 1):
+            got = _maximise(host, pattern, limit)
+            assert got == reference_max_packing(host, pattern, SearchBudget(limit))
+            assert got[1] == (limit >= total)
+
+
+def _peak_bytes(run):
+    tracemalloc.start()
+    try:
+        result = run()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_deep_hosts_search_without_recursion():
+    # Both hosts are far deeper than Python's recursion limit.  Every node
+    # but the cycle's root has one branch, so the stack holds at most one
+    # frame; a frame per level (0.4 to 0.8 MB more) breaks the memory bounds.
+    n = 3000
+    cycle = Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    k2 = clique_pattern(2)
+    budget = SearchBudget()
+    found, peak = _peak_bytes(lambda: find_perfect_packing(cycle, k2, budget))
+    assert len(found.parts) == n // 2 and budget.nodes == n // 2 + 1
+    assert peak < 1024 * 1024
+
+    edgeless = Graph(1500)
+    res, peak = _peak_bytes(lambda: max_packing(edgeless, k2))
+    assert res.packing.coverage() == 0 and res.optimal and res.nodes == 1500
+    assert peak < 256 * 1024
