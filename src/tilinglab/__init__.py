@@ -60,6 +60,7 @@ from .packing import (
 from .degseq import (
     ConditionReport,
     DegreeCondition,
+    check_baseline,
     check_baselines,
     check_dominant_margin,
     check_exact_sequence,

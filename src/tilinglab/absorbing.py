@@ -457,6 +457,9 @@ def _perfect_on_subset(
     verts: Sequence[int],
     budget: SearchBudget | None = None,
 ) -> list[tuple[int, ...]] | None:
+    if len(verts) == pattern.order and pattern.is_digraph == isinstance(host, Digraph):
+        # one part: test the set itself, with no subgraph and no search
+        return None if spans_pattern(host, verts, pattern) is None else [tuple(sorted(verts))]
     sub, mapping = host.induced(verts)
     packing = find_perfect_packing(sub, pattern, budget)
     if packing is None:

@@ -156,7 +156,7 @@ def _run_condition(g, name: str, r: int, gamma):
             "ore": "ore",
             "posa": "posa",
         }[name]
-        return degseq.check_baselines(g, r, gamma)[key]
+        return degseq.check_baseline(g, key, r, gamma)
     raise ValueError(f"unknown condition {name!r}")
 
 

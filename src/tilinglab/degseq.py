@@ -186,10 +186,14 @@ def check_baselines(g: Graph, r: int, gamma=0) -> dict[str, ConditionReport]:
     posa:             d_i >= i+1 for i < (n-1)/2, plus the odd-n middle
                       condition d_{ceil(n/2)} >= ceil(n/2)
     """
+    return {name: check_baseline(g, name, r, gamma) for name in _BASELINES}
+
+
+def check_baseline(g: Graph, name: str, r: int, gamma=0) -> ConditionReport:
+    """The report of one classical hypothesis, named as in `check_baselines`."""
     if r < 2:
         raise ValueError("r >= 2 required")
-    gamma = as_fraction(gamma)
-    return {name: check(g, r, gamma) for name, check in _BASELINES.items()}
+    return _BASELINES[name](g, r, as_fraction(gamma))
 
 
 def _min_degree_check(name: str, g: Graph, threshold: Fraction) -> ConditionReport:
@@ -255,7 +259,7 @@ def _posa(g: Graph, r: int, gamma: Fraction) -> ConditionReport:
     )
 
 
-# the baselines by name, in report order; check_baselines and evaluate read it
+# the baselines by name, in report order; check_baseline(s) and evaluate read it
 _BASELINES = {
     "hajnal-szemeredi": _hajnal_szemeredi,
     "alon-yuster": _alon_yuster,

@@ -4,6 +4,10 @@ This module is the ground-truth oracle of the package: `find_perfect_packing`
 (exhaustive backtracking) and `max_packing` (branch-and-bound) share one
 explicit-stack search branching on the lowest-index uncovered vertex, and
 `is_perfect_packing` re-verifies every structure any other module produces.
+The search remembers the residuals it has finished, keyed by their counts
+in the host's twin classes, so residuals that a permutation of host twins
+maps onto each other are searched once; it finds the same packings, with
+the same verdicts, as a search without the memo.
 
 A vertex set "spans" a pattern when the host contains the pattern as a
 subgraph on that set (extra edges are fine).  Spanning tests and copy
@@ -20,7 +24,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Digraph, Graph, PatternGraph, TwinClasses, arc_rows, bits
+from .graphs import Digraph, Graph, PatternGraph, TwinClasses, arc_rows, bits, twin_partition
 
 
 class BudgetExhausted(RuntimeError):
@@ -350,20 +354,33 @@ def _search(
     uncovered vertex v: every copy through v, pattern by pattern, then,
     given ``coverable``, leaving v uncovered.  Without it only a perfect
     packing counts; with it a node is pruned when its covered count plus
-    ``coverable[uncovered]`` cannot beat the incumbent.  The stack holds only
+    ``coverable[uncovered]`` cannot beat the incumbent, and so is a popped
+    choice point, with all its remaining branches.  The stack holds only
     open choice points: a one-part look-ahead finds a node's last branch,
-    and the node is popped before the search descends into it."""
+    and the node is popped before the search descends into it.
+
+    A node is also pruned when a finished residual with the same key (see
+    `_residual_key`) had at least its covered count: a permutation of host
+    twins maps one residual onto the other, and ancestors have larger
+    residuals, so the earlier one was searched to the end and nothing here
+    can beat the incumbent.  Residuals are remembered when the search
+    backtracks past them, from the parts taken below the popped choice
+    point; a search that never backtracks keeps no memo."""
     options = list(patterns) + ([] if coverable is None else [None])  # None skips v
     parts: list[tuple[tuple[int, ...], PatternGraph]] = []
     stack = []  # (mask, covered, len(parts), option, its copies, its next part)
     mask = host.full_mask()
     covered = 0
     best = host.n - 1 if coverable is None else -1
+    memo: dict = {}  # residual key -> most covered it was finished with
+    key = None
     while True:
         if budget is not None:
             budget.tick()
         verts = None
-        if coverable is None or covered + coverable[mask.bit_count()] > best:
+        if (coverable is None or covered + coverable[mask.bit_count()] > best) and (
+            key is None or memo.get(key(mask), -1) < covered
+        ):
             if covered > best:
                 best = covered
                 yield tuple(parts)
@@ -374,9 +391,18 @@ def _search(
                 if verts is None and len(options) > 1:
                     k, copies, verts = _open(host, options, 1, mask)
         if verts is None:
+            # drop the choice points that can no longer beat the incumbent
+            while stack and coverable is not None and (
+                stack[-1][1] + coverable[stack[-1][0].bit_count()] <= best
+            ):
+                stack.pop()
             if not stack:
                 return
-            mask, covered, depth, k, copies, verts = stack.pop()
+            top = stack.pop()
+            if key is None:
+                key = _residual_key(host)
+            _remember(memo, key, top, parts, mask)
+            mask, covered, depth, k, copies, verts = top
             del parts[depth:]
         pat = options[k]
         following = next(copies, None)
@@ -389,6 +415,46 @@ def _search(
         if pat is not None:
             parts.append((verts, pat))
             covered += len(verts)
+
+
+def _remember(memo: dict, key, top: tuple, parts: list, leaf: int) -> None:
+    """Record as finished, with its covered count, every residual below the
+    choice point ``top`` on the path down to the finished node ``leaf``,
+    which has no open choice point.  Each step down took the next part,
+    whose lowest vertex is the step's lowest uncovered vertex, or left that
+    vertex uncovered."""
+    m, c, depth = top[:3]
+    while m != leaf:
+        low = m & -m
+        if depth < len(parts) and parts[depth][0][0] == low.bit_length() - 1:
+            verts = parts[depth][0]
+            for u in verts:
+                m &= ~(1 << u)
+            c += len(verts)
+            depth += 1
+        else:
+            m ^= low
+        k = key(m)
+        if memo.get(k, -1) < c:
+            memo[k] = c
+
+
+def _residual_key(host: Graph | Digraph):
+    """The memo key of a residual mask: its vertices outside nontrivial twin
+    classes, plus how many it keeps of each such class.  Residuals with equal
+    keys map onto each other under a permutation of twins, which is a host
+    automorphism.  A host without twins keys a residual by its mask."""
+    classes = []
+    alone = 0
+    for c in twin_partition(host):
+        cmask = sum(1 << v for v in c)
+        if len(c) > 1:
+            classes.append(cmask)
+        else:
+            alone |= cmask
+    if not classes:
+        return lambda m: m
+    return lambda m: (m & alone, *[(m & c).bit_count() for c in classes])
 
 
 def _open(host: Graph | Digraph, options: list, k: int, mask: int) -> tuple:

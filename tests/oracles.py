@@ -5,7 +5,9 @@ sets, without calling the library's spanning or solver code, so that
 agreement actually means something.  The one exception is the pair of
 recursive reference searches at the end: they call `enumerate_copies`,
 which is checked against `brute_embeds` on its own, and pin down the
-branching order, node counts and incumbents of the library's search.
+branching order, node counts and incumbents of the library's search.  By
+default they keep the library's memo of finished residuals, keyed on twins
+found here pair by pair; with ``memo=False`` they are the plain recursion.
 """
 
 from __future__ import annotations
@@ -155,18 +157,59 @@ def has_path_on_4_vertices(g: Graph, inside: list[int]) -> bool:
     return False
 
 
-def reference_perfect_packing(host, pattern, budget=None):
+def brute_twin_classes(host) -> list[list[int]]:
+    """Classes of host vertices u, v whose swap maps the raw pair set onto
+    itself, tested pair by pair."""
+    directed = isinstance(host, Digraph)
+    pairs = host.arcs if directed else host.edges
+
+    def swap(x, u, v):
+        return v if x == u else u if x == v else x
+
+    def twins(u, v):
+        moved = {(swap(a, u, v), swap(b, u, v)) for a, b in pairs}
+        return moved == set(pairs) if directed else {tuple(sorted(p)) for p in moved} == set(pairs)
+
+    classes = []
+    for v in range(host.n):
+        home = next((c for c in classes if twins(c[0], v)), None)
+        if home is None:
+            classes.append([v])
+        else:
+            home.append(v)
+    return classes
+
+
+def twin_count_key(host):
+    """A residual mask's key: its part outside nontrivial twin classes and
+    its count in each of them."""
+    classes = [c for c in brute_twin_classes(host) if len(c) > 1]
+    alone = [v for v in range(host.n) if not any(v in c for c in classes)]
+
+    def key(mask):
+        counts = tuple(sum(mask >> v & 1 for v in c) for c in classes)
+        return tuple(v for v in alone if mask >> v & 1), counts
+
+    return key
+
+
+def reference_perfect_packing(host, pattern, budget=None, memo=True):
     """The recursive perfect-packing search, branching on the lowest
-    uncovered vertex: its parts in the order chosen, or None."""
+    uncovered vertex: its parts in the order chosen, or None.  With
+    ``memo`` a residual whose twin-count key failed before fails at once."""
     if host.n % pattern.order != 0:
         return None
     chosen = []
+    key = twin_count_key(host) if memo else None
+    failed = set()
 
     def rec(mask):
         if budget is not None:
             budget.tick()
         if mask == 0:
             return True
+        if memo and key(mask) in failed:
+            return False
         v = (mask & -mask).bit_length() - 1
         for verts in enumerate_copies(host, pattern, v, mask):
             part_mask = 0
@@ -176,14 +219,19 @@ def reference_perfect_packing(host, pattern, budget=None):
             if rec(mask & ~part_mask):
                 return True
             chosen.pop()
+        if memo:
+            failed.add(key(mask))
         return False
 
     return chosen if rec(host.full_mask()) else None
 
 
-def reference_max_packing(host, pattern, budget=None):
+def reference_max_packing(host, pattern, budget=None, memo=True):
     """The recursive branch-and-bound for maximum coverage: (best parts as
-    (part, pattern) pairs, optimal, nodes)."""
+    (part, pattern) pairs, optimal, nodes).  With ``memo`` a residual is
+    pruned when its twin-count key was finished with at least as much
+    covered, and a node re-checks its bound before each child after the
+    first."""
     patterns = [pattern] if isinstance(pattern, PatternGraph) else list(pattern)
     own_budget = budget if budget is not None else SearchBudget(None)
     orders = sorted({p.order for p in patterns})
@@ -199,11 +247,15 @@ def reference_max_packing(host, pattern, budget=None):
     best_parts = []
     best_cov = -1
     stack_parts = []
+    key = twin_count_key(host) if memo else None
+    finished = {}
 
     def rec(mask, covered):
         nonlocal best_cov, best_parts
         own_budget.tick()
         if covered + coverable[mask.bit_count()] <= best_cov:
+            return
+        if memo and finished.get(key(mask), -1) >= covered:
             return
         if covered > best_cov:
             best_cov = covered
@@ -211,15 +263,24 @@ def reference_max_packing(host, pattern, budget=None):
         if mask == 0:
             return
         v = (mask & -mask).bit_length() - 1
-        for pat in patterns:
-            for verts in enumerate_copies(host, pat, v, mask):
-                part_mask = 0
-                for u in verts:
-                    part_mask |= 1 << u
+        children = [
+            (verts, pat) for pat in patterns for verts in enumerate_copies(host, pat, v, mask)
+        ]
+        children.append(((v,), None))  # leave v uncovered
+        for i, (verts, pat) in enumerate(children):
+            if memo and i and covered + coverable[mask.bit_count()] <= best_cov:
+                break
+            part_mask = 0
+            for u in verts:
+                part_mask |= 1 << u
+            if pat is None:
+                rec(mask & ~part_mask, covered)
+            else:
                 stack_parts.append((verts, pat))
                 rec(mask & ~part_mask, covered + len(verts))
                 stack_parts.pop()
-        rec(mask & ~(1 << v), covered)  # leave v uncovered
+        if memo:
+            finished[key(mask)] = max(finished.get(key(mask), -1), covered)
 
     optimal = True
     try:

@@ -9,6 +9,7 @@ from tilinglab.absorbing import (
     AbsorbingFamily,
     FamilyConstructionError,
     HPath,
+    _perfect_on_subset,
     absorb,
     auxiliary_graph,
     build_absorbing_family,
@@ -443,3 +444,21 @@ def test_pipeline_deterministic_under_seed():
     if a.success:
         assert a.packing.parts == b.packing.parts
         assert a.diagnostics == b.diagnostics
+
+
+def test_perfect_on_subset_one_part_matches_search():
+    # a set of the pattern's order is answered by testing it, without the
+    # induced subgraph and the search; both ways give the same answer
+    rng = random.Random("one-part")
+    cases = [(sample_gnp(rng, 10, 0.6), clique_pattern(3)),
+             (sample_gnp(rng, 10, 0.7), pattern_from_name("K2,2")),
+             (sample_tournament(rng, 9), transitive_pattern(3))]
+    for host, pattern in cases:
+        for _ in range(40):
+            verts = rng.sample(range(host.n), pattern.order)
+            sub, mapping = host.induced(verts)
+            found = find_perfect_packing(sub, pattern)
+            expected = None if found is None else [tuple(sorted(mapping[v] for v in found.parts[0]))]
+            assert _perfect_on_subset(host, pattern, verts) == expected
+    with pytest.raises(ValueError):
+        _perfect_on_subset(sample_tournament(rng, 4), clique_pattern(3), [0, 1, 2])

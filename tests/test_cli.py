@@ -1,9 +1,13 @@
 import json
+import random
 from dataclasses import asdict
 
 import pytest
 
+from tilinglab import degseq
 from tilinglab.cli import main
+from tilinglab.degseq import check_baselines
+from tilinglab.util import as_fraction
 from tilinglab.constructions import complete_graph, complete_multipartite
 from tilinglab.graphs import Graph, graph_from_json, graph_to_json
 
@@ -52,6 +56,29 @@ def test_check_names_failing_clause(tmp_path, capsys):
                  "--format", "csv"])
     out = capsys.readouterr().out
     assert code == 1 and "(b)" in out
+
+
+@pytest.mark.parametrize("gamma", ["0", "1/10", "-1/5"])
+def test_check_baseline_conditions(tmp_path, capsys, monkeypatch, gamma):
+    rng = random.Random(f"baselines:{gamma}")
+    g = Graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.7])
+    path = write_graph(tmp_path, "g.json", g)
+    reports = check_baselines(g, 3, as_fraction(gamma))
+    real = dict(degseq._BASELINES)
+
+    def refuse(*args):
+        raise AssertionError("a baseline that was not named ran")
+
+    names = {"hs": "hajnal-szemeredi", "ay": "alon-yuster", "ore": "ore", "posa": "posa"}
+    for short, name in names.items():
+        for other, check in real.items():
+            monkeypatch.setitem(degseq._BASELINES, other, check if other == name else refuse)
+        code = main(["check", path, "--condition", short, "--r", "3",
+                     f"--gamma={gamma}", "--format", "json"])
+        assert json.loads(capsys.readouterr().out) == [reports[name].to_json_obj()]
+        assert code == (0 if reports[name].satisfied else 1)
+        code = main(["check", path, "--condition", short, "--r", "1", f"--gamma={gamma}"])
+        assert code == 2 and capsys.readouterr().err == "input error: r >= 2 required\n"
 
 
 def test_pack_exit_codes(tmp_path):

@@ -5,15 +5,18 @@ import tracemalloc
 import pytest
 
 from tilinglab.constructions import (
+    ExtremalParams,
     clique_pattern,
     complete_graph,
     complete_multipartite,
+    extremal_instance,
+    hs_tight_instance,
     pattern_from_name,
     pattern_power,
     transitive_pattern,
     transitive_tournament,
 )
-from tilinglab.graphs import Digraph, Graph, PatternGraph, symmetrize
+from tilinglab.graphs import Digraph, Graph, PatternGraph, symmetrize, twin_partition
 from tilinglab.packing import (
     BudgetExhausted,
     Packing,
@@ -26,10 +29,12 @@ from tilinglab.packing import (
     max_packing,
     spans_pattern,
     transitive_order,
+    verify_parts,
 )
 
 from oracles import (
     brute_embeds,
+    brute_twin_classes,
     brute_spans,
     oracle_max_coverage,
     oracle_perfect_decision,
@@ -453,6 +458,11 @@ def _maximise(host, pattern, limit):
     return list(zip(res.packing.parts, res.packing.patterns)), res.optimal, res.nodes
 
 
+def _plain(reference):
+    """The reference without the memo and the bound re-check."""
+    return lambda host, pattern, budget=None: reference(host, pattern, budget, memo=False)
+
+
 @pytest.mark.parametrize("name", list(SEARCH_CASES))
 def test_search_matches_recursive_reference(name):
     outcomes = set()
@@ -460,9 +470,13 @@ def test_search_matches_recursive_reference(name):
         if isinstance(pattern, PatternGraph):
             got = _decide(find_perfect_packing, host, pattern, None)
             assert got == _decide(reference_perfect_packing, host, pattern, None)
+            plain = _decide(_plain(reference_perfect_packing), host, pattern, None)
+            assert got[0] == plain[0] and got[1] <= plain[1]
             outcomes.add(got[0] is None)
         got = _maximise(host, pattern, None)
         assert got == reference_max_packing(host, pattern)
+        plain = _plain(reference_max_packing)(host, pattern)
+        assert got[:2] == plain[:2] and got[2] <= plain[2]
         assert got[1]
     # some hosts have a perfect packing and some have none
     assert outcomes in (set(), {True, False})
@@ -511,3 +525,97 @@ def test_deep_hosts_search_without_recursion():
     res, peak = _peak_bytes(lambda: max_packing(edgeless, k2))
     assert res.packing.coverage() == 0 and res.optimal and res.nodes == 1500
     assert peak < 256 * 1024
+
+
+def _blow_up(base, sizes, joined):
+    """Each base vertex b becomes sizes[b] twins, joined both ways or not by
+    joined[b]; twins of b and c are joined as b and c are."""
+    start = list(itertools.accumulate(sizes, initial=0))
+    directed = isinstance(base, Digraph)
+    pairs = list(base.arcs if directed else base.edges)
+    pairs += [(b, b) for b in range(base.n) if joined[b]]
+    out = [
+        (u, v)
+        for b, c in pairs
+        for u in range(start[b], start[b + 1])
+        for v in range(start[c], start[c + 1])
+        if u != v and (directed or b != c or u < v)
+    ]
+    return (Digraph if directed else Graph)(start[-1], out)
+
+
+def _twin_rich_hosts(count, most):
+    """Seeded hosts of at most ``most`` vertices, each with twins: complete
+    multipartite graphs, and blow-ups of small G(n, p) and digraphs."""
+    rng = random.Random("twin-rich")
+    for _ in range(count):
+        sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 4))]
+        while sum(sizes) > most:
+            sizes.pop()
+        yield complete_multipartite(*sizes)
+        for directed in (False, True):
+            k = rng.randint(2, 5)
+            base = (sample_digraph if directed else sample_gnp)(rng, k, rng.uniform(0.4, 0.9))
+            sizes = [rng.randint(1, 3) for _ in range(k - 1)] + [rng.randint(2, 3)]
+            while sum(sizes) > most:
+                sizes[sizes.index(max(sizes))] -= 1
+            yield _blow_up(base, sizes, [rng.random() < 0.5 for _ in range(k)])
+
+
+def test_memo_is_sound_on_twin_rich_hosts():
+    # the memo prunes by twin-class counts, and these hosts are made of
+    # twins: decisions and coverage agree with the brute-force oracles, and
+    # packings with the search without the memo
+    patterns = {"K2": clique_pattern(2), "K3": clique_pattern(3), "T3": transitive_pattern(3)}
+    for host in _twin_rich_hosts(30, 12):
+        assert any(len(c) > 1 for c in twin_partition(host))
+        for name in ("T3",) if isinstance(host, Digraph) else ("K2", "K3"):
+            pattern = patterns[name]
+            got = _decide(find_perfect_packing, host, pattern, None)
+            assert got == _decide(reference_perfect_packing, host, pattern, None)
+            assert got[0] == _decide(_plain(reference_perfect_packing), host, pattern, None)[0]
+            assert (got[0] is not None) == oracle_perfect_decision(host, name)
+            if name != "T3":
+                complement = equitable_complement_packing(host, pattern.order)
+                assert (got[0] is not None) == (complement is not None)
+            if host.n <= 10:
+                got = _maximise(host, pattern, None)
+                assert got == reference_max_packing(host, pattern)
+                assert got[:2] == _plain(reference_max_packing)(host, pattern)[:2]
+                assert got[1] and verify_parts(host, Packing.tagged(host.n, got[0])).ok
+                assert sum(len(part) for part, _ in got[0]) == oracle_max_coverage(host, name)
+
+
+def test_twin_partition_matches_pairwise_swaps():
+    rng = random.Random("twin-partition")
+    hosts = list(_twin_rich_hosts(10, 12))
+    hosts += [sample_gnp(rng, 9, 0.5), sample_digraph(rng, 8, 0.5), Graph(5), complete_graph(5)]
+    for host in hosts:
+        assert twin_partition(host) == brute_twin_classes(host)
+
+
+# nodes of the `exact` benchmark rows; without the memo and the bound
+# re-check the search takes 137,431, 93,505, 109,601 and 112,038
+EXACT_NODES = {(3, 18): 71, (5, 20): 255, (2, 18): 37}
+
+
+def test_exact_rows_node_counts():
+    for (r, n), nodes in EXACT_NODES.items():
+        budget = SearchBudget()
+        assert find_perfect_packing(hs_tight_instance(r, n), clique_pattern(r), budget) is None
+        assert budget.nodes == nodes
+    ext = extremal_instance(ExtremalParams(3, (2, 2, 2), 36, 1, star_sizes=()))
+    res = max_packing(ext.graph, pattern_from_name("K2,2,2"))
+    assert (res.packing.coverage(), res.optimal, res.nodes) == (30, True, 8)
+
+
+@pytest.mark.parametrize("n,nodes", [(21, 113), (60, 2661)])
+def test_hs_tight_none_proofs(n, nodes):
+    # without the memo the search takes 5.77M nodes at n=21; a budget one
+    # node short of the proof is reported as exhausted, never as NONE
+    host, k3 = hs_tight_instance(3, n), clique_pattern(3)
+    budget = SearchBudget(nodes)
+    assert find_perfect_packing(host, k3, budget) is None and budget.nodes == nodes
+    for limit in (1, nodes // 2, nodes - 1):
+        with pytest.raises(BudgetExhausted):
+            find_perfect_packing(host, k3, SearchBudget(limit))
