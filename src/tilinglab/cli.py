@@ -83,6 +83,21 @@ def _host_and_pattern(args):
     return g, pat
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
+def _budget(args) -> packing.SearchBudget | None:
+    return None if args.budget_nodes is None else packing.SearchBudget(args.budget_nodes)
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     if not text:
         return ()
@@ -191,7 +206,7 @@ def cmd_check(args) -> int:
 
 def cmd_pack(args) -> int:
     g, pat = _host_and_pattern(args)
-    budget = packing.SearchBudget(args.budget_nodes) if args.budget_nodes else None
+    budget = _budget(args)
     try:
         result = packing.find_perfect_packing(g, pat, budget)
     except packing.BudgetExhausted:
@@ -206,7 +221,7 @@ def cmd_pack(args) -> int:
 
 def cmd_maxpack(args) -> int:
     g, pat = _host_and_pattern(args)
-    budget = packing.SearchBudget(args.budget_nodes) if args.budget_nodes else None
+    budget = _budget(args)
     res = packing.max_packing(g, pat, budget)
     obj = res.packing.to_json_obj()
     obj["covered"] = res.packing.coverage()
@@ -224,7 +239,7 @@ def cmd_improve(args) -> int:
     if not isinstance(g, Digraph):
         print("input error: improvement loop runs on digraphs", file=sys.stderr)
         return EXIT_INPUT
-    budget = packing.SearchBudget(args.budget_nodes) if args.budget_nodes else None
+    budget = _budget(args)
     if args.z > 0:
         res = exchange.blowup_iterate(
             g, args.r, args.z, as_fraction(args.gamma),
@@ -392,6 +407,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trial count >= 1 required")
+        if self.budget_nodes < 1:
+            raise ValueError("node budget >= 1 required")
         if self.sampler not in _SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.seed is None:
@@ -543,7 +560,7 @@ def cmd_experiment(args) -> int:
             pattern=args.pattern,
             trials=args.trials,
             seed=args.seed,
-            budget_nodes=args.budget_nodes or 10_000_000,
+            budget_nodes=args.budget_nodes,
             max_attempts=args.max_attempts,
         )
     except ValueError as exc:
@@ -572,7 +589,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget-nodes", type=int, default=None)
+        p.add_argument("--budget-nodes", type=_positive_int, default=None,
+                       help="node limit of the exact search, a positive integer")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--quiet", action="store_true")
         p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -675,15 +693,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-attempts", type=int, default=100_000)
     p.add_argument("--jobs", type=int, default=1)
     common(p)
-    p.set_defaults(func=cmd_experiment)
+    p.set_defaults(func=cmd_experiment, budget_nodes=ExperimentSpec.budget_nodes)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except GraphFormatError as exc:
         print(f"input error: {exc}", file=sys.stderr)

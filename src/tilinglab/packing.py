@@ -15,7 +15,10 @@ enumeration take one of three routes, chosen by the pattern's
 classification: cliques and transitive tournaments keep their own
 mask-based loops, and every other pattern goes through one search over
 the pattern's twin classes (`PatternGraph.twin_classes`), which fills the
-classes of a complete multipartite pattern as it fills any other.
+classes of a complete multipartite pattern as it fills any other.  That
+search drops a state as soon as some class allows fewer host vertices than
+it still has room for; such a state has no completion, so the copies and
+their order are those of the search without the check.
 """
 
 from __future__ import annotations
@@ -149,7 +152,9 @@ def transitive_order(d: Digraph, verts: Sequence[int]) -> list[int] | None:
 
 # A state of the twin-class search holds, per pattern twin class, the room
 # left, the mask of host vertices still allowed in it and the host vertices
-# put in it.  The room and the allowed masks alone decide every completion.
+# put in it.  The room and the allowed masks alone decide every completion;
+# `_twin_advance` keeps only states in which every class allows at least as
+# many vertices as its room.
 _TwinState = tuple[list[int], list[int], list[int]]
 
 
@@ -167,8 +172,12 @@ def _twin_advance(
 ) -> dict[object, _TwinState]:
     """The states after putting host vertex v in each class that allows it.
 
-    Every allowed mask keeps only vertices in ``above``.  Equal states merge,
-    and so do states that differ by a permutation of a swappable group.
+    Every allowed mask keeps only vertices in ``above``.  A successor in
+    which some class allows fewer vertices than its room is dead and is
+    dropped: every vertex put in a class later comes from its allowed mask,
+    which only shrinks, so a dead state has no completion and dropping it
+    changes no copy found, nor their order.  Equal states merge, and so do
+    states that differ by a permutation of a swappable group.
     """
     fwd = rows[0][v] & above
     back = rows[1][v] & above
@@ -179,9 +188,16 @@ def _twin_advance(
         for i, m in enumerate(masks):
             if not m & bit:
                 continue
-            nmasks = [x & keep[c] for x, c in zip(masks, tw.need[i])]
             nrooms = rooms.copy()
             nrooms[i] -= 1
+            nmasks = []
+            for x, c, room in zip(masks, tw.need[i], nrooms):
+                x &= keep[c]
+                if x.bit_count() < room:
+                    break
+                nmasks.append(x)
+            if len(nmasks) < len(masks):
+                continue  # some class can no longer be filled
             if not nrooms[i]:
                 nmasks[i] = 0
             pairs = list(zip(nrooms, nmasks))
@@ -199,10 +215,13 @@ def _twin_copies(
     host: Graph | Digraph, pattern: PatternGraph, within: int, through: int | None
 ) -> Iterator[tuple[int, ...]]:
     """Canonical (ids-ascending, ``through`` first) enumeration of the sets
-    spanning the pattern, carrying every twin-class state of the partial set.
+    spanning the pattern, carrying every live twin-class state of the
+    partial set (`_twin_advance` drops the dead ones).
 
-    A full class allows nothing, so at the last level the union of the
-    allowed masks is exactly the set of completing vertices.
+    The classes of a state may allow the same vertices, so a partial set is
+    also cut when the union of all allowed masks is too small to finish it.
+    A full class allows nothing, so at the last level that union is exactly
+    the set of completing vertices.
     """
     tw = pattern.twin_classes()
     rows = arc_rows(host)

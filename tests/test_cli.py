@@ -295,10 +295,43 @@ def test_experiment_spec_validation():
         ExperimentSpec("gnp", 6, 3, "0", 0.5, "K3", 0, 1)
     with pytest.raises(ValueError, match="sampler"):
         ExperimentSpec("warp", 6, 3, "0", 0.5, "K3", 5, 1)
+    with pytest.raises(ValueError, match="node budget"):
+        ExperimentSpec("gnp", 6, 3, "0", 0.5, "K3", 5, 1, budget_nodes=0)
     spec = ExperimentSpec("gnp-min-degree", 6, 3, "0", 0.75, "K3", 5, 9)
     assert experiment_csv(spec) == experiment_csv(asdict(spec))
     assert main(["experiment", "--sampler", "warp", "--n", "6", "--pattern",
                  "K3", "--trials", "2", "--quiet"]) == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "-5", "2.5", "many"])
+def test_budget_nodes_must_be_positive(tmp_path, capsys, value):
+    # 0 used to mean "no budget" for pack and 10,000,000 for experiment, and
+    # a negative budget reported every experiment trial exhausted, exit 0
+    k6 = write_graph(tmp_path, "k6.json", complete_graph(6))
+    out = tmp_path / "never.csv"
+    for argv in (
+        ["pack", k6, "--pattern", "K3"],
+        ["experiment", "--sampler", "gnp-min-degree", "--n", "6", "--r", "3",
+         "--p", "0.75", "--pattern", "K3", "--trials", "2", "--out", str(out)],
+    ):
+        assert main(argv + ["--budget-nodes", value]) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.count("argument --budget-nodes") == 2
+    assert "Traceback" not in captured.err
+
+
+def test_experiment_default_budget(tmp_path):
+    # without the option an experiment keeps its 10,000,000-node budget
+    argv = ["experiment", "--sampler", "gnp-min-degree", "--n", "6", "--r", "3",
+            "--p", "0.75", "--pattern", "K3", "--trials", "3", "--quiet"]
+    default, explicit, tight = (tmp_path / f"{name}.csv" for name in ("d", "e", "t"))
+    assert main(argv + ["--out", str(default)]) == 0
+    assert main(argv + ["--budget-nodes", "10000000", "--out", str(explicit)]) == 0
+    assert default.read_bytes() == explicit.read_bytes()
+    assert "summary,trials=3,found=3,none=0,exhausted=0," in default.read_text()
+    assert main(argv + ["--budget-nodes", "1", "--out", str(tight)]) == 0
+    assert "summary,trials=3,found=0,none=0,exhausted=3," in tight.read_text()
 
 
 def test_gen_missing_n_is_input_error(tmp_path, capsys):

@@ -4,8 +4,10 @@ import tracemalloc
 
 import pytest
 
+from tilinglab import packing
 from tilinglab.constructions import (
     ExtremalParams,
+    certify_uncoverable,
     clique_pattern,
     complete_graph,
     complete_multipartite,
@@ -176,6 +178,84 @@ def test_spans_pattern_witness(pattern):
             assert sorted(emb.values()) == list(verts)
             assert all(has(emb[a], emb[b]) for a, b in pairs)
     assert spanned and (missed or not pairs)  # an edgeless pattern spans every set
+
+
+def _star_forest_host(rng, n, directed):
+    """A dense seeded host whose vertex 0 sees a star forest, as vertex 0 of
+    the sharpness construction does: inside N(0) only the star edges, and
+    0 not joined to the rest.  A digraph joins each pair one way or both."""
+    a = rng.randint(4, 6)
+    centre = [0] * (a + 1)  # centre[u]: the centre of u's star in N(0) = 1..a
+    u = 1
+    while u <= a:
+        end = min(u + rng.randint(1, 3), a + 1)
+        centre[u:end] = [u] * (end - u)
+        u = end
+    pairs = []
+    for u in range(n):
+        for w in range(u + 1, n):
+            if u == 0:
+                joined = w <= a
+            elif w <= a:
+                joined = centre[u] == u and centre[w] == u
+            else:
+                joined = rng.random() < 0.85
+            if joined:
+                pairs.append((u, w))
+    if not directed:
+        return Graph(n, pairs)
+    arcs = []
+    for u, w in pairs:
+        way = rng.randrange(3)
+        arcs += [(u, w)] * (way != 1) + [(w, u)] * (way != 0)
+    return Digraph(n, arcs)
+
+
+def _assert_copies_match_oracle(host, pattern, within):
+    """Inside ``within``, the copies through each vertex, and through none,
+    are the brute-force list in content and order, and `spans_pattern`
+    agrees with the oracle on every candidate set; returns the copy count."""
+    inside = [v for v in range(host.n) if within >> v & 1]
+    spanning = []
+    for c in itertools.combinations(inside, pattern.order):
+        spans = brute_embeds(host, c, pattern.base)
+        assert (spans_pattern(host, c, pattern) is not None) == spans, c
+        if spans:
+            spanning.append(c)
+    assert list(enumerate_copies(host, pattern, within=within)) == spanning
+    for v in inside:
+        got = list(enumerate_copies(host, pattern, through=v, within=within))
+        assert got == [c for c in spanning if v in c], v
+    return len(spanning)
+
+
+PRUNED_PATTERNS = [
+    *(pattern_from_name(name) for name in ("K2,2", "K2,2,2", "K3,3", "K3^2", "T3^2")),
+    PatternGraph(C5, name="C5"),
+    PatternGraph(Graph(4, [(0, 1), (1, 2), (2, 3)]), name="P4"),
+]
+
+
+@pytest.mark.parametrize("pattern", PRUNED_PATTERNS, ids=lambda pat: pat.name)
+def test_copies_where_dead_states_are_dropped(pattern):
+    """The engine drops a twin-class state once a class allows fewer host
+    vertices than its room.  Where that fires most, the star-forest
+    neighbourhood of the sharpness construction, copies and spanning
+    verdicts are still those of the brute-force oracle.  The n=36 instance
+    is split into four windows of nine vertices, so every vertex is checked
+    as ``through`` in its window; T3^2 takes digraphs instead."""
+    rng = random.Random(f"star-forest:{pattern.name}")
+    hosts = [_star_forest_host(rng, 9, pattern.is_digraph) for _ in range(3)]
+    cases = [(host, host.full_mask()) for host in hosts]
+    if pattern.is_digraph:
+        t33 = pattern_power("T", 3, 3)  # T3 blown up by 3: every vertex has copies
+        cases.append((t33, t33.full_mask()))
+    else:
+        ext = extremal_instance(ExtremalParams(3, (2, 2, 2), 36, 1)).graph
+        order = list(range(ext.n))
+        random.Random(36).shuffle(order)
+        cases += [(ext, sum(1 << v for v in order[k : k + 9])) for k in range(0, ext.n, 9)]
+    assert sum(_assert_copies_match_oracle(host, pattern, within) for host, within in cases)
 
 
 def test_transitive_order_helper():
@@ -607,6 +687,38 @@ def test_exact_rows_node_counts():
     ext = extremal_instance(ExtremalParams(3, (2, 2, 2), 36, 1, star_sizes=()))
     res = max_packing(ext.graph, pattern_from_name("K2,2,2"))
     assert (res.packing.coverage(), res.optimal, res.nodes) == (30, True, 8)
+
+
+# `_twin_advance` calls of the `certify` rows (vertex 0 of the sharpness
+# instance) and of the `exact` K2,2,2 max_packing; keeping the states in
+# which a class can no longer be filled, they took 133,308, 3,180 and 3,216
+TWIN_ADVANCES = {144: 1210, 36: 121, "max_packing": 157}
+EXT36_MAX_PARTS = (
+    (1, 2, 3, 17, 18, 19), (4, 5, 20, 21, 22, 23), (6, 7, 24, 25, 26, 27),
+    (8, 9, 28, 29, 30, 31), (10, 11, 32, 33, 34, 35),
+)
+
+
+def test_copy_engine_work_counts(monkeypatch):
+    calls = 0
+    advance = packing._twin_advance
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return advance(*args)
+
+    monkeypatch.setattr(packing, "_twin_advance", counted)
+    k222 = pattern_from_name("K2,2,2")
+    for n, stars in ((144, (6, 6, 6, 6, 6, 6, 5, 4, 3, 2, 2)), (36, ())):
+        ext = extremal_instance(ExtremalParams(3, (2, 2, 2), n, 1, star_sizes=stars))
+        calls = 0
+        assert certify_uncoverable(ext.graph, 0, k222).uncoverable
+        assert calls == TWIN_ADVANCES[n]
+    calls = 0
+    res = max_packing(ext.graph, k222)
+    assert (res.packing.parts, res.nodes) == (EXT36_MAX_PARTS, 8)
+    assert calls == TWIN_ADVANCES["max_packing"]
 
 
 @pytest.mark.parametrize("n,nodes", [(21, 113), (60, 2661)])
