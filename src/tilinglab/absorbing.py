@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, Sequence
 
 from .constructions import clique_pattern, pattern_power, transitive_pattern
-from .graphs import Digraph, Graph, PatternGraph, bits, symmetrize
+from .graphs import Digraph, Graph, PatternGraph, bits, check_vertex, symmetrize
 from .packing import (
     BudgetExhausted,
     Packing,
@@ -392,7 +392,7 @@ def q_prime(sb: StarBlowup) -> StarBlowup:
         raise ValueError("q_prime applies to truncated blow-ups")
     n = sb.graph.n
     x_new, y_new = n, n + 1
-    edges = list(sb.graph.edges)
+    edges = sb.graph.pairs()
     edges.extend((x_new, u) for u in sb.x_blocks[0])
     edges.extend((y_new, u) for u in sb.x_blocks[-1])
     y_blocks = list(sb.y_blocks)
@@ -639,8 +639,11 @@ def absorb(
 
     Every vertex of W is assigned to its own unused gadget after an exact
     solver check; the idle gadgets are then packed jointly.  Capacity is
-    one vertex per gadget.
+    one vertex per gadget.  A vertex of W or of a gadget that is not a
+    host vertex is a ValueError.
     """
+    for v in [*W, *(u for gadget in fam.gadgets for u in gadget.verts)]:
+        check_vertex(v, host.n)
     notes = diagnostics if diagnostics is not None else {}
     w = sorted(set(W))
     if len(w) != len(list(W)):

@@ -77,8 +77,7 @@ def _host_and_pattern(args):
     g = _load(args.file)
     pat = _pattern(args.pattern)
     if pat.is_digraph != isinstance(g, Digraph):
-        kind = "digraph" if pat.is_digraph else "graph"
-        print(f"input error: pattern {pat.name} needs a {kind} host", file=sys.stderr)
+        print(f"input error: pattern {pat.name} needs a {pat.base.kind} host", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
     return g, pat
 
@@ -322,13 +321,12 @@ def cmd_absorb(args) -> int:
     try:
         with open(args.family) as fh:
             fam = _family_from_json(json.load(fh))
-    except (OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError) as exc:
         print(f"input error: bad family file: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    w = _int_list(args.w)
     diag: dict = {}
     try:
-        result = absorbing.absorb(g, pat, fam, w, diagnostics=diag)
+        result = absorbing.absorb(g, pat, fam, _int_list(args.w), diagnostics=diag)
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -415,8 +413,7 @@ class ExperimentSpec:
             raise ValueError("a seed is required: every trial derives from it")
         pat = constructions.pattern_from_name(self.pattern)
         if pat.is_digraph != (self.sampler == "gnp-dominant"):
-            kind = "digraph" if pat.is_digraph else "graph"
-            raise ValueError(f"pattern {pat.name} needs a {kind} sampler")
+            raise ValueError(f"pattern {pat.name} needs a {pat.base.kind} sampler")
 
 
 def _sample_graph(rng: random.Random, n: int, p: float) -> Graph:
@@ -499,8 +496,7 @@ def run_trial(spec: dict, trial: int) -> dict:
     violation = ""
     if verdict == "none" and sampler != "gnp":
         # counterexample: dump the instance verbatim for triage
-        pairs = g.sorted_arcs() if digraph else g.sorted_edges()
-        violation = ";".join(f"{u}-{v}" for u, v in pairs)
+        violation = ";".join(f"{u}-{v}" for u, v in g.pairs())
     return {
         "trial": trial,
         "n": n,
@@ -570,8 +566,11 @@ def cmd_experiment(args) -> int:
     _write(args.out, csv_text)
     tail = csv_text.strip().rsplit("\n", 1)[-1]
     _say(args, tail)
-    if ",none=0," not in tail and spec.sampler != "gnp":
+    counts = dict(field.split("=") for field in tail.split(",")[1:] if field)
+    if counts["none"] != "0" and spec.sampler != "gnp":
         return EXIT_UNSATISFIED
+    if counts["exhausted"] != "0":
+        return EXIT_BUDGET
     return EXIT_OK
 
 

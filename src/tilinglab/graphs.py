@@ -2,7 +2,8 @@
 
 Vertices are dense integers 0..n-1.  Adjacency is stored as one Python int
 bitmask per vertex, so neighbourhood intersections (the inner loop of every
-copy-enumeration routine in this package) are single big-int ANDs.
+copy-enumeration routine in this package) are single big-int ANDs.  The rows
+are the only stored adjacency; edge and arc sets are read off them.
 
 All types are immutable after construction and safe to share between
 threads.  "X spans a copy of H" means subgraph containment throughout the
@@ -28,7 +29,8 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _check_endpoint(v: int, n: int) -> None:
+def check_vertex(v: int, n: int) -> None:
+    """Raise GraphFormatError unless v is an int in 0..n-1."""
     if not isinstance(v, int) or isinstance(v, bool):
         raise GraphFormatError(f"vertex {v!r} is not an integer")
     if not 0 <= v < n:
@@ -36,33 +38,45 @@ def _check_endpoint(v: int, n: int) -> None:
 
 
 class _GraphBase:
-    """What Graph and Digraph share: the order, pair validation, equality
-    on the pair set and induced subgraphs built from the adjacency rows.
+    """What Graph and Digraph share: the order, pair validation, and the
+    pair list, counts, equality and induced subgraphs read off the rows.
 
-    A subclass stores its pairs and rows under its own names and exposes
-    them through ``_pairs`` and ``_rows`` (``adj`` for graphs, ``out`` for
-    digraphs).
+    The adjacency rows are the graph: ``adj`` for a graph, ``out`` and
+    ``inn`` for a digraph.  A subclass hands its forward rows (``adj`` or
+    ``out``) to ``_rows`` and names its ``kind``; a graph's rows hold each
+    edge twice, once in the row of either end.
     """
 
     __slots__ = ("n",)
+    kind: str  # "graph" or "digraph", as in graph files
+    _symmetric = False
 
     def __init__(self, n: int):
-        if n < 0:
-            raise GraphFormatError("vertex count must be nonnegative")
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise GraphFormatError(f"vertex count {n!r} is not a nonnegative integer")
         self.n = n
 
     def _checked(self, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
         """The pairs, each with both endpoints in range and distinct."""
         n = self.n
         for u, v in pairs:
-            _check_endpoint(u, n)
-            _check_endpoint(v, n)
+            check_vertex(u, n)
+            check_vertex(v, n)
             if u == v:
                 raise GraphFormatError(f"loop at vertex {u}")
             yield u, v
 
+    def pairs(self) -> list[tuple[int, int]]:
+        """The edges (u < v) or arcs (u, v), sorted: row by row, each row
+        ascending."""
+        rows = self._rows()
+        if self._symmetric:
+            rows = [row >> u + 1 << u + 1 for u, row in enumerate(rows)]
+        return [(u, v) for u, row in enumerate(rows) for v in _bits(row)]
+
     def edge_count(self) -> int:
-        return len(self._pairs())
+        count = sum(row.bit_count() for row in self._rows())
+        return count // 2 if self._symmetric else count
 
     def vertices(self) -> range:
         return range(self.n)
@@ -88,39 +102,38 @@ class _GraphBase:
         return (
             isinstance(other, type(self))
             and self.n == other.n
-            and self._pairs() == other._pairs()
+            and self._rows() == other._rows()
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._pairs()))
+        return hash((self.n, self._rows()))
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}(n={self.n}, m={len(self._pairs())})"
+        return f"{type(self).__name__}(n={self.n}, m={self.edge_count()})"
 
 
 class Graph(_GraphBase):
     """Simple undirected graph: no loops, no parallel edges."""
 
-    __slots__ = ("adj", "edges")
+    __slots__ = ("adj",)
+    kind = "graph"
+    _symmetric = True
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         super().__init__(n)
         adj = [0] * n
-        edge_set = set()
         for u, v in self._checked(edges):
-            if u > v:
-                u, v = v, u
-            edge_set.add((u, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.adj = tuple(adj)
-        self.edges = frozenset(edge_set)
-
-    def _pairs(self) -> frozenset[tuple[int, int]]:
-        return self.edges
 
     def _rows(self) -> tuple[int, ...]:
         return self.adj
+
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as pairs (u, v) with u < v, read off the rows."""
+        return frozenset(self.pairs())
 
     # -- queries ---------------------------------------------------------
 
@@ -133,9 +146,6 @@ class Graph(_GraphBase):
     def neighbors(self, v: int) -> list[int]:
         return list(_bits(self.adj[v]))
 
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
-
 
 class Digraph(_GraphBase):
     """Simple directed graph: no loops, at most one arc per ordered pair.
@@ -143,26 +153,26 @@ class Digraph(_GraphBase):
     Antiparallel arc pairs are allowed; an edge both ways is two arcs.
     """
 
-    __slots__ = ("out", "inn", "arcs")
+    __slots__ = ("out", "inn")
+    kind = "digraph"
 
     def __init__(self, n: int, arcs: Iterable[tuple[int, int]] = ()):
         super().__init__(n)
         out = [0] * n
         inn = [0] * n
-        arc_set = set()
         for u, v in self._checked(arcs):
-            arc_set.add((u, v))
             out[u] |= 1 << v
             inn[v] |= 1 << u
         self.out = tuple(out)
         self.inn = tuple(inn)
-        self.arcs = frozenset(arc_set)
-
-    def _pairs(self) -> frozenset[tuple[int, int]]:
-        return self.arcs
 
     def _rows(self) -> tuple[int, ...]:
         return self.out
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """The arcs as pairs (tail, head), read off the rows."""
+        return frozenset(self.pairs())
 
     # -- queries ---------------------------------------------------------
 
@@ -175,8 +185,8 @@ class Digraph(_GraphBase):
     def in_degree(self, v: int) -> int:
         return self.inn[v].bit_count()
 
-    def sorted_arcs(self) -> list[tuple[int, int]]:
-        return sorted(self.arcs)
+
+_KINDS = {cls.kind: cls for cls in (Graph, Digraph)}
 
 
 @dataclass(frozen=True)
@@ -232,30 +242,18 @@ def blow_up(g: Graph | Digraph, t: int) -> Graph | Digraph:
     """
     if t < 1:
         raise ValueError("blow-up factor must be >= 1")
-    if isinstance(g, Graph):
-        edges = [
-            (u * t + a, v * t + b)
-            for u, v in g.edges
-            for a in range(t)
-            for b in range(t)
-        ]
-        return Graph(g.n * t, edges)
-    arcs = [
+    pairs = [
         (u * t + a, v * t + b)
-        for u, v in g.arcs
+        for u, v in g.pairs()
         for a in range(t)
         for b in range(t)
     ]
-    return Digraph(g.n * t, arcs)
+    return type(g)(g.n * t, pairs)
 
 
 def symmetrize(g: Graph) -> Digraph:
     """Replace each edge xy by the two arcs xy and yx."""
-    arcs = []
-    for u, v in g.edges:
-        arcs.append((u, v))
-        arcs.append((v, u))
-    return Digraph(g.n, arcs)
+    return Digraph(g.n, [arc for u, v in g.pairs() for arc in ((u, v), (v, u))])
 
 
 # -- chromatic number ------------------------------------------------------
@@ -317,7 +315,7 @@ def chromatic_number(g: Graph) -> int:
     """Exact chromatic number by branch-and-bound k-coloring search."""
     if g.n == 0:
         return 0
-    if not g.edges:
+    if not g.edge_count():
         return 1
     lo = _greedy_clique_bound(g)
     hi = _greedy_coloring_bound(g)
@@ -333,14 +331,14 @@ def chromatic_number(g: Graph) -> int:
 
 def _clique_order(g: Graph) -> int | None:
     """r if g is K_r, else None."""
-    if g.n >= 1 and len(g.edges) == g.n * (g.n - 1) // 2:
+    if g.n >= 1 and g.edge_count() == g.n * (g.n - 1) // 2:
         return g.n
     return None
 
 
 def _is_transitive_tournament(d: Digraph) -> bool:
     degs = sorted((d.out_degree(v) for v in range(d.n)), reverse=True)
-    return len(d.arcs) == d.n * (d.n - 1) // 2 and degs == list(
+    return d.edge_count() == d.n * (d.n - 1) // 2 and degs == list(
         range(d.n - 1, -1, -1)
     )
 
@@ -515,8 +513,7 @@ class PatternGraph:
             return f"K{self.clique_order}"
         if self.multipartite:
             return "K" + ",".join(str(s) for s in self.multipartite)
-        kind = "digraph" if self.is_digraph else "graph"
-        return f"{kind}({self.order})"
+        return f"{self.base.kind}({self.order})"
 
     def chromatic_number(self) -> int:
         if self.is_digraph:
@@ -544,10 +541,8 @@ class PatternGraph:
 
 
 def graph_to_json(g: Graph | Digraph) -> str:
-    kind = "digraph" if isinstance(g, Digraph) else "graph"
-    pairs = g.sorted_arcs() if isinstance(g, Digraph) else g.sorted_edges()
     return json.dumps(
-        {"kind": kind, "n": g.n, "edges": [[u, v] for u, v in pairs]}
+        {"kind": g.kind, "n": g.n, "edges": [[u, v] for u, v in g.pairs()]}
     )
 
 
@@ -559,11 +554,8 @@ def graph_from_json(text: str) -> Graph | Digraph:
     if not isinstance(data, dict):
         raise GraphFormatError("graph JSON must be an object")
     kind = data.get("kind")
-    if kind not in ("graph", "digraph"):
+    if kind not in _KINDS:
         raise GraphFormatError(f"unknown kind {kind!r}")
-    n = data.get("n")
-    if not isinstance(n, int) or n < 0:
-        raise GraphFormatError("field 'n' must be a nonnegative integer")
     edges = data.get("edges")
     if not isinstance(edges, list):
         raise GraphFormatError("field 'edges' must be a list of pairs")
@@ -572,13 +564,12 @@ def graph_from_json(text: str) -> Graph | Digraph:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise GraphFormatError(f"bad edge entry {item!r}")
         pairs.append((item[0], item[1]))
-    return Digraph(n, pairs) if kind == "digraph" else Graph(n, pairs)
+    return _KINDS[kind](data.get("n"), pairs)
 
 
 def format_edge_list(g: Graph | Digraph) -> str:
-    kind = "digraph" if isinstance(g, Digraph) else "graph"
-    pairs = g.sorted_arcs() if isinstance(g, Digraph) else g.sorted_edges()
-    lines = [f"{g.n} {len(pairs)} {kind}"]
+    pairs = g.pairs()
+    lines = [f"{g.n} {len(pairs)} {g.kind}"]
     lines.extend(f"{u} {v}" for u, v in pairs)
     return "\n".join(lines) + "\n"
 
@@ -595,7 +586,7 @@ def parse_edge_list(text: str) -> Graph | Digraph:
     except ValueError as exc:
         raise GraphFormatError("header counts must be integers") from exc
     kind = head[2]
-    if kind not in ("graph", "digraph"):
+    if kind not in _KINDS:
         raise GraphFormatError(f"unknown kind {kind!r}")
     if len(lines) - 1 != m:
         raise GraphFormatError(f"expected {m} edge lines, got {len(lines) - 1}")
@@ -608,7 +599,7 @@ def parse_edge_list(text: str) -> Graph | Digraph:
             pairs.append((int(parts[0]), int(parts[1])))
         except ValueError as exc:
             raise GraphFormatError(f"bad edge line {ln!r}") from exc
-    return Digraph(n, pairs) if kind == "digraph" else Graph(n, pairs)
+    return _KINDS[kind](n, pairs)
 
 
 def load_graph(path: str) -> Graph | Digraph:

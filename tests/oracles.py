@@ -43,15 +43,21 @@ def sample_tournament(rng: random.Random, n: int) -> Digraph:
     return Digraph(n, arcs)
 
 
-def brute_spans(host, verts, name: str) -> bool:
-    """Direct spanning test for K2, K3, T3 from raw edge membership."""
+def raw_pairs(g) -> frozenset:
+    """The edge set of a graph or the arc set of a digraph."""
+    return g.arcs if isinstance(g, Digraph) else g.edges
+
+
+def brute_spans(pairs, verts, name: str) -> bool:
+    """Direct spanning test for K2, K3, T3 from raw membership in the host's
+    pair set (``raw_pairs``, read once by the caller)."""
     vs = list(verts)
     if name == "K2":
         (u, v) = vs
-        return (min(u, v), max(u, v)) in host.edges
+        return (min(u, v), max(u, v)) in pairs
     if name == "K3":
         a, b, c = vs
-        e = host.edges
+        e = pairs
         return (
             (min(a, b), max(a, b)) in e
             and (min(a, c), max(a, c)) in e
@@ -60,21 +66,21 @@ def brute_spans(host, verts, name: str) -> bool:
     if name == "T3":
         for p in itertools.permutations(vs):
             if (
-                (p[0], p[1]) in host.arcs
-                and (p[0], p[2]) in host.arcs
-                and (p[1], p[2]) in host.arcs
+                (p[0], p[1]) in pairs
+                and (p[0], p[2]) in pairs
+                and (p[1], p[2]) in pairs
             ):
                 return True
         return False
     raise ValueError(name)
 
 
-def brute_embeds(host, verts, base) -> bool:
+def brute_embeds(host_pairs, verts, base) -> bool:
     """Some bijection from the pattern ``base`` onto verts maps every
-    pattern edge (arc) onto a host edge (arc), by raw set membership."""
+    pattern edge (arc) onto a host edge (arc), by raw membership in the
+    host's pair set (``raw_pairs``, read once by the caller)."""
     directed = isinstance(base, Digraph)
-    pattern_pairs = base.arcs if directed else base.edges
-    host_pairs = host.arcs if directed else host.edges
+    pattern_pairs = raw_pairs(base)
     for image in itertools.permutations(verts):
         mapped = ((image[a], image[b]) for a, b in pattern_pairs)
         if directed and all(pair in host_pairs for pair in mapped):
@@ -103,8 +109,9 @@ def oracle_perfect_decision(host, name: str) -> bool:
     h = {"K2": 2, "K3": 3, "T3": 3}[name]
     if host.n % h != 0:
         return False
+    pairs = raw_pairs(host)
     for parts in partitions_into(list(range(host.n)), h):
-        if all(brute_spans(host, part, name) for part in parts):
+        if all(brute_spans(pairs, part, name) for part in parts):
             return True
     return False
 
@@ -112,10 +119,11 @@ def oracle_perfect_decision(host, name: str) -> bool:
 def oracle_max_coverage(host, name: str) -> int:
     """Maximum covered vertices over all disjoint copy subsets."""
     h = {"K2": 2, "K3": 3, "T3": 3}[name]
+    pairs = raw_pairs(host)
     copies = [
         frozenset(c)
         for c in itertools.combinations(range(host.n), h)
-        if brute_spans(host, c, name)
+        if brute_spans(pairs, c, name)
     ]
 
     best = 0
@@ -161,7 +169,7 @@ def brute_twin_classes(host) -> list[list[int]]:
     """Classes of host vertices u, v whose swap maps the raw pair set onto
     itself, tested pair by pair."""
     directed = isinstance(host, Digraph)
-    pairs = host.arcs if directed else host.edges
+    pairs = raw_pairs(host)
 
     def swap(x, u, v):
         return v if x == u else u if x == v else x

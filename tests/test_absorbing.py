@@ -138,10 +138,11 @@ def test_length1_connectors_match_brute_force():
         x, y = rng.sample(range(10), 2)
         got = set(length1_connectors(d, pat, x, y))
         want = set()
+        arcs = d.arcs
         for pair in itertools.combinations(set(range(10)) - {x, y}, 2):
             from oracles import brute_spans
 
-            if brute_spans(d, pair + (x,), "T3") and brute_spans(d, pair + (y,), "T3"):
+            if brute_spans(arcs, pair + (x,), "T3") and brute_spans(arcs, pair + (y,), "T3"):
                 want.add(tuple(sorted(pair)))
         assert got == want
 
@@ -249,7 +250,7 @@ def test_star_blowup_corruption_rejected():
     victim = (min(victim), max(victim))
     from tilinglab.absorbing import StarBlowup
 
-    bad_graph = Graph(sb.graph.n, [e for e in sb.graph.sorted_edges() if e != victim])
+    bad_graph = Graph(sb.graph.n, [e for e in sb.graph.pairs() if e != victim])
     bad = StarBlowup(
         bad_graph, sb.r, sb.t, sb.h, sb.x_blocks, sb.y_blocks, sb.truncated
     )

@@ -351,7 +351,7 @@ def test_criterion_9_star_blowups_executable():
                 victim = tuple(sorted((sb.y_blocks[0][0], sb.x_blocks[0][0])))
                 bad_graph = Graph(
                     sb.graph.n,
-                    [e for e in sb.graph.sorted_edges() if e != victim],
+                    [e for e in sb.graph.pairs() if e != victim],
                 )
                 bad = StarBlowup(
                     bad_graph, sb.r, sb.t, sb.h, sb.x_blocks, sb.y_blocks,

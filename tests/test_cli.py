@@ -171,6 +171,34 @@ def test_absorb_family_flow(tmp_path):
                  "--sample-size", "10"]) == 3
 
 
+def test_absorb_rejects_vertices_outside_the_host(tmp_path, capsys):
+    k12 = write_graph(tmp_path, "k12.json", complete_graph(12))
+    fam = tmp_path / "fam.json"
+    assert main(["absorbfam", k12, "--pattern", "K3", "--seed", "5",
+                 "--sample-size", "80", "--max-gadgets", "3",
+                 "--out", str(fam)]) == 0
+    bad_fam, unhashable, shapeless = (tmp_path / f"{name}.json" for name in "bus")
+    bad_fam.write_text(json.dumps({"gadgets": [{"verts": ["a", "b"], "pairs_checked": 0}]}))
+    unhashable.write_text(json.dumps({"gadgets": [{"verts": [[0], [1]], "pairs_checked": 0}]}))
+    shapeless.write_text(json.dumps({"gadgets": [{"verts": 5, "pairs_checked": 0}]}))
+    free = sorted(set(range(12)) - set(json.loads(fam.read_text())["M"]))[:3]
+    out = tmp_path / "abs.json"
+    for family, w, bad in (
+        (fam, "99,100,101", "vertex 99 out of range 0..11"),
+        (fam, "-1,9,10", "vertex -1 out of range 0..11"),
+        (fam, "a,9,10", "invalid literal for int()"),
+        (bad_fam, ",".join(map(str, free)), "vertex 'a' is not an integer"),
+        (unhashable, ",".join(map(str, free)), "vertex [0] is not an integer"),
+        (shapeless, ",".join(map(str, free)), "bad family file"),
+    ):
+        argv = ["absorb", k12, "--pattern", "K3", "--family", str(family),
+                "--w=" + w, "--out", str(out)]
+        assert main(argv) == 2, w
+        err = capsys.readouterr().err
+        assert bad in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_pipeline_command(tmp_path):
     k24 = write_graph(tmp_path, "k24.json", complete_graph(24))
     out = tmp_path / "pipe.json"
@@ -330,7 +358,8 @@ def test_experiment_default_budget(tmp_path):
     assert main(argv + ["--budget-nodes", "10000000", "--out", str(explicit)]) == 0
     assert default.read_bytes() == explicit.read_bytes()
     assert "summary,trials=3,found=3,none=0,exhausted=0," in default.read_text()
-    assert main(argv + ["--budget-nodes", "1", "--out", str(tight)]) == 0
+    # every trial out of budget: exit code 4, as for any other command
+    assert main(argv + ["--budget-nodes", "1", "--out", str(tight)]) == 4
     assert "summary,trials=3,found=0,none=0,exhausted=3," in tight.read_text()
 
 

@@ -41,6 +41,11 @@ def test_construction_validation():
         Graph(3, [(0, 3)])
     with pytest.raises(GraphFormatError):
         Digraph(2, [(1, 1)])
+    for n in (True, 2.0, "3", None, -1):
+        with pytest.raises(GraphFormatError):
+            Graph(n)
+        with pytest.raises(GraphFormatError):
+            Digraph(n)
     # parallel edges collapse under set semantics
     g = Graph(3, [(0, 1), (1, 0)])
     assert g.edge_count() == 1
@@ -158,6 +163,11 @@ def test_parsers_reject_bad_input():
         graph_from_json('{"kind": "graph", "n": 3, "edges": [[0, 7]]}')
     with pytest.raises(GraphFormatError):
         graph_from_json('{"kind": "blob", "n": 3, "edges": []}')
+    for n in ("true", "2.5", '"3"', "-1", "null"):
+        with pytest.raises(GraphFormatError):
+            graph_from_json(f'{{"kind": "graph", "n": {n}, "edges": []}}')
+    with pytest.raises(GraphFormatError):
+        graph_from_json('{"kind": "digraph", "edges": []}')
     with pytest.raises(GraphFormatError):
         graph_from_json("not json")
     with pytest.raises(GraphFormatError):
@@ -166,6 +176,56 @@ def test_parsers_reject_bad_input():
         parse_edge_list("3 2 graph\n0 1\n")
     with pytest.raises(GraphFormatError):
         parse_edge_list("3 1 digraph\n0 9\n")
+
+
+def test_rows_match_raw_pairs():
+    # the rows are the only stored adjacency: every query, the derived pair
+    # sets, equality, I/O and derived graphs agree with pair sets built here
+    # from the raw input, which repeats pairs and gives edges both ways
+    rng = random.Random("rows-vs-raw-pairs")
+    for trial in range(60):
+        directed = trial % 2 == 1
+        cls = Digraph if directed else Graph
+        n = rng.randint(0, 9)
+        raw = []
+        for _ in range(rng.randint(0, 2 * n) if n > 1 else 0):
+            u, v = rng.sample(range(n), 2)
+            raw += [(u, v)] * rng.randint(1, 2) + [(v, u)] * (rng.random() < 0.3)
+        want = set(raw) if directed else {(min(p), max(p)) for p in raw}
+        g = cls(n, raw)
+        has = g.has_arc if directed else g.has_edge
+        for u in range(n):
+            for v in range(n):
+                pair = (u, v) if directed else (min(u, v), max(u, v))
+                assert has(u, v) == (pair in want)
+        assert (g.arcs if directed else g.edges) == want
+        assert g.pairs() == sorted(want) and g.edge_count() == len(want)
+        assert directed or not hasattr(g, "arcs")
+
+        shuffled = [(v, u) if not directed and rng.random() < 0.5 else (u, v) for u, v in raw]
+        rng.shuffle(shuffled)
+        same = cls(n, shuffled)
+        assert same == g and hash(same) == hash(g)
+        if want:
+            assert cls(n, sorted(want)[1:]) != g
+        assert cls(n + 1, raw) != g and Digraph(n, raw) != Graph(n, raw)
+        assert graph_from_json(graph_to_json(g)) == g
+        assert parse_edge_list(format_edge_list(g)) == g
+
+        keep = sorted(rng.sample(range(n), rng.randint(0, n)))
+        sub, ids = g.induced(keep)
+        pos = {v: i for i, v in enumerate(keep)}
+        assert ids == keep and sub.n == len(keep)
+        assert set(sub.pairs()) == {(pos[u], pos[v]) for u, v in want if u in pos and v in pos}
+        t = rng.randint(1, 3)
+        blown = blow_up(g, t)
+        assert type(blown) is cls and blown.n == n * t
+        assert set(blown.pairs()) == {
+            (u * t + a, v * t + b) for u, v in want for a in range(t) for b in range(t)
+        }
+        if not directed:
+            sym = symmetrize(g)
+            assert set(sym.pairs()) == want | {(v, u) for u, v in want}
 
 
 def test_induced_matches_edge_filter():
