@@ -214,7 +214,6 @@ def find_connecting_path(
     y: int,
     t: int,
     beta_count: int = 1,
-    aux: Graph | None = None,
 ) -> HPath | None:
     """A pattern-path of length t from x to y, or None after exhausting lifts.
 
@@ -228,8 +227,7 @@ def find_connecting_path(
         raise ValueError(f"endpoints must be vertices 0..{host.n - 1}")
     if t < 1:
         raise ValueError("t >= 1 required")
-    if aux is None:
-        aux = auxiliary_graph(host, pattern, beta_count)
+    aux = auxiliary_graph(host, pattern, beta_count)
     for waypoints in _aux_paths(aux, x, y, t):
         forbidden = set(waypoints)
         blocks: list[tuple[int, ...]] = []
@@ -450,6 +448,11 @@ def verify_star_blowup(sb: StarBlowup) -> VerifyResult:
 
 # -- absorbing families --------------------------------------------------------
 
+# vertex pairs sampled to score candidate gadgets, and the node budget of the
+# check that the union of the gadgets packs perfectly
+_PAIR_SAMPLES = 24
+_IDLE_BUDGET = 2_000_000
+
 
 def _perfect_on_subset(
     host: Graph | Digraph,
@@ -536,8 +539,6 @@ def build_absorbing_family(
     pair_threshold: int = 1,
     rng_seed: int = 0,
     max_gadgets: int | None = None,
-    pair_sample_size: int = 24,
-    idle_budget: int | None = 2_000_000,
 ) -> AbsorbingFamily:
     """Randomized greedy absorbing family, reproducible under the seed.
 
@@ -559,11 +560,11 @@ def build_absorbing_family(
         "sample_size": sample_size,
         "pair_threshold": pair_threshold,
         "max_gadgets": max_gadgets,
-        "pair_sample_size": pair_sample_size,
+        "pair_sample_size": _PAIR_SAMPLES,
     }
     pairs = []
     seen_pairs = set()
-    for j in range(pair_sample_size):
+    for j in range(_PAIR_SAMPLES):
         rng = random.Random(split_seed(rng_seed, 2, j))
         pair = tuple(sorted(rng.sample(range(n), 2)))
         if pair not in seen_pairs:
@@ -611,9 +612,8 @@ def build_absorbing_family(
             f"needed {h} disjoint gadgets with pair coverage >= {pair_threshold}"
         )
     m_verts = sorted(v for g in gadgets for v in g.verts)
-    budget = SearchBudget(idle_budget) if idle_budget else None
     try:
-        idle = _perfect_on_subset(host, pattern, m_verts, budget)
+        idle = _perfect_on_subset(host, pattern, m_verts, SearchBudget(_IDLE_BUDGET))
     except BudgetExhausted as exc:
         raise FamilyConstructionError(
             f"idle packing of |M|={len(m_verts)} not verified: {exc}"
@@ -740,9 +740,7 @@ class PipelineResult:
     diagnostics: dict
 
 
-def _almost_pack(
-    host: Graph | Digraph, pattern: PatternGraph, order_policy: str
-) -> Packing:
+def _almost_pack(host: Graph | Digraph, pattern: PatternGraph) -> Packing:
     """Greedy packing improved by the exchange engine where it applies.
 
     Clique patterns run the exchange on the symmetrized host (a clique is
@@ -752,7 +750,7 @@ def _almost_pack(
     """
     from .exchange import swap_to_fixpoint
 
-    m = greedy_packing(host, pattern, order_policy)
+    m = greedy_packing(host, pattern)
     r = pattern.order
     if pattern.transitive_order:
         dhost = host
@@ -787,8 +785,6 @@ def pipeline(
     pair_threshold: int = 1,
     rng_seed: int = 0,
     max_gadgets: int | None = None,
-    order_policy: str = "index",
-    idle_budget: int | None = 2_000_000,
 ) -> PipelineResult:
     """Absorbing family -> almost-perfect packing of the rest -> absorb.
 
@@ -810,7 +806,6 @@ def pipeline(
             pair_threshold=pair_threshold,
             rng_seed=rng_seed,
             max_gadgets=max_gadgets,
-            idle_budget=idle_budget,
         )
     except FamilyConstructionError as exc:
         diag["reason"] = str(exc)
@@ -819,7 +814,7 @@ def pipeline(
     diag["gadgets"] = fam.capacity()
     rest = sorted(set(range(host.n)) - fam.M)
     sub, mapping = host.induced(rest)
-    almost = _almost_pack(sub, pattern, order_policy)
+    almost = _almost_pack(sub, pattern)
     global_parts = [
         tuple(sorted(mapping[v] for v in part)) for part in almost.parts
     ]

@@ -21,7 +21,7 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import absorbing, constructions, degseq, exchange, packing
@@ -32,7 +32,7 @@ from .graphs import (
     graph_to_json,
     load_graph,
 )
-from .util import as_fraction, split_seed
+from .util import split_seed
 
 EXIT_OK = 0
 EXIT_UNSATISFIED = 1
@@ -93,6 +93,14 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _rational(text: str) -> Fraction:
+    """argparse type of an exact rational such as 1/20, 0.05 or -1/5."""
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from None
+
+
 def _budget(args) -> packing.SearchBudget | None:
     return None if args.budget_nodes is None else packing.SearchBudget(args.budget_nodes)
 
@@ -148,40 +156,19 @@ def cmd_gen(args) -> int:
 # -- check ---------------------------------------------------------------------
 
 
-def _run_condition(g, name: str, r: int, gamma):
-    if name == "exact":
-        if isinstance(g, Digraph):
-            raise ValueError("exact condition applies to graphs")
-        return degseq.check_exact_sequence(g, r)
-    if name == "margin":
-        if isinstance(g, Digraph):
-            raise ValueError("margin condition applies to graphs")
-        return degseq.check_margin_sequence(g, r, gamma)
-    if name == "dominant":
-        if not isinstance(g, Digraph):
-            raise ValueError("dominant condition applies to digraphs")
-        return degseq.check_dominant_margin(g, r, gamma)
-    if name in ("hs", "ay", "ore", "posa"):
-        if isinstance(g, Digraph):
-            raise ValueError("baseline conditions apply to graphs")
-        key = {
-            "hs": "hajnal-szemeredi",
-            "ay": "alon-yuster",
-            "ore": "ore",
-            "posa": "posa",
-        }[name]
-        return degseq.check_baseline(g, key, r, gamma)
-    raise ValueError(f"unknown condition {name!r}")
+# short names that `check --condition` accepts for condition-table names
+_CONDITION_ALIASES = {"hs": "hajnal-szemeredi", "ay": "alon-yuster", "dominant": "dominant-margin"}
 
 
 def cmd_check(args) -> int:
     g = _load(args.file)
-    gamma = as_fraction(args.gamma)
-    names = args.condition.split(",")
     reports = []
     try:
-        for name in names:
-            reports.append(_run_condition(g, name.strip(), args.r, gamma))
+        for name in args.condition.split(","):
+            name = name.strip()
+            reports.append(
+                degseq.check_baseline(g, _CONDITION_ALIASES.get(name, name), args.r, args.gamma)
+            )
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -238,25 +225,16 @@ def cmd_improve(args) -> int:
     if not isinstance(g, Digraph):
         print("input error: improvement loop runs on digraphs", file=sys.stderr)
         return EXIT_INPUT
-    budget = _budget(args)
-    if args.z > 0:
+    try:
         res = exchange.blowup_iterate(
-            g, args.r, args.z, as_fraction(args.gamma),
-            eta=as_fraction(args.eta) if args.eta else None,
-            budget=budget, seed_policy=args.seed_policy,
+            g, args.r, args.z, args.gamma, eta=args.eta,
+            budget=_budget(args), seed_policy=args.seed_policy,
         )
-        trace = res.trace
-        final = res.packing
-    else:
-        out = exchange.expand_coverage(
-            g, args.r, as_fraction(args.gamma),
-            eta=as_fraction(args.eta) if args.eta else None,
-            budget=budget, seed_policy=args.seed_policy,
-        )
-        trace = out.trace
-        final = out.packing
-    _write(args.out, exchange.trace_to_csv(trace))
-    _say(args, f"final coverage {final.coverage()}/{final.n}")
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    _write(args.out, exchange.trace_to_csv(res.trace))
+    _say(args, f"final coverage {res.packing.coverage()}/{res.packing.n}")
     return EXIT_OK
 
 
@@ -383,13 +361,25 @@ def cmd_certify(args) -> int:
 # -- experiment --------------------------------------------------------------------
 
 
-_SAMPLERS = ("gnp", "gnp-min-degree", "gnp-exact", "gnp-margin", "gnp-dominant")
+# each sampler: the kind of host it draws and the condition a sample must meet
+_SAMPLERS = {
+    "gnp": (Graph, None),
+    "gnp-min-degree": (Graph, "hajnal-szemeredi"),
+    "gnp-exact": (Graph, "exact"),
+    "gnp-margin": (Graph, "margin"),
+    "gnp-dominant": (Digraph, "dominant-margin"),
+}
 
 
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A fully determined batch experiment: sampler, condition parameters,
-    pattern, budgets, trial count and the master seed."""
+    pattern, budgets, trial count and the master seed.
+
+    A conditioned sampler's `DegreeCondition` is built once, here, so a spec
+    it refuses (r < 2, a negative gamma, r not dividing n under gnp-exact)
+    fails before any sampling.
+    """
 
     sampler: str
     n: int
@@ -411,66 +401,47 @@ class ExperimentSpec:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.seed is None:
             raise ValueError("a seed is required: every trial derives from it")
+        kind, name = _SAMPLERS[self.sampler]
         pat = constructions.pattern_from_name(self.pattern)
-        if pat.is_digraph != (self.sampler == "gnp-dominant"):
+        if pat.is_digraph != (kind is Digraph):
             raise ValueError(f"pattern {pat.name} needs a {pat.base.kind} sampler")
+        condition = None
+        if name is not None:
+            condition = degseq.DegreeCondition(name, self.r, Fraction(self.gamma))
+            if name == "exact" and self.n % self.r:
+                raise ValueError(f"divisibility violated: r={self.r} must divide n={self.n}")
+        object.__setattr__(self, "_condition", condition)
 
 
-def _sample_graph(rng: random.Random, n: int, p: float) -> Graph:
-    return Graph(
+def _sample(rng: random.Random, kind: type, n: int, p: float) -> Graph | Digraph:
+    """Each pair of a graph, or each ordered pair of a digraph, with probability p."""
+    directed = kind is Digraph
+    return kind(
         n,
         [
             (i, j)
             for i in range(n)
-            for j in range(i + 1, n)
-            if rng.random() < p
+            for j in range(0 if directed else i + 1, n)
+            if i != j and rng.random() < p
         ],
     )
 
 
-def _sample_digraph(rng: random.Random, n: int, p: float) -> Digraph:
-    arcs = []
-    for i in range(n):
-        for j in range(n):
-            if i != j and rng.random() < p:
-                arcs.append((i, j))
-    return Digraph(n, arcs)
-
-
-def _accepts(sampler: str, g, r: int, gamma) -> bool:
-    if sampler == "gnp":
-        return True
-    if sampler == "gnp-min-degree":
-        return degseq.evaluate(degseq.DegreeCondition("hajnal-szemeredi", r), g).satisfied
-    if sampler == "gnp-exact":
-        return g.n % r == 0 and degseq.check_exact_sequence(g, r).satisfied
-    if sampler == "gnp-margin":
-        return degseq.check_margin_sequence(g, r, gamma).satisfied
-    if sampler == "gnp-dominant":
-        return degseq.check_dominant_margin(g, r, gamma).satisfied
-    raise ValueError(f"unknown sampler {sampler!r}")
-
-
-def run_trial(spec: dict, trial: int) -> dict:
+def run_trial(spec: ExperimentSpec, trial: int) -> dict:
     """One experiment trial; fully determined by (spec, trial)."""
-    sampler = spec["sampler"]
-    n = spec["n"]
-    r = spec["r"]
-    gamma = Fraction(spec["gamma"])
-    p0 = spec["p"]
-    digraph = sampler == "gnp-dominant"
+    kind, _ = _SAMPLERS[spec.sampler]
+    condition = spec._condition
+    n = spec.n
     attempts = 0
-    g = None
     while True:
-        rng = random.Random(split_seed(spec["seed"], trial, attempts))
+        rng = random.Random(split_seed(spec.seed, trial, attempts))
         # density schedule: push p upward every 200 rejections
-        p_eff = min(0.98, p0 + 0.05 * (attempts // 200))
-        cand = _sample_digraph(rng, n, p_eff) if digraph else _sample_graph(rng, n, p_eff)
+        p_eff = min(0.98, spec.p + 0.05 * (attempts // 200))
+        g = _sample(rng, kind, n, p_eff)
         attempts += 1
-        if _accepts(sampler, cand, r, gamma):
-            g = cand
+        if condition is None or degseq.evaluate(condition, g).satisfied:
             break
-        if attempts >= spec["max_attempts"]:
+        if attempts >= spec.max_attempts:
             return {
                 "trial": trial,
                 "n": n,
@@ -481,8 +452,8 @@ def run_trial(spec: dict, trial: int) -> dict:
                 "nodes": 0,
                 "violation": "",
             }
-    pat = constructions.pattern_from_name(spec["pattern"])
-    budget = packing.SearchBudget(spec["budget_nodes"])
+    pat = constructions.pattern_from_name(spec.pattern)
+    budget = packing.SearchBudget(spec.budget_nodes)
     try:
         found = packing.find_perfect_packing(g, pat, budget)
         verdict = "found" if found is not None else "none"
@@ -492,9 +463,9 @@ def run_trial(spec: dict, trial: int) -> dict:
     if found is not None:
         check = packing.is_perfect_packing(g, found)
         assert check.ok, check.reason
-    conditions = "satisfied" if sampler != "gnp" else "unconditioned"
+    conditions = "unconditioned" if condition is None else "satisfied"
     violation = ""
-    if verdict == "none" and sampler != "gnp":
+    if verdict == "none" and condition is not None:
         # counterexample: dump the instance verbatim for triage
         violation = ";".join(f"{u}-{v}" for u, v in g.pairs())
     return {
@@ -515,9 +486,9 @@ def experiment_csv(spec: "ExperimentSpec | dict", jobs: int = 1) -> str:
     Trials are independent (seeds derive from the trial index), so they may
     run in parallel; rows are always emitted in trial order.
     """
-    if isinstance(spec, ExperimentSpec):
-        spec = asdict(spec)
-    trials = range(spec["trials"])
+    if not isinstance(spec, ExperimentSpec):
+        spec = ExperimentSpec(**spec)
+    trials = range(spec.trials)
     if jobs > 1:
         import multiprocessing
 
@@ -537,9 +508,9 @@ def experiment_csv(spec: "ExperimentSpec | dict", jobs: int = 1) -> str:
     none = sum(1 for row in rows if row["verdict"] == "none")
     exhausted = sum(1 for row in rows if row["verdict"] == "exhausted")
     attempts = sum(row["attempts"] for row in rows)
-    accept = f"{spec['trials'] / attempts:.4f}" if attempts else ""
+    accept = f"{spec.trials / attempts:.4f}" if attempts else ""
     lines.append(
-        f"summary,trials={spec['trials']},found={found},none={none},"
+        f"summary,trials={spec.trials},found={found},none={none},"
         f"exhausted={exhausted},attempts={attempts},accept-rate={accept},"
     )
     return "\n".join(lines) + "\n"
@@ -551,7 +522,7 @@ def cmd_experiment(args) -> int:
             sampler=args.sampler,
             n=args.n,
             r=args.r,
-            gamma=str(as_fraction(args.gamma)),
+            gamma=str(args.gamma),
             p=args.p,
             pattern=args.pattern,
             trials=args.trials,
@@ -567,7 +538,7 @@ def cmd_experiment(args) -> int:
     tail = csv_text.strip().rsplit("\n", 1)[-1]
     _say(args, tail)
     counts = dict(field.split("=") for field in tail.split(",")[1:] if field)
-    if counts["none"] != "0" and spec.sampler != "gnp":
+    if counts["none"] != "0" and spec._condition is not None:
         return EXIT_UNSATISFIED
     if counts["exhausted"] != "0":
         return EXIT_BUDGET
@@ -586,13 +557,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--budget-nodes", type=_positive_int, default=None,
-                       help="node limit of the exact search, a positive integer")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    shared = {
+        "--seed": dict(type=int, default=0),
+        "--budget-nodes": dict(type=_positive_int, default=None,
+                               help="node limit of the exact search, a positive integer"),
+        "--format": dict(choices=("json", "csv"), default="json"),
+        "--out": dict(default=None, help="output path (default stdout)"),
+    }
+
+    def common(p, *flags):
+        # --quiet everywhere; of the other shared flags, only those p reads
+        for flag in flags:
+            p.add_argument(flag, **shared[flag])
         p.add_argument("--quiet", action="store_true")
-        p.add_argument("--out", default=None, help="output path (default stdout)")
 
     p = sub.add_parser("gen", help="generate a preset graph file")
     p.add_argument("preset", choices=("tr", "kr-power", "tr-power", "extremal-square", "hs-tight"))
@@ -602,38 +579,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--C", type=int, default=1)
     p.add_argument("--parts", default=None, help="pattern class sizes, e.g. 2,2,2")
     p.add_argument("--stars", default=None, help="star sizes, e.g. 6,5,5")
-    common(p)
+    common(p, "--out")
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("check", help="evaluate degree-sequence conditions")
     p.add_argument("file")
     p.add_argument("--condition", default="exact",
-                   help="comma list of exact,margin,dominant,hs,ay,ore,posa")
+                   help="comma list of exact, margin, dominant-margin (dominant), "
+                   "hajnal-szemeredi (hs), alon-yuster (ay), ore, posa")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--gamma", default="0")
-    common(p)
+    p.add_argument("--gamma", type=_rational, default="0")
+    common(p, "--format", "--out")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("pack", help="exact perfect-packing decision")
     p.add_argument("file")
     p.add_argument("--pattern", required=True)
-    common(p)
+    common(p, "--budget-nodes", "--out")
     p.set_defaults(func=cmd_pack)
 
     p = sub.add_parser("maxpack", help="maximum-coverage packing")
     p.add_argument("file")
     p.add_argument("--pattern", required=True)
-    common(p)
+    common(p, "--budget-nodes", "--out")
     p.set_defaults(func=cmd_maxpack)
 
-    p = sub.add_parser("improve", help="exchange/upgrade expansion loop")
+    # no abbreviations, so a --seed is not read as --seed-policy
+    p = sub.add_parser("improve", help="exchange/upgrade expansion loop", allow_abbrev=False)
     p.add_argument("file")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--gamma", default="0")
-    p.add_argument("--eta", default=None)
+    p.add_argument("--gamma", type=_rational, default="0")
+    p.add_argument("--eta", type=_rational, default=None)
     p.add_argument("--z", type=int, default=0, help="blow-up rounds")
     p.add_argument("--seed-policy", choices=("auto", "max", "greedy"), default="auto")
-    common(p)
+    common(p, "--budget-nodes", "--out")
     p.set_defaults(func=cmd_improve)
 
     p = sub.add_parser("path", help="connecting pattern-path search")
@@ -643,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--y", type=int, required=True)
     p.add_argument("--t", type=int, required=True)
     p.add_argument("--beta-count", type=int, default=1)
-    common(p)
+    common(p, "--out")
     p.set_defaults(func=cmd_path)
 
     p = sub.add_parser("absorbfam", help="build an absorbing family")
@@ -653,7 +632,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-size", type=int, default=200)
     p.add_argument("--pair-threshold", type=int, default=1)
     p.add_argument("--max-gadgets", type=int, default=None)
-    common(p)
+    common(p, "--seed", "--out")
     p.set_defaults(func=cmd_absorbfam)
 
     p = sub.add_parser("absorb", help="absorb a leftover set with a family")
@@ -661,7 +640,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--family", required=True)
     p.add_argument("--w", default="", help="comma list of vertices")
-    common(p)
+    common(p, "--out")
     p.set_defaults(func=cmd_absorb)
 
     p = sub.add_parser("pipeline", help="absorb-then-pack end to end")
@@ -671,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-size", type=int, default=200)
     p.add_argument("--pair-threshold", type=int, default=1)
     p.add_argument("--max-gadgets", type=int, default=None)
-    common(p)
+    common(p, "--seed", "--out")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("certify", help="exhaustive uncoverable-vertex certificate")
@@ -685,13 +664,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sampler", default="gnp")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r", type=int, default=3)
-    p.add_argument("--gamma", default="0")
+    p.add_argument("--gamma", type=_rational, default="0")
     p.add_argument("--p", type=float, default=0.7)
     p.add_argument("--pattern", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--max-attempts", type=int, default=100_000)
     p.add_argument("--jobs", type=int, default=1)
-    common(p)
+    common(p, "--seed", "--budget-nodes", "--out")
     p.set_defaults(func=cmd_experiment, budget_nodes=ExperimentSpec.budget_nodes)
 
     return parser

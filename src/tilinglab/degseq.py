@@ -19,12 +19,14 @@ from .util import as_fraction
 
 @dataclass(frozen=True)
 class DegreeCondition:
-    """A named, parameterised predicate on (dominant) degree sequences."""
+    """A named, parameterised predicate on (dominant) degree sequences.
+
+    The name is one of the condition table's and fixes the host kind.
+    """
 
     name: str
     r: int
     gamma: Fraction = Fraction(0)
-    kind: str = "GRAPH_DEGREE"  # or "DOMINANT_DEGREE"
 
     def __post_init__(self):
         if self.r < 2:
@@ -70,10 +72,8 @@ class ConditionReport:
         return json.dumps(self.to_json_obj())
 
 
-def _indexed_check(
-    name: str, seq: list[int], r: int, gamma: Fraction, strict_range: bool = True
-) -> ConditionReport:
-    """d_i >= (r-2)n/r + i + gamma*n for 1 <= i < n/r (strict by default)."""
+def _indexed_check(name: str, seq: list[int], r: int, gamma: Fraction) -> ConditionReport:
+    """d_i >= (r-2)n/r + i + gamma*n for 1 <= i < n/r."""
     n = len(seq)
     base = Fraction((r - 2) * n, r)
     margin = gamma * n
@@ -81,8 +81,7 @@ def _indexed_check(
     first_bad = None
     checked = 0
     for i in range(1, n + 1):
-        in_range = Fraction(i) < Fraction(n, r) if strict_range else Fraction(i) <= Fraction(n, r)
-        if not in_range:
+        if Fraction(i) >= Fraction(n, r):
             break
         checked += 1
         slack = Fraction(seq[i - 1]) - (base + i)
@@ -107,6 +106,11 @@ def check_exact_sequence(g: Graph, r: int) -> ConditionReport:
     Part (b) is evaluated literally at index n/r + 1 even in tiny corner
     cases where part (a)'s range is empty.
     """
+    return _exact(g, r, Fraction(0))
+
+
+def _exact(g: Graph, r: int, gamma: Fraction) -> ConditionReport:
+    # the condition table's signature; the exact condition has no margin
     n = g.n
     if r < 2:
         raise ValueError("r >= 2 required")
@@ -160,21 +164,8 @@ def check_dominant_margin(d: Digraph, r: int, gamma) -> ConditionReport:
 
 
 def evaluate(condition: DegreeCondition, g: Graph | Digraph) -> ConditionReport:
-    """Dispatch a named condition object to the matching checker."""
-    if condition.kind == "DOMINANT_DEGREE":
-        if not isinstance(g, Digraph):
-            raise ValueError("dominant-degree conditions need a digraph")
-        return check_dominant_margin(g, condition.r, condition.gamma)
-    if not isinstance(g, Graph):
-        raise ValueError("graph-degree conditions need a graph")
-    if condition.name == "exact":
-        return check_exact_sequence(g, condition.r)
-    if condition.name == "margin":
-        return check_margin_sequence(g, condition.r, condition.gamma)
-    check = _BASELINES.get(condition.name)
-    if check is None:
-        raise ValueError(f"unknown condition name {condition.name!r}")
-    return check(g, condition.r, as_fraction(condition.gamma))
+    """The report of a condition object, by the checker its name selects."""
+    return check_baseline(g, condition.name, condition.r, condition.gamma)
 
 
 def check_baselines(g: Graph, r: int, gamma=0) -> dict[str, ConditionReport]:
@@ -189,11 +180,20 @@ def check_baselines(g: Graph, r: int, gamma=0) -> dict[str, ConditionReport]:
     return {name: check_baseline(g, name, r, gamma) for name in _BASELINES}
 
 
-def check_baseline(g: Graph, name: str, r: int, gamma=0) -> ConditionReport:
-    """The report of one classical hypothesis, named as in `check_baselines`."""
+def check_baseline(g: Graph | Digraph, name: str, r: int, gamma=0) -> ConditionReport:
+    """The report of the condition called ``name``: a baseline of
+    `check_baselines` or any other name of the condition table.
+
+    Unlike a `DegreeCondition`, gamma may be negative here.
+    """
+    if name not in _CONDITIONS:
+        raise ValueError(f"unknown condition name {name!r}")
+    host, check = _CONDITIONS[name]
+    if not isinstance(g, host):
+        raise ValueError(f"condition {name} needs a {host.kind}")
     if r < 2:
         raise ValueError("r >= 2 required")
-    return _BASELINES[name](g, r, as_fraction(gamma))
+    return check(g, r, as_fraction(gamma))
 
 
 def _min_degree_check(name: str, g: Graph, threshold: Fraction) -> ConditionReport:
@@ -259,10 +259,17 @@ def _posa(g: Graph, r: int, gamma: Fraction) -> ConditionReport:
     )
 
 
-# the baselines by name, in report order; check_baseline(s) and evaluate read it
-_BASELINES = {
-    "hajnal-szemeredi": _hajnal_szemeredi,
-    "alon-yuster": _alon_yuster,
-    "ore": _ore,
-    "posa": _posa,
+# every condition name: the host class it needs and its checker (g, r, gamma);
+# evaluate, check_baseline and check_baselines resolve names here
+_CONDITIONS = {
+    "exact": (Graph, _exact),
+    "margin": (Graph, check_margin_sequence),
+    "dominant-margin": (Digraph, check_dominant_margin),
+    "hajnal-szemeredi": (Graph, _hajnal_szemeredi),
+    "alon-yuster": (Graph, _alon_yuster),
+    "ore": (Graph, _ore),
+    "posa": (Graph, _posa),
 }
+
+# the classical hypotheses, in report order
+_BASELINES = ("hajnal-szemeredi", "alon-yuster", "ore", "posa")

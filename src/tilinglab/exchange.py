@@ -316,13 +316,12 @@ def expand_coverage(
     budget: SearchBudget | None = None,
     seed_policy: str = "auto",
     seed_packing: Packing | None = None,
-    small_cutoff: int = 15,
     round_index: int = 0,
 ) -> ExpandResult:
     """Seed packing -> exchange fixpoint -> upgrades, with coverage trace.
 
     The seed is an exact maximum packing for small hosts ("auto" with
-    n <= small_cutoff, or "max") and a greedy maximal packing otherwise;
+    n <= 15, or "max") and a greedy maximal packing otherwise;
     the asymptotic coverage-gain guarantee only binds when its
     hypotheses hold at usable scale, so the result reports the achieved
     gain rather than asserting it.  The trace is nondecreasing: no
@@ -335,7 +334,7 @@ def expand_coverage(
     if seed_packing is not None:
         m = seed_packing
         phase = "seed:given"
-    elif seed_policy == "max" or (seed_policy == "auto" and d.n <= small_cutoff):
+    elif seed_policy == "max" or (seed_policy == "auto" and d.n <= 15):
         res = max_packing(d, transitive_pattern(r), budget)
         m = res.packing
         seed_optimal = res.optimal
@@ -432,18 +431,15 @@ def blowup_iterate(
     eta=None,
     budget: SearchBudget | None = None,
     seed_policy: str = "auto",
-    small_cutoff: int = 15,
-    stop_proportion=1,
 ) -> BlowupResult:
     """Alternate expansion rounds with blow-ups, z times or until the
-    covered proportion reaches stop_proportion (default: perfection).
+    packing is perfect.
 
     The covered proportion never decreases: expansion phases only add
     coverage and the blow-up conversion preserves the proportion exactly.
     """
     if z < 0:
         raise ValueError("z >= 0 required")
-    stop_proportion = as_fraction(stop_proportion)
     trace: list[TraceRow] = []
     proportions: list[Fraction] = []
     res = expand_coverage(
@@ -453,14 +449,13 @@ def blowup_iterate(
         eta=eta,
         budget=budget,
         seed_policy=seed_policy,
-        small_cutoff=small_cutoff,
         round_index=0,
     )
     host, m = d, res.packing
     trace.extend(res.trace)
     proportions.append(Fraction(m.coverage(), host.n))
     for rnd in range(1, z + 1):
-        if Fraction(m.coverage(), host.n) >= stop_proportion:
+        if m.coverage() == host.n:
             break
         host, m = convert_to_blowup_packing(host, m, r)
         trace.append(TraceRow(rnd, "blowup", m.coverage(), host.n))
@@ -471,7 +466,6 @@ def blowup_iterate(
             eta=eta,
             budget=budget,
             seed_packing=m,
-            small_cutoff=small_cutoff,
             round_index=rnd,
         )
         m = res.packing

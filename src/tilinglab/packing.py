@@ -556,28 +556,16 @@ def max_packing(
 def greedy_packing(
     host: Graph | Digraph,
     pattern: PatternGraph,
-    order_policy: str = "index",
 ) -> Packing:
     """Maximal packing from a single greedy pass.
 
-    Anchors are visited in the policy order; each uncovered anchor commits
-    the first copy through it among uncovered vertices.  Later commits only
+    Anchors are visited in index order; each uncovered anchor commits the
+    first copy through it among uncovered vertices.  Later commits only
     remove candidates, so one pass yields an inextensible packing.
     """
-    if order_policy == "index":
-        order = list(range(host.n))
-    elif order_policy in ("min-degree", "max-degree"):
-        if isinstance(host, Digraph):
-            deg = [host.out_degree(v) + host.in_degree(v) for v in range(host.n)]
-        else:
-            deg = [host.degree(v) for v in range(host.n)]
-        sign = 1 if order_policy == "min-degree" else -1
-        order = sorted(range(host.n), key=lambda v: (sign * deg[v], v))
-    else:
-        raise ValueError(f"unknown order policy {order_policy!r}")
     mask = host.full_mask()
     parts = []
-    for anchor in order:
+    for anchor in range(host.n):
         if not mask >> anchor & 1:
             continue
         for verts in enumerate_copies(host, pattern, anchor, mask):

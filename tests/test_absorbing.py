@@ -413,10 +413,12 @@ def test_blowup_iterate_stop_proportion():
 
     from tilinglab.exchange import blowup_iterate
 
-    d = symmetrize(complete_graph(7))
-    res = blowup_iterate(d, 3, 3, Fraction(1, 20), stop_proportion=Fraction(6, 7))
-    # round 0 already covers 6/7, so no blow-up happens
-    assert res.digraph.n == 7
+    # the iteration stops at a perfect packing: round 0 already covers all
+    # six vertices, so no blow-up happens
+    d = symmetrize(complete_graph(6))
+    res = blowup_iterate(d, 3, 3, Fraction(1, 20))
+    assert res.digraph.n == 6 and res.packing.coverage() == 6
+    assert res.proportions == [1] and all(row.round == 0 for row in res.trace)
 
 
 def test_pipeline_class_imbalance_fails_cleanly():

@@ -64,15 +64,15 @@ def test_check_baseline_conditions(tmp_path, capsys, monkeypatch, gamma):
     g = Graph(12, [(i, j) for i in range(12) for j in range(i + 1, 12) if rng.random() < 0.7])
     path = write_graph(tmp_path, "g.json", g)
     reports = check_baselines(g, 3, as_fraction(gamma))
-    real = dict(degseq._BASELINES)
+    real = {name: degseq._CONDITIONS[name] for name in reports}
 
     def refuse(*args):
         raise AssertionError("a baseline that was not named ran")
 
     names = {"hs": "hajnal-szemeredi", "ay": "alon-yuster", "ore": "ore", "posa": "posa"}
     for short, name in names.items():
-        for other, check in real.items():
-            monkeypatch.setitem(degseq._BASELINES, other, check if other == name else refuse)
+        for other, (host, check) in real.items():
+            monkeypatch.setitem(degseq._CONDITIONS, other, (host, check if other == name else refuse))
         code = main(["check", path, "--condition", short, "--r", "3",
                      f"--gamma={gamma}", "--format", "json"])
         assert json.loads(capsys.readouterr().out) == [reports[name].to_json_obj()]
@@ -425,3 +425,105 @@ def test_pattern_kind_mismatch_is_input_error(tmp_path, capsys):
         ExperimentSpec("gnp-margin", 6, 3, "0", 0.5, "T3", 5, 1)
     with pytest.raises(ValueError, match="cannot parse"):
         ExperimentSpec("gnp", 6, 3, "0", 0.5, "Q7", 5, 1)
+
+
+# each subcommand with its required arguments, and the shared flags it does
+# not read; argparse stops before any file is opened
+_SUBCOMMANDS = {
+    "gen": (["gen", "tr"], ("--seed", "--budget-nodes", "--format")),
+    "check": (["check", "g.json", "--r", "3"], ("--seed", "--budget-nodes")),
+    "pack": (["pack", "g.json", "--pattern", "K3"], ("--seed", "--format")),
+    "maxpack": (["maxpack", "g.json", "--pattern", "K3"], ("--seed", "--format")),
+    "improve": (["improve", "d.json", "--r", "3"], ("--seed", "--format")),
+    "path": (["path", "g.json", "--pattern", "K3", "--x", "0", "--y", "1", "--t", "1"],
+             ("--seed", "--budget-nodes", "--format")),
+    "absorbfam": (["absorbfam", "g.json", "--pattern", "K3"], ("--budget-nodes", "--format")),
+    "absorb": (["absorb", "g.json", "--pattern", "K3", "--family", "f.json"],
+               ("--seed", "--budget-nodes", "--format")),
+    "pipeline": (["pipeline", "g.json", "--pattern", "K3"], ("--budget-nodes", "--format")),
+    "certify": (["certify", "g.json", "--pattern", "K3", "--vertex", "0"],
+                ("--seed", "--budget-nodes", "--format", "--out")),
+    "experiment": (["experiment", "--n", "6", "--pattern", "K3", "--trials", "1"], ("--format",)),
+}
+_FLAG_VALUES = {"--seed": "1", "--budget-nodes": "5", "--format": "csv", "--out": "o.txt"}
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, (_, flags) in _SUBCOMMANDS.items() for flag in flags
+])
+def test_unread_shared_flags_are_refused(capsys, command, flag):
+    argv = _SUBCOMMANDS[command][0] + [flag, _FLAG_VALUES[flag], "--quiet"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {_FLAG_VALUES[flag]}" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "G", "--r", "3", "--gamma", "abc"],
+    ["check", "G", "--r", "3", "--gamma", "1/0"],
+    ["improve", "D", "--r", "3", "--gamma", "abc"],
+    ["improve", "D", "--r", "3", "--eta", "abc"],
+    ["improve", "D", "--r", "0"],
+    ["improve", "D", "--r", "3", "--z", "-1"],
+    ["experiment", "--n", "6", "--pattern", "K3", "--trials", "1", "--gamma", "abc"],
+    # conditioned samplers refuse specs that can never run, before sampling
+    ["experiment", "--sampler", "gnp-margin", "--n", "6", "--r", "1", "--pattern", "K2",
+     "--trials", "1"],
+    ["experiment", "--sampler", "gnp-min-degree", "--n", "6", "--r", "1", "--pattern", "K2",
+     "--trials", "1"],
+    ["experiment", "--sampler", "gnp-dominant", "--n", "6", "--r", "1", "--pattern", "T3",
+     "--trials", "1"],
+    ["experiment", "--sampler", "gnp-margin", "--n", "6", "--gamma=-1/20", "--pattern", "K3",
+     "--trials", "1"],
+    ["experiment", "--sampler", "gnp-exact", "--n", "7", "--r", "3", "--pattern", "K3",
+     "--trials", "1"],
+])
+def test_hostile_inputs_exit_2(tmp_path, capsys, argv):
+    from tilinglab.constructions import transitive_tournament
+
+    files = {"G": write_graph(tmp_path, "g.json", complete_graph(6)),
+             "D": write_graph(tmp_path, "d.json", transitive_tournament(6))}
+    assert main([files.get(a, a) for a in argv] + ["--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err
+
+
+def test_experiment_spec_refusals():
+    from tilinglab.cli import ExperimentSpec
+
+    with pytest.raises(ValueError, match="r >= 2 required"):
+        ExperimentSpec("gnp-margin", 6, 1, "0", 0.5, "K2", 5, 1)
+    with pytest.raises(ValueError, match="gamma >= 0 required"):
+        ExperimentSpec("gnp-dominant", 6, 3, "-1/20", 0.5, "T3", 5, 1)
+    with pytest.raises(ValueError, match="divisibility violated: r=3 must divide n=7"):
+        ExperimentSpec("gnp-exact", 7, 3, "0", 0.5, "K3", 5, 1)
+    # the unconditioned sampler reads neither r nor gamma
+    ExperimentSpec("gnp", 7, 1, "-1/20", 0.5, "K3", 5, 1)
+    # dict specs are checked the same way
+    from tilinglab.cli import experiment_csv
+
+    spec = {"sampler": "gnp-exact", "n": 7, "r": 3, "gamma": "0", "p": 0.5,
+            "pattern": "K3", "trials": 5, "seed": 1}
+    with pytest.raises(ValueError, match="divisibility"):
+        experiment_csv(spec)
+
+
+def test_check_accepts_table_names_and_aliases(tmp_path, capsys):
+    from tilinglab.constructions import transitive_tournament
+
+    g = write_graph(tmp_path, "g.json", complete_graph(6))
+    d = write_graph(tmp_path, "d.json", transitive_tournament(6))
+    for host, short, name in ((g, "hs", "hajnal-szemeredi"), (g, "ay", "alon-yuster"),
+                              (d, "dominant", "dominant-margin")):
+        outs = []
+        for cond in (short, name):
+            main(["check", host, "--condition", cond, "--r", "3", "--format", "json"])
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1] and json.loads(outs[0])
+    assert main(["check", d, "--condition", "exact", "--r", "3", "--quiet"]) == 2
+    assert main(["check", g, "--condition", "dominant", "--r", "3", "--quiet"]) == 2
+    assert main(["check", g, "--condition", "nope", "--r", "3", "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err == ("input error: condition exact needs a graph\n"
+                   "input error: condition dominant-margin needs a digraph\n"
+                   "input error: unknown condition name 'nope'\n")

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -16,6 +17,7 @@ from tilinglab.degseq import (
     check_dominant_margin,
     check_exact_sequence,
     check_margin_sequence,
+    evaluate,
 )
 from tilinglab.graphs import Graph, degree_sequence, symmetrize
 
@@ -215,15 +217,28 @@ def test_evaluate_dispatch():
     )
     assert rep.satisfied
     rep = evaluate(
-        DegreeCondition("dominant-margin", 3, Fraction(1, 20), "DOMINANT_DEGREE"),
+        DegreeCondition("dominant-margin", 3, Fraction(1, 20)),
         symmetrize(complete_graph(9)),
     )
     assert rep.satisfied
     assert evaluate(DegreeCondition("posa", 2), complete_graph(6)).satisfied
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown condition name 'nope'"):
         evaluate(DegreeCondition("nope", 3), complete_graph(6))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="condition exact needs a graph"):
         evaluate(DegreeCondition("exact", 3), symmetrize(complete_graph(6)))
+    with pytest.raises(ValueError, match="condition dominant-margin needs a digraph"):
+        evaluate(DegreeCondition("dominant-margin", 3), complete_graph(6))
+
+
+def test_condition_kind_comes_from_the_name():
+    # the name alone selects the checker and the host kind
+    assert [f.name for f in fields(DegreeCondition)] == ["name", "r", "gamma"]
+    with pytest.raises(TypeError):
+        DegreeCondition("exact", 3, Fraction(0), "DOMINANT_DEGREE")
+    d = symmetrize(complete_graph(6))
+    for name in ("hajnal-szemeredi", "alon-yuster", "ore", "posa", "exact", "margin"):
+        with pytest.raises(ValueError, match=f"condition {name} needs a graph"):
+            evaluate(DegreeCondition(name, 3), d)
 
 
 def test_evaluate_matches_check_baselines():
