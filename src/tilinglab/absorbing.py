@@ -546,8 +546,13 @@ def build_absorbing_family(
     overlapping candidates are discarded and a survivor becomes a gadget
     when it absorbs both endpoints of at least pair_threshold sampled
     pairs.  Fails loudly when too few disjoint gadgets survive or when the
-    union has no perfect packing under the verification budget.
+    union has no perfect packing under the verification budget.  A
+    ``t``, ``sample_size`` or given ``max_gadgets`` below 1 is a
+    ValueError.
     """
+    for name, value in (("t", t), ("sample_size", sample_size), ("max_gadgets", max_gadgets)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} >= 1 required, got {value}")
     n = host.n
     h = pattern.order
     gsize = t * h - 1
@@ -790,7 +795,7 @@ def pipeline(
 
     Success returns a solver-verified perfect packing of the whole host;
     failure reports the stage and diagnostics instead of weakening any
-    check.
+    check.  Parameters the family builder refuses raise its ValueError.
     """
     diag: dict = {"n": host.n, "pattern": pattern.name}
     h = pattern.order

@@ -277,6 +277,9 @@ def cmd_absorbfam(args) -> int:
             rng_seed=args.seed,
             max_gadgets=args.max_gadgets,
         )
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except absorbing.FamilyConstructionError as exc:
         _say(args, f"construction failed: {exc}")
         return EXIT_NONE
@@ -317,15 +320,19 @@ def cmd_absorb(args) -> int:
 
 def cmd_pipeline(args) -> int:
     g, pat = _host_and_pattern(args)
-    res = absorbing.pipeline(
-        g,
-        pat,
-        t=args.t,
-        sample_size=args.sample_size,
-        pair_threshold=args.pair_threshold,
-        rng_seed=args.seed,
-        max_gadgets=args.max_gadgets,
-    )
+    try:
+        res = absorbing.pipeline(
+            g,
+            pat,
+            t=args.t,
+            sample_size=args.sample_size,
+            pair_threshold=args.pair_threshold,
+            rng_seed=args.seed,
+            max_gadgets=args.max_gadgets,
+        )
+    except ValueError as exc:
+        print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     if not res.success:
         _say(args, f"pipeline failed at stage {res.stage}: {res.diagnostics}")
         return EXIT_NONE
@@ -397,6 +404,8 @@ class ExperimentSpec:
             raise ValueError("trial count >= 1 required")
         if self.budget_nodes < 1:
             raise ValueError("node budget >= 1 required")
+        if self.max_attempts < 1:
+            raise ValueError("max attempts >= 1 required")
         if self.sampler not in _SAMPLERS:
             raise ValueError(f"unknown sampler {self.sampler!r}")
         if self.seed is None:
@@ -414,17 +423,26 @@ class ExperimentSpec:
 
 
 def _sample(rng: random.Random, kind: type, n: int, p: float) -> Graph | Digraph:
-    """Each pair of a graph, or each ordered pair of a digraph, with probability p."""
+    """Each pair of a graph, or each ordered pair of a digraph, with probability p.
+
+    Pairs are drawn row by row, each row ascending, one ``rng.random()``
+    per candidate pair; the rows are built as the pairs are drawn.
+    """
     directed = kind is Digraph
-    return kind(
-        n,
-        [
-            (i, j)
-            for i in range(n)
-            for j in range(0 if directed else i + 1, n)
-            if i != j and rng.random() < p
-        ],
-    )
+    draw = rng.random
+    out = [0] * n
+    inn = [0] * n
+    for i in range(n):
+        row = 0
+        bit = 1 << i
+        for j in range(0 if directed else i + 1, n):
+            if i != j and draw() < p:
+                row |= 1 << j
+                inn[j] |= bit
+        out[i] = row
+    if directed:
+        return Digraph._from_rows(n, out, inn)
+    return Graph._from_rows(n, [a | b for a, b in zip(out, inn)])
 
 
 def run_trial(spec: ExperimentSpec, trial: int) -> dict:
@@ -508,7 +526,8 @@ def experiment_csv(spec: "ExperimentSpec | dict", jobs: int = 1) -> str:
     none = sum(1 for row in rows if row["verdict"] == "none")
     exhausted = sum(1 for row in rows if row["verdict"] == "exhausted")
     attempts = sum(row["attempts"] for row in rows)
-    accept = f"{spec.trials / attempts:.4f}" if attempts else ""
+    accepted = sum(1 for row in rows if row["conditions"] != "sampling-failed")
+    accept = f"{accepted / attempts:.4f}"
     lines.append(
         f"summary,trials={spec.trials},found={found},none={none},"
         f"exhausted={exhausted},attempts={attempts},accept-rate={accept},"

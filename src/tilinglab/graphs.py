@@ -5,6 +5,11 @@ bitmask per vertex, so neighbourhood intersections (the inner loop of every
 copy-enumeration routine in this package) are single big-int ANDs.  The rows
 are the only stored adjacency; edge and arc sets are read off them.
 
+The constructors ``Graph(n, edges)`` and ``Digraph(n, arcs)`` validate every
+pair, since their pairs come from outside the package.  Graphs the package
+derives from another graph's rows (``induced``, ``symmetrize``, ``blow_up``,
+the experiment sampler) are built from rows directly and check no pair.
+
 All types are immutable after construction and safe to share between
 threads.  "X spans a copy of H" means subgraph containment throughout the
 package, never induced containment.
@@ -42,9 +47,10 @@ class _GraphBase:
     pair list, counts, equality and induced subgraphs read off the rows.
 
     The adjacency rows are the graph: ``adj`` for a graph, ``out`` and
-    ``inn`` for a digraph.  A subclass hands its forward rows (``adj`` or
-    ``out``) to ``_rows`` and names its ``kind``; a graph's rows hold each
-    edge twice, once in the row of either end.
+    ``inn`` for a digraph.  A subclass stores them in ``_set_rows``, hands
+    them back in that order from ``_rows`` (the forward rows, ``adj`` or
+    ``out``, first) and names its ``kind``; a graph's rows hold each edge
+    twice, once in the row of either end.
     """
 
     __slots__ = ("n",)
@@ -55,6 +61,14 @@ class _GraphBase:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise GraphFormatError(f"vertex count {n!r} is not a nonnegative integer")
         self.n = n
+
+    @classmethod
+    def _from_rows(cls, n: int, *rows: Iterable[int]):
+        """A graph on rows derived from another graph's: nothing is checked."""
+        g = cls.__new__(cls)
+        g.n = n
+        g._set_rows(*rows)
+        return g
 
     def _checked(self, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
         """The pairs, each with both endpoints in range and distinct."""
@@ -69,13 +83,13 @@ class _GraphBase:
     def pairs(self) -> list[tuple[int, int]]:
         """The edges (u < v) or arcs (u, v), sorted: row by row, each row
         ascending."""
-        rows = self._rows()
+        rows = self._rows()[0]
         if self._symmetric:
             rows = [row >> u + 1 << u + 1 for u, row in enumerate(rows)]
         return [(u, v) for u, row in enumerate(rows) for v in _bits(row)]
 
     def edge_count(self) -> int:
-        count = sum(row.bit_count() for row in self._rows())
+        count = sum(row.bit_count() for row in self._rows()[0])
         return count // 2 if self._symmetric else count
 
     def vertices(self) -> range:
@@ -90,23 +104,31 @@ class _GraphBase:
         New ids follow the original id order.
         """
         vs = sorted(set(vertices))
-        keep = 0
-        for v in vs:
-            keep |= 1 << v
-        pos = {v: i for i, v in enumerate(vs)}
-        rows = self._rows()
-        pairs = [(i, pos[w]) for i, v in enumerate(vs) for w in _bits(rows[v] & keep)]
-        return type(self)(len(vs), pairs), vs
+        # maximal runs of consecutive kept ids: (first old id, mask, first new id)
+        runs = []
+        for i, v in enumerate(vs):
+            if runs and v == vs[i - 1] + 1:
+                first, mask, new = runs[-1]
+                runs[-1] = (first, mask << 1 | 1, new)
+            else:
+                runs.append((v, 1, i))
+
+        def compress(row: int) -> int:
+            return sum((row >> first & mask) << new for first, mask, new in runs)
+
+        return self._from_rows(
+            len(vs), *([compress(rows[v]) for v in vs] for rows in self._rows())
+        ), vs
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, type(self))
             and self.n == other.n
-            and self._rows() == other._rows()
+            and self._rows()[0] == other._rows()[0]
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self._rows()))
+        return hash((self.n, self._rows()[0]))
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}(n={self.n}, m={self.edge_count()})"
@@ -125,10 +147,13 @@ class Graph(_GraphBase):
         for u, v in self._checked(edges):
             adj[u] |= 1 << v
             adj[v] |= 1 << u
+        self._set_rows(adj)
+
+    def _set_rows(self, adj: Iterable[int]) -> None:
         self.adj = tuple(adj)
 
-    def _rows(self) -> tuple[int, ...]:
-        return self.adj
+    def _rows(self) -> tuple[tuple[int, ...]]:
+        return (self.adj,)
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
@@ -163,11 +188,14 @@ class Digraph(_GraphBase):
         for u, v in self._checked(arcs):
             out[u] |= 1 << v
             inn[v] |= 1 << u
+        self._set_rows(out, inn)
+
+    def _set_rows(self, out: Iterable[int], inn: Iterable[int]) -> None:
         self.out = tuple(out)
         self.inn = tuple(inn)
 
-    def _rows(self) -> tuple[int, ...]:
-        return self.out
+    def _rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return self.out, self.inn
 
     @property
     def arcs(self) -> frozenset[tuple[int, int]]:
@@ -242,18 +270,19 @@ def blow_up(g: Graph | Digraph, t: int) -> Graph | Digraph:
     """
     if t < 1:
         raise ValueError("blow-up factor must be >= 1")
-    pairs = [
-        (u * t + a, v * t + b)
-        for u, v in g.pairs()
-        for a in range(t)
-        for b in range(t)
-    ]
-    return type(g)(g.n * t, pairs)
+    block = (1 << t) - 1
+
+    def spread(row: int) -> int:
+        return sum(block << v * t for v in _bits(row))
+
+    return g._from_rows(
+        g.n * t, *([spread(row) for row in rows for _ in range(t)] for rows in g._rows())
+    )
 
 
 def symmetrize(g: Graph) -> Digraph:
     """Replace each edge xy by the two arcs xy and yx."""
-    return Digraph(g.n, [arc for u, v in g.pairs() for arc in ((u, v), (v, u))])
+    return Digraph._from_rows(g.n, g.adj, g.adj)
 
 
 # -- chromatic number ------------------------------------------------------

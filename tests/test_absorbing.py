@@ -310,6 +310,16 @@ def test_build_family_reproducible():
     assert json.dumps(a.to_json_obj()) != json.dumps(c.to_json_obj())
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"t": 0}, {"sample_size": 0}, {"sample_size": -1}, {"max_gadgets": 0}, {"max_gadgets": -1},
+])
+def test_build_family_refuses_counts_below_one(kwargs):
+    with pytest.raises(ValueError, match=">= 1 required"):
+        build_absorbing_family(complete_graph(12), clique_pattern(3), **kwargs)
+    with pytest.raises(ValueError, match=">= 1 required"):
+        pipeline(complete_graph(12), clique_pattern(3), **kwargs)
+
+
 def test_build_family_failure_on_edgeless():
     with pytest.raises(FamilyConstructionError, match="gadgets"):
         build_absorbing_family(Graph(12, []), clique_pattern(3), sample_size=40)

@@ -281,6 +281,18 @@ def test_experiment_parallel_matches_serial(tmp_path):
     assert experiment_csv(spec, jobs=1) == experiment_csv(spec, jobs=2)
 
 
+def test_experiment_accept_rate_counts_accepted_trials(tmp_path):
+    # an edgeless sample never meets the Hajnal-Szemeredi degree, so every
+    # trial gives up after its one attempt and none is accepted
+    out = tmp_path / "f.csv"
+    assert main(["experiment", "--sampler", "gnp-min-degree", "--n", "6", "--p", "0",
+                 "--pattern", "K3", "--trials", "2", "--max-attempts", "1", "--quiet",
+                 "--out", str(out)]) == 0
+    lines = out.read_text().strip().split("\n")
+    assert all(",sampling-failed," in ln for ln in lines[1:-1])
+    assert lines[-1].endswith(",attempts=2,accept-rate=0.0000,")
+
+
 def test_experiment_dominant_sampler(tmp_path):
     out = tmp_path / "d.csv"
     assert main(["experiment", "--sampler", "gnp-dominant", "--n", "6",
@@ -325,6 +337,8 @@ def test_experiment_spec_validation():
         ExperimentSpec("warp", 6, 3, "0", 0.5, "K3", 5, 1)
     with pytest.raises(ValueError, match="node budget"):
         ExperimentSpec("gnp", 6, 3, "0", 0.5, "K3", 5, 1, budget_nodes=0)
+    with pytest.raises(ValueError, match="max attempts"):
+        ExperimentSpec("gnp", 6, 3, "0", 0.5, "K3", 5, 1, max_attempts=0)
     spec = ExperimentSpec("gnp-min-degree", 6, 3, "0", 0.75, "K3", 5, 9)
     assert experiment_csv(spec) == experiment_csv(asdict(spec))
     assert main(["experiment", "--sampler", "warp", "--n", "6", "--pattern",
@@ -477,6 +491,14 @@ def test_unread_shared_flags_are_refused(capsys, command, flag):
      "--trials", "1"],
     ["experiment", "--sampler", "gnp-exact", "--n", "7", "--r", "3", "--pattern", "K3",
      "--trials", "1"],
+    ["experiment", "--n", "6", "--pattern", "K3", "--trials", "1", "--max-attempts", "0"],
+    # the absorbing-family builder refuses counts below 1
+    ["absorbfam", "G", "--pattern", "K3", "--t", "0"],
+    ["absorbfam", "G", "--pattern", "K3", "--sample-size", "-1"],
+    ["absorbfam", "G", "--pattern", "K3", "--max-gadgets", "0"],
+    ["pipeline", "G", "--pattern", "K3", "--t", "0"],
+    ["pipeline", "G", "--pattern", "K3", "--sample-size", "0"],
+    ["pipeline", "G", "--pattern", "K3", "--max-gadgets", "-1"],
 ])
 def test_hostile_inputs_exit_2(tmp_path, capsys, argv):
     from tilinglab.constructions import transitive_tournament

@@ -178,6 +178,16 @@ def test_parsers_reject_bad_input():
         parse_edge_list("3 1 digraph\n0 9\n")
 
 
+def assert_built_like(got, want):
+    """``got``, a derived graph, equals ``want``, the validating
+    constructor's build, in every stored row; the rows are tuples."""
+    assert type(got) is type(want) and got == want and hash(got) == hash(want)
+    rows = (got.out, got.inn) if isinstance(got, Digraph) else (got.adj,)
+    # __eq__ reads only the forward rows, so the backward ones are checked here
+    assert rows == ((want.out, want.inn) if isinstance(want, Digraph) else (want.adj,))
+    assert all(type(row) is tuple for row in rows)
+
+
 def test_rows_match_raw_pairs():
     # the rows are the only stored adjacency: every query, the derived pair
     # sets, equality, I/O and derived graphs agree with pair sets built here
@@ -216,16 +226,21 @@ def test_rows_match_raw_pairs():
         sub, ids = g.induced(keep)
         pos = {v: i for i, v in enumerate(keep)}
         assert ids == keep and sub.n == len(keep)
-        assert set(sub.pairs()) == {(pos[u], pos[v]) for u, v in want if u in pos and v in pos}
+        sub_pairs = {(pos[u], pos[v]) for u, v in want if u in pos and v in pos}
+        assert set(sub.pairs()) == sub_pairs
+        assert_built_like(sub, cls(len(keep), sub_pairs))
         t = rng.randint(1, 3)
         blown = blow_up(g, t)
         assert type(blown) is cls and blown.n == n * t
-        assert set(blown.pairs()) == {
+        blown_pairs = {
             (u * t + a, v * t + b) for u, v in want for a in range(t) for b in range(t)
         }
+        assert set(blown.pairs()) == blown_pairs
+        assert_built_like(blown, cls(n * t, blown_pairs))
         if not directed:
             sym = symmetrize(g)
             assert set(sym.pairs()) == want | {(v, u) for u, v in want}
+            assert_built_like(sym, Digraph(n, raw + [(v, u) for u, v in raw]))
 
 
 def test_induced_matches_edge_filter():
@@ -236,7 +251,17 @@ def test_induced_matches_edge_filter():
             directed = isinstance(host, Digraph)
             pairs = host.arcs if directed else host.edges
             unsorted = [rng.randrange(n) for _ in range(rng.randint(0, 2 * n))]
-            for chosen in (unsorted, [], [rng.randrange(n)]):
+            lo = rng.randrange(n)
+            keep_sets = (
+                unsorted,  # repeats, any order
+                [],
+                [rng.randrange(n)],
+                range(lo, rng.randint(lo, n)),  # contiguous
+                range(n),  # full
+                range(rng.randrange(2), n, 2),  # gapped
+                [v for v in range(n) if rng.random() < 0.5],  # runs of any length
+            )
+            for chosen in keep_sets:
                 sub, mapping = host.induced(chosen)
                 vs = sorted(set(chosen))
                 assert mapping == vs and sub.n == len(vs)
@@ -245,6 +270,31 @@ def test_induced_matches_edge_filter():
                 want = {(pos[u], pos[v]) for u, v in pairs if u in pos and v in pos}
                 assert (sub.arcs if directed else sub.edges) == want
                 assert directed or not hasattr(sub, "arcs")
+                assert_built_like(sub, type(host)(len(vs), want))
+            assert host.induced(range(n))[0] == host
+
+
+def test_sampled_rows_match_constructor():
+    # the experiment sampler builds rows as it draws; the pairs drawn here
+    # from an identically seeded stream, fed to the constructor, agree, and
+    # both streams end in the same state
+    from tilinglab.cli import _sample
+
+    for kind in (Graph, Digraph):
+        directed = kind is Digraph
+        for seed in range(12):
+            n = seed % 9
+            p = (0.0, 0.3, 0.7, 1.0)[seed % 4]
+            ours, theirs = random.Random(seed), random.Random(seed)
+            got = _sample(ours, kind, n, p)
+            pairs = [
+                (i, j)
+                for i in range(n)
+                for j in range(0 if directed else i + 1, n)
+                if i != j and theirs.random() < p
+            ]
+            assert_built_like(got, kind(n, pairs))
+            assert ours.getstate() == theirs.getstate()
 
 
 def _is_automorphism(base, perm) -> bool:
