@@ -14,7 +14,6 @@ from .graphs import (
     GraphFormatError,
     PatternGraph,
     blow_up,
-    chromatic_number,
     degree_sequence,
     dominant_degree_sequence,
     graph_from_json,
@@ -48,7 +47,6 @@ from .packing import (
     SearchBudget,
     VerifyResult,
     enumerate_copies,
-    equitable_complement_packing,
     find_perfect_packing,
     greedy_packing,
     is_perfect_packing,
@@ -95,7 +93,6 @@ from .absorbing import (
     build_absorbing_family,
     clique_path,
     concat_paths,
-    connector_degree_profile,
     find_connecting_path,
     is_absorbing_for,
     is_h_path,

@@ -22,7 +22,7 @@ clique or transitive tournament), and final absorption of the leftover.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .constructions import clique_pattern, pattern_power, transitive_pattern
@@ -255,22 +255,6 @@ def find_connecting_path(
     return None
 
 
-def connector_degree_profile(host: Graph | Digraph, p: HPath) -> list[int]:
-    """Degrees of the waypoints along a found path, a diagnostic for the
-    expansion property (each hop is expected to reach higher-degree
-    vertices on degree-sequence hosts; nothing is enforced here).
-
-    Digraph hosts report dominant degrees; missing end connectors of a
-    truncated path are skipped.
-    """
-    ys = [y for y in p.connectors if y is not None]
-    if isinstance(host, Digraph):
-        from .graphs import dominant_view
-
-        return [dominant_view(host, y).dominant for y in ys]
-    return [host.degree(y) for y in ys]
-
-
 # -- clique-path star blow-ups ------------------------------------------------
 
 
@@ -448,9 +432,11 @@ def verify_star_blowup(sb: StarBlowup) -> VerifyResult:
 
 # -- absorbing families --------------------------------------------------------
 
-# vertex pairs sampled to score candidate gadgets, and the node budget of the
-# check that the union of the gadgets packs perfectly
+# vertex pairs sampled to score candidate gadgets, how many of them a
+# candidate must absorb on both sides to become a gadget, and the node budget
+# of the check that the union of the gadgets packs perfectly
 _PAIR_SAMPLES = 24
+_PAIR_THRESHOLD = 1
 _IDLE_BUDGET = 2_000_000
 
 
@@ -506,11 +492,9 @@ class AbsorbingFamily:
     verified at build time.
     """
 
-    pattern_name: str
     gadgets: tuple[AbsorbingGadget, ...]
     params: dict
     seed: int
-    idle_parts: tuple[tuple[int, ...], ...] = field(repr=False, default=())
 
     @property
     def M(self) -> frozenset[int]:
@@ -531,12 +515,19 @@ class AbsorbingFamily:
         }
 
 
+def _check_family_counts(t: int, sample_size: int, max_gadgets: int | None) -> None:
+    """Raise ValueError for a ``t``, ``sample_size`` or given ``max_gadgets``
+    below 1."""
+    for name, value in (("t", t), ("sample_size", sample_size), ("max_gadgets", max_gadgets)):
+        if value is not None and value < 1:
+            raise ValueError(f"{name} >= 1 required, got {value}")
+
+
 def build_absorbing_family(
     host: Graph | Digraph,
     pattern: PatternGraph,
     t: int = 1,
     sample_size: int = 200,
-    pair_threshold: int = 1,
     rng_seed: int = 0,
     max_gadgets: int | None = None,
 ) -> AbsorbingFamily:
@@ -544,15 +535,12 @@ def build_absorbing_family(
 
     Candidates are (t*h-1)-sets drawn with per-index derived sub-seeds;
     overlapping candidates are discarded and a survivor becomes a gadget
-    when it absorbs both endpoints of at least pair_threshold sampled
-    pairs.  Fails loudly when too few disjoint gadgets survive or when the
-    union has no perfect packing under the verification budget.  A
-    ``t``, ``sample_size`` or given ``max_gadgets`` below 1 is a
-    ValueError.
+    when it absorbs both endpoints of at least one sampled pair.  Fails
+    loudly when too few disjoint gadgets survive or when the union has no
+    perfect packing under the verification budget.  A ``t``,
+    ``sample_size`` or given ``max_gadgets`` below 1 is a ValueError.
     """
-    for name, value in (("t", t), ("sample_size", sample_size), ("max_gadgets", max_gadgets)):
-        if value is not None and value < 1:
-            raise ValueError(f"{name} >= 1 required, got {value}")
+    _check_family_counts(t, sample_size, max_gadgets)
     n = host.n
     h = pattern.order
     gsize = t * h - 1
@@ -563,7 +551,7 @@ def build_absorbing_family(
     params = {
         "t": t,
         "sample_size": sample_size,
-        "pair_threshold": pair_threshold,
+        "pair_threshold": _PAIR_THRESHOLD,
         "max_gadgets": max_gadgets,
         "pair_sample_size": _PAIR_SAMPLES,
     }
@@ -606,7 +594,7 @@ def build_absorbing_family(
                 continue
             if absorbs(cand, a) and absorbs(cand, b):
                 hit += 1
-        if hit >= pair_threshold:
+        if hit >= _PAIR_THRESHOLD:
             gadgets.append(AbsorbingGadget(cand, hit))
             used_mask |= cmask
     keep = (len(gadgets) // h) * h
@@ -614,7 +602,7 @@ def build_absorbing_family(
     if not gadgets:
         raise FamilyConstructionError(
             f"too few gadgets survive: examined {examined} candidates, "
-            f"needed {h} disjoint gadgets with pair coverage >= {pair_threshold}"
+            f"needed {h} disjoint gadgets with pair coverage >= {_PAIR_THRESHOLD}"
         )
     m_verts = sorted(v for g in gadgets for v in g.verts)
     try:
@@ -628,9 +616,7 @@ def build_absorbing_family(
             f"union of {len(gadgets)} gadgets (|M|={len(m_verts)}) admits no "
             "perfect packing"
         )
-    return AbsorbingFamily(
-        pattern.name, tuple(gadgets), params, rng_seed, tuple(idle)
-    )
+    return AbsorbingFamily(tuple(gadgets), params, rng_seed)
 
 
 def absorb(
@@ -645,15 +631,19 @@ def absorb(
     Every vertex of W is assigned to its own unused gadget after an exact
     solver check; the idle gadgets are then packed jointly.  Capacity is
     one vertex per gadget.  A vertex of W or of a gadget that is not a
-    host vertex is a ValueError.
+    host vertex, and gadgets that share a vertex, are a ValueError.
     """
-    for v in [*W, *(u for gadget in fam.gadgets for u in gadget.verts)]:
+    gadget_verts = [u for gadget in fam.gadgets for u in gadget.verts]
+    for v in [*W, *gadget_verts]:
         check_vertex(v, host.n)
     notes = diagnostics if diagnostics is not None else {}
     w = sorted(set(W))
     if len(w) != len(list(W)):
         raise ValueError("W has repeated vertices")
     m = fam.M
+    if len(m) != len(gadget_verts):
+        shared = sorted(v for v in m if gadget_verts.count(v) > 1)
+        raise ValueError(f"gadgets share vertices {shared}")
     overlap = m & set(w)
     if overlap:
         raise ValueError(f"W intersects M: {sorted(overlap)}")
@@ -787,7 +777,6 @@ def pipeline(
     pattern: PatternGraph,
     t: int = 1,
     sample_size: int = 200,
-    pair_threshold: int = 1,
     rng_seed: int = 0,
     max_gadgets: int | None = None,
 ) -> PipelineResult:
@@ -795,8 +784,10 @@ def pipeline(
 
     Success returns a solver-verified perfect packing of the whole host;
     failure reports the stage and diagnostics instead of weakening any
-    check.  Parameters the family builder refuses raise its ValueError.
+    check.  Parameters the family builder refuses raise its ValueError,
+    before any stage runs.
     """
+    _check_family_counts(t, sample_size, max_gadgets)
     diag: dict = {"n": host.n, "pattern": pattern.name}
     h = pattern.order
     if host.n % h != 0:
@@ -808,7 +799,6 @@ def pipeline(
             pattern,
             t=t,
             sample_size=sample_size,
-            pair_threshold=pair_threshold,
             rng_seed=rng_seed,
             max_gadgets=max_gadgets,
         )

@@ -227,7 +227,7 @@ def cmd_improve(args) -> int:
         return EXIT_INPUT
     try:
         res = exchange.blowup_iterate(
-            g, args.r, args.z, args.gamma, eta=args.eta,
+            g, args.r, args.z, args.gamma,
             budget=_budget(args), seed_policy=args.seed_policy,
         )
     except ValueError as exc:
@@ -235,7 +235,7 @@ def cmd_improve(args) -> int:
         return EXIT_INPUT
     _write(args.out, exchange.trace_to_csv(res.trace))
     _say(args, f"final coverage {res.packing.coverage()}/{res.packing.n}")
-    return EXIT_OK
+    return EXIT_BUDGET if res.seed_optimal is False else EXIT_OK
 
 
 # -- connecting paths --------------------------------------------------------------
@@ -273,7 +273,6 @@ def cmd_absorbfam(args) -> int:
             pat,
             t=args.t,
             sample_size=args.sample_size,
-            pair_threshold=args.pair_threshold,
             rng_seed=args.seed,
             max_gadgets=args.max_gadgets,
         )
@@ -292,9 +291,7 @@ def _family_from_json(obj: dict) -> absorbing.AbsorbingFamily:
         absorbing.AbsorbingGadget(tuple(g["verts"]), int(g["pairs_checked"]))
         for g in obj["gadgets"]
     )
-    return absorbing.AbsorbingFamily(
-        obj.get("pattern", ""), gadgets, obj.get("params", {}), obj.get("seed", 0)
-    )
+    return absorbing.AbsorbingFamily(gadgets, obj.get("params", {}), obj.get("seed", 0))
 
 
 def cmd_absorb(args) -> int:
@@ -326,7 +323,6 @@ def cmd_pipeline(args) -> int:
             pat,
             t=args.t,
             sample_size=args.sample_size,
-            pair_threshold=args.pair_threshold,
             rng_seed=args.seed,
             max_gadgets=args.max_gadgets,
         )
@@ -385,7 +381,7 @@ class ExperimentSpec:
 
     A conditioned sampler's `DegreeCondition` is built once, here, so a spec
     it refuses (r < 2, a negative gamma, r not dividing n under gnp-exact)
-    fails before any sampling.
+    fails before any sampling, as does a negative n under any sampler.
     """
 
     sampler: str
@@ -400,6 +396,8 @@ class ExperimentSpec:
     max_attempts: int = 100_000
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"vertex count {self.n} is not a nonnegative integer")
         if self.trials < 1:
             raise ValueError("trial count >= 1 required")
         if self.budget_nodes < 1:
@@ -628,7 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--gamma", type=_rational, default="0")
-    p.add_argument("--eta", type=_rational, default=None)
     p.add_argument("--z", type=int, default=0, help="blow-up rounds")
     p.add_argument("--seed-policy", choices=("auto", "max", "greedy"), default="auto")
     common(p, "--budget-nodes", "--out")
@@ -649,7 +646,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--sample-size", type=int, default=200)
-    p.add_argument("--pair-threshold", type=int, default=1)
     p.add_argument("--max-gadgets", type=int, default=None)
     common(p, "--seed", "--out")
     p.set_defaults(func=cmd_absorbfam)
@@ -667,7 +663,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--t", type=int, default=1)
     p.add_argument("--sample-size", type=int, default=200)
-    p.add_argument("--pair-threshold", type=int, default=1)
     p.add_argument("--max-gadgets", type=int, default=None)
     common(p, "--seed", "--out")
     p.set_defaults(func=cmd_pipeline)

@@ -9,9 +9,9 @@ satisfied with an explicit vacuity flag.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import ceil
 
 from .graphs import Digraph, Graph, degree_sequence, dominant_degree_sequence
 from .util import as_fraction
@@ -68,27 +68,24 @@ class ConditionReport:
             "detail": self.detail,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj())
-
 
 def _indexed_check(name: str, seq: list[int], r: int, gamma: Fraction) -> ConditionReport:
-    """d_i >= (r-2)n/r + i + gamma*n for 1 <= i < n/r."""
+    """d_i >= (r-2)n/r + i + gamma*n for 1 <= i < n/r.
+
+    Compared scaled by r, in integers: r(d_i - i) - (r-2)n against the
+    ceiling of r*gamma*n, which decides the same for an integer left side.
+    """
     n = len(seq)
-    base = Fraction((r - 2) * n, r)
-    margin = gamma * n
+    base = (r - 2) * n
+    margin = ceil(r * gamma * n)
     slacks = []
     first_bad = None
-    checked = 0
-    for i in range(1, n + 1):
-        if Fraction(i) >= Fraction(n, r):
-            break
-        checked += 1
-        slack = Fraction(seq[i - 1]) - (base + i)
-        slacks.append(slack)
-        if slack < margin and first_bad is None:
+    for i in range(1, (n - 1) // r + 1):  # exactly the i with i < n/r
+        scaled = r * (seq[i - 1] - i) - base
+        slacks.append(Fraction(scaled, r))
+        if scaled < margin and first_bad is None:
             first_bad = i
-    vacuous = checked == 0
+    vacuous = not slacks
     return ConditionReport(
         name,
         satisfied=first_bad is None,
@@ -239,9 +236,7 @@ def _posa(g: Graph, r: int, gamma: Fraction) -> ConditionReport:
     seq = degree_sequence(g)
     posa_slacks = []
     posa_bad = None
-    for i in range(1, n + 1):
-        if Fraction(i) >= Fraction(n - 1, 2):
-            break
+    for i in range(1, (n - 2) // 2 + 1):  # exactly the i with i < (n-1)/2
         posa_slacks.append(Fraction(seq[i - 1] - (i + 1)))
         if seq[i - 1] < i + 1 and posa_bad is None:
             posa_bad = i

@@ -16,16 +16,17 @@ is returned:
 `expand_coverage` chains seed -> exchanges-to-fixpoint -> upgrades and
 reports a coverage trace; `blowup_iterate` alternates that loop with
 blowing the host up by r and converting the mixed packing back to a pure
-T_r-packing, which never lowers the covered proportion.
+T_r-packing, which never lowers the covered proportion.  Both report the
+coverage they reach; neither tests it against the paper's asymptotic gain,
+whose hypotheses do not bind at desk-scale orders.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import blowup_tournament_packing, transitive_pattern
-from .degseq import ConditionReport, check_dominant_margin
 from .graphs import Digraph, bits, blow_up, dominant_degree_sequence, dominant_view
 from .packing import (
     Packing,
@@ -276,10 +277,6 @@ class TraceRow:
     covered: int
     n: int
 
-    @property
-    def proportion(self) -> Fraction:
-        return Fraction(self.covered, self.n)
-
 
 def trace_to_csv(rows: list[TraceRow]) -> str:
     lines = ["round,phase,covered,n,proportion"]
@@ -297,22 +294,13 @@ class ExpandResult:
     trace: list[TraceRow]
     seed_coverage: int
     final_coverage: int
-    hypothesis: ConditionReport | None
-    expected_gain: Fraction
-    expectation_met: bool | None
     seed_optimal: bool | None
-    budget_exhausted: bool = False
-
-    @property
-    def gain(self) -> int:
-        return self.final_coverage - self.seed_coverage
 
 
 def expand_coverage(
     d: Digraph,
     r: int,
     gamma,
-    eta=None,
     budget: SearchBudget | None = None,
     seed_policy: str = "auto",
     seed_packing: Packing | None = None,
@@ -321,16 +309,14 @@ def expand_coverage(
     """Seed packing -> exchange fixpoint -> upgrades, with coverage trace.
 
     The seed is an exact maximum packing for small hosts ("auto" with
-    n <= 15, or "max") and a greedy maximal packing otherwise;
-    the asymptotic coverage-gain guarantee only binds when its
-    hypotheses hold at usable scale, so the result reports the achieved
-    gain rather than asserting it.  The trace is nondecreasing: no
-    phase ever loses coverage.
+    n <= 15, or "max") and a greedy maximal packing otherwise.
+    ``seed_optimal`` is None for a greedy or given seed, and False when
+    the budget cut the exact seed search short.  The trace is
+    nondecreasing: no phase ever loses coverage.
     """
     gamma = as_fraction(gamma)
     trace: list[TraceRow] = []
     seed_optimal: bool | None = None
-    exhausted = False
     if seed_packing is not None:
         m = seed_packing
         phase = "seed:given"
@@ -338,7 +324,6 @@ def expand_coverage(
         res = max_packing(d, transitive_pattern(r), budget)
         m = res.packing
         seed_optimal = res.optimal
-        exhausted = not res.optimal
         phase = "seed:max"
     elif seed_policy in ("auto", "greedy"):
         m = greedy_packing(d, transitive_pattern(r))
@@ -356,29 +341,12 @@ def expand_coverage(
         m = extended
     trace.append(TraceRow(round_index, "extend", m.coverage(), d.n))
 
-    hypothesis = None
-    expectation_met = None
-    if eta is not None:
-        eta = as_fraction(eta)
-        hypothesis = check_dominant_margin(d, r, eta)
-        # the gain guarantee is stated against an optimal packing, so the
-        # expectation is only evaluated under an exact seed
-        if (
-            seed_optimal
-            and hypothesis.satisfied
-            and Fraction(seed_cov) <= (1 - eta) * d.n
-        ):
-            expectation_met = Fraction(m.coverage() - seed_cov) >= gamma * d.n
     return ExpandResult(
         packing=m,
         trace=trace,
         seed_coverage=seed_cov,
         final_coverage=m.coverage(),
-        hypothesis=hypothesis,
-        expected_gain=gamma * d.n,
-        expectation_met=expectation_met,
         seed_optimal=seed_optimal,
-        budget_exhausted=exhausted,
     )
 
 
@@ -417,10 +385,14 @@ def convert_to_blowup_packing(
 
 @dataclass
 class BlowupResult:
+    """The last host and packing, with round 0's ``seed_optimal``: False
+    when the budget cut its exact seed search short."""
+
     digraph: Digraph
     packing: Packing
     proportions: list[Fraction]
     trace: list[TraceRow]
+    seed_optimal: bool | None
 
 
 def blowup_iterate(
@@ -428,7 +400,6 @@ def blowup_iterate(
     r: int,
     z: int,
     gamma,
-    eta=None,
     budget: SearchBudget | None = None,
     seed_policy: str = "auto",
 ) -> BlowupResult:
@@ -446,11 +417,11 @@ def blowup_iterate(
         d,
         r,
         gamma,
-        eta=eta,
         budget=budget,
         seed_policy=seed_policy,
         round_index=0,
     )
+    seed_optimal = res.seed_optimal
     host, m = d, res.packing
     trace.extend(res.trace)
     proportions.append(Fraction(m.coverage(), host.n))
@@ -463,7 +434,6 @@ def blowup_iterate(
             host,
             r,
             gamma,
-            eta=eta,
             budget=budget,
             seed_packing=m,
             round_index=rnd,
@@ -471,4 +441,4 @@ def blowup_iterate(
         m = res.packing
         trace.extend(res.trace)
         proportions.append(Fraction(m.coverage(), host.n))
-    return BlowupResult(host, m, proportions, trace)
+    return BlowupResult(host, m, proportions, trace, seed_optimal)

@@ -285,76 +285,6 @@ def symmetrize(g: Graph) -> Digraph:
     return Digraph._from_rows(g.n, g.adj, g.adj)
 
 
-# -- chromatic number ------------------------------------------------------
-
-
-def _greedy_coloring_bound(g: Graph) -> int:
-    order = sorted(range(g.n), key=lambda v: -g.degree(v))
-    color = {}
-    used = 0
-    for v in order:
-        taken = {color[u] for u in g.neighbors(v) if u in color}
-        c = 0
-        while c in taken:
-            c += 1
-        color[v] = c
-        used = max(used, c + 1)
-    return max(used, 1)
-
-
-def _greedy_clique_bound(g: Graph) -> int:
-    best = 1 if g.n else 0
-    for v in range(g.n):
-        clique = [v]
-        cand = g.adj[v]
-        while cand:
-            u = max(_bits(cand), key=lambda w: (g.adj[w] & cand).bit_count())
-            clique.append(u)
-            cand &= g.adj[u]
-        best = max(best, len(clique))
-    return best
-
-
-def _colorable(g: Graph, k: int, order: list[int]) -> bool:
-    n = g.n
-    color = [-1] * n
-
-    def rec(idx: int, used: int) -> bool:
-        if idx == n:
-            return True
-        v = order[idx]
-        taken = 0
-        for u in g.neighbors(v):
-            if color[u] >= 0:
-                taken |= 1 << color[u]
-        limit = min(used + 1, k)  # opening at most one fresh colour breaks symmetry
-        for c in range(limit):
-            if taken >> c & 1:
-                continue
-            color[v] = c
-            if rec(idx + 1, max(used, c + 1)):
-                return True
-            color[v] = -1
-        return False
-
-    return rec(0, 0)
-
-
-def chromatic_number(g: Graph) -> int:
-    """Exact chromatic number by branch-and-bound k-coloring search."""
-    if g.n == 0:
-        return 0
-    if not g.edge_count():
-        return 1
-    lo = _greedy_clique_bound(g)
-    hi = _greedy_coloring_bound(g)
-    order = sorted(range(g.n), key=lambda v: -g.degree(v))
-    for k in range(lo, hi):
-        if _colorable(g, k, order):
-            return k
-    return hi
-
-
 # -- pattern graphs --------------------------------------------------------
 
 
@@ -495,9 +425,9 @@ def _multipartite_classes(tw: TwinClasses) -> tuple[int, ...] | None:
 class PatternGraph:
     """A small pattern to pack, with cached structural classification.
 
-    Wraps either a Graph or a Digraph.  For graphs the exact chromatic
-    number is computed on demand and cached; so are the twin classes, for
-    either kind.
+    Wraps either a Graph or a Digraph.  The twin classes are computed on
+    demand and cached.  No condition reads the pattern's chromatic number:
+    every degree-sequence check takes r from its caller.
     Copy enumeration and spanning tests run their clique and transitive
     loops on ``clique_order`` and ``transitive_order``, and the twin-class
     search on every other pattern; ``multipartite`` names the pattern.
@@ -511,7 +441,6 @@ class PatternGraph:
         "clique_order",
         "multipartite",
         "transitive_order",
-        "_chi",
         "_twins",
     )
 
@@ -521,7 +450,6 @@ class PatternGraph:
         self.base = base
         self.order = base.n
         self.is_digraph = isinstance(base, Digraph)
-        self._chi: int | None = None
         self._twins: TwinClasses | None = None
         if self.is_digraph:
             self.clique_order = None
@@ -543,13 +471,6 @@ class PatternGraph:
         if self.multipartite:
             return "K" + ",".join(str(s) for s in self.multipartite)
         return f"{self.base.kind}({self.order})"
-
-    def chromatic_number(self) -> int:
-        if self.is_digraph:
-            raise ValueError("chromatic number is defined for graph patterns")
-        if self._chi is None:
-            self._chi = chromatic_number(self.base)
-        return self._chi
 
     def twin_classes(self) -> TwinClasses:
         if self._twins is None:

@@ -96,9 +96,6 @@ class Packing:
     def is_mixed(self) -> bool:
         return len({pat.name for pat in self.patterns}) > 1
 
-    def pattern_names(self) -> list[str]:
-        return [pat.name for pat in self.patterns]
-
     def to_json_obj(self) -> dict:
         if not self.is_mixed():
             name = self.patterns[0].name if self.patterns else None
@@ -614,45 +611,3 @@ def is_perfect_packing(
 def verify_parts(host: Graph | Digraph, packing: Packing) -> VerifyResult:
     """Disjointness and per-part spanning only (no coverage requirement)."""
     return is_perfect_packing(host, packing, universe=packing.covered())
-
-
-def equitable_complement_packing(g: Graph, r: int) -> Packing | None:
-    """Perfect K_r-packing via equitable colouring of the complement.
-
-    A partition into r-cliques of G is exactly a proper colouring of the
-    complement with all classes of size r.  Implemented as an independent
-    backtracking over colour classes, used to cross-validate the main
-    solver.
-    """
-    if r < 1 or g.n % r != 0:
-        return None
-    k = g.n // r
-    classes: list[list[int]] = []
-    masks: list[int] = []
-
-    def rec(v: int) -> bool:
-        if v == g.n:
-            return True
-        opened = len(classes)
-        for c in range(opened):
-            if len(classes[c]) < r and g.adj[v] & masks[c] == masks[c]:
-                classes[c].append(v)
-                masks[c] |= 1 << v
-                if rec(v + 1):
-                    return True
-                classes[c].pop()
-                masks[c] &= ~(1 << v)
-        if opened < k:
-            classes.append([v])
-            masks.append(1 << v)
-            if rec(v + 1):
-                return True
-            classes.pop()
-            masks.pop()
-        return False
-
-    if rec(0):
-        from .constructions import clique_pattern
-
-        return Packing.uniform(g.n, classes, clique_pattern(r))
-    return None

@@ -15,8 +15,9 @@ from __future__ import annotations
 import itertools
 import random
 
+from tilinglab.constructions import clique_pattern
 from tilinglab.graphs import Digraph, Graph, PatternGraph
-from tilinglab.packing import BudgetExhausted, SearchBudget, enumerate_copies
+from tilinglab.packing import BudgetExhausted, Packing, SearchBudget, enumerate_copies
 
 
 def sample_gnp(rng: random.Random, n: int, p: float) -> Graph:
@@ -141,16 +142,44 @@ def oracle_max_coverage(host, name: str) -> int:
     return best
 
 
-def oracle_chromatic(g: Graph) -> int:
-    """Smallest k admitting a proper coloring, by exhaustive enumeration."""
-    if g.n == 0:
-        return 0
-    edges = list(g.edges)
-    for k in range(1, g.n + 1):
-        for coloring in itertools.product(range(k), repeat=g.n):
-            if all(coloring[u] != coloring[v] for u, v in edges):
-                return k
-    raise AssertionError("unreachable")
+def equitable_complement_packing(g: Graph, r: int) -> Packing | None:
+    """Perfect K_r-packing via equitable colouring of the complement.
+
+    A partition into r-cliques of G is exactly a proper colouring of the
+    complement with all classes of size r.  Implemented as an independent
+    backtracking over colour classes, used to cross-validate the main
+    solver.
+    """
+    if r < 1 or g.n % r != 0:
+        return None
+    k = g.n // r
+    classes: list[list[int]] = []
+    masks: list[int] = []
+
+    def rec(v: int) -> bool:
+        if v == g.n:
+            return True
+        opened = len(classes)
+        for c in range(opened):
+            if len(classes[c]) < r and g.adj[v] & masks[c] == masks[c]:
+                classes[c].append(v)
+                masks[c] |= 1 << v
+                if rec(v + 1):
+                    return True
+                classes[c].pop()
+                masks[c] &= ~(1 << v)
+        if opened < k:
+            classes.append([v])
+            masks.append(1 << v)
+            if rec(v + 1):
+                return True
+            classes.pop()
+            masks.pop()
+        return False
+
+    if rec(0):
+        return Packing.uniform(g.n, classes, clique_pattern(r))
+    return None
 
 
 def has_path_on_4_vertices(g: Graph, inside: list[int]) -> bool:

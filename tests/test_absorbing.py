@@ -295,9 +295,8 @@ def test_build_family_and_gadgets_verified():
             is not None
         ]
         assert hits
-    # the family's idle packing covers M exactly
-    covered = {v for part in fam.idle_parts for v in part}
-    assert covered == set(m)
+    # host[M] packs perfectly, as the build-time check requires
+    assert find_perfect_packing(host.induced(m)[0], pat) is not None
 
 
 def test_build_family_reproducible():
@@ -395,19 +394,6 @@ def test_family_json_shape():
     obj = fam.to_json_obj()
     assert set(obj) == {"M", "gadgets", "params", "seed"}
     assert all(set(g) == {"verts", "pairs_checked"} for g in obj["gadgets"])
-
-
-def test_connector_degree_profile():
-    from tilinglab.absorbing import connector_degree_profile
-
-    host = complete_graph(12)
-    p = find_connecting_path(host, clique_pattern(3), 0, 11, 2)
-    prof = connector_degree_profile(host, p)
-    assert prof == [11, 11, 11]
-    assert connector_degree_profile(host, truncate_path(p)) == [11]
-    d = symmetrize(complete_graph(8))
-    pd = find_connecting_path(d, transitive_pattern(3), 0, 7, 2)
-    assert connector_degree_profile(d, pd) == [7, 7, 7]
 
 
 def test_star_blowup_minimal_r():

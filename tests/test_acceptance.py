@@ -310,9 +310,7 @@ def test_criterion_8_exchange_engine():
         traces_ok += 1
 
     d24 = upgrade_instance()
-    res = expand_coverage(
-        d24, 3, Fraction(1, 12), eta=Fraction(1, 12), seed_policy="greedy"
-    )
+    res = expand_coverage(d24, 3, Fraction(1, 12), seed_policy="greedy")
     gain_ok = res.final_coverage > res.seed_coverage
     assert verify_parts(d24, res.packing).ok
 

@@ -132,6 +132,22 @@ def test_improve_and_trace(tmp_path):
     assert len(lines) >= 4
 
 
+def test_improve_budget_cut_seed_exits_4(tmp_path):
+    import random
+
+    from oracles import sample_tournament
+
+    path = write_graph(tmp_path, "t.json", sample_tournament(random.Random(4), 11))
+    out = tmp_path / "trace.csv"
+    argv = ["improve", path, "--r", "3", "--quiet", "--out", str(out)]
+    assert main(argv) == 0
+    full = out.read_text()
+    assert main(argv + ["--budget-nodes", "1"]) == 4
+    # the cut run still writes its trace, from a worse exact seed
+    cut = out.read_text()
+    assert cut.startswith("round,phase,covered,n,proportion\n0,seed:max,") and cut != full
+
+
 def test_path_command(tmp_path):
     k12 = write_graph(tmp_path, "k12.json", complete_graph(12))
     out = tmp_path / "path.json"
@@ -177,10 +193,15 @@ def test_absorb_rejects_vertices_outside_the_host(tmp_path, capsys):
     assert main(["absorbfam", k12, "--pattern", "K3", "--seed", "5",
                  "--sample-size", "80", "--max-gadgets", "3",
                  "--out", str(fam)]) == 0
-    bad_fam, unhashable, shapeless = (tmp_path / f"{name}.json" for name in "bus")
+    bad_fam, unhashable, shapeless, overlapping = (
+        tmp_path / f"{name}.json" for name in "buso"
+    )
     bad_fam.write_text(json.dumps({"gadgets": [{"verts": ["a", "b"], "pairs_checked": 0}]}))
     unhashable.write_text(json.dumps({"gadgets": [{"verts": [[0], [1]], "pairs_checked": 0}]}))
     shapeless.write_text(json.dumps({"gadgets": [{"verts": 5, "pairs_checked": 0}]}))
+    overlapping.write_text(json.dumps({"gadgets": [
+        {"verts": verts, "pairs_checked": 1} for verts in ([0, 1], [1, 2], [3, 4])
+    ]}))
     free = sorted(set(range(12)) - set(json.loads(fam.read_text())["M"]))[:3]
     out = tmp_path / "abs.json"
     for family, w, bad in (
@@ -190,6 +211,7 @@ def test_absorb_rejects_vertices_outside_the_host(tmp_path, capsys):
         (bad_fam, ",".join(map(str, free)), "vertex 'a' is not an integer"),
         (unhashable, ",".join(map(str, free)), "vertex [0] is not an integer"),
         (shapeless, ",".join(map(str, free)), "bad family file"),
+        (overlapping, "5,6,7", "gadgets share vertices [1]"),
     ):
         argv = ["absorb", k12, "--pattern", "K3", "--family", str(family),
                 "--w=" + w, "--out", str(out)]
@@ -473,10 +495,21 @@ def test_unread_shared_flags_are_refused(capsys, command, flag):
 
 
 @pytest.mark.parametrize("argv", [
+    ["improve", "d.json", "--r", "3", "--eta", "1/12"],
+    ["absorbfam", "g.json", "--pattern", "K3", "--pair-threshold", "1"],
+    ["pipeline", "g.json", "--pattern", "K3", "--pair-threshold", "1"],
+])
+def test_removed_flags_are_refused(capsys, argv):
+    # the expectation flag of improve and the gadget pair threshold are gone;
+    # argparse stops before any file is opened
+    assert main(argv + ["--quiet"]) == 2
+    assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
     ["check", "G", "--r", "3", "--gamma", "abc"],
     ["check", "G", "--r", "3", "--gamma", "1/0"],
     ["improve", "D", "--r", "3", "--gamma", "abc"],
-    ["improve", "D", "--r", "3", "--eta", "abc"],
     ["improve", "D", "--r", "0"],
     ["improve", "D", "--r", "3", "--z", "-1"],
     ["experiment", "--n", "6", "--pattern", "K3", "--trials", "1", "--gamma", "abc"],
@@ -499,11 +532,21 @@ def test_unread_shared_flags_are_refused(capsys, command, flag):
     ["pipeline", "G", "--pattern", "K3", "--t", "0"],
     ["pipeline", "G", "--pattern", "K3", "--sample-size", "0"],
     ["pipeline", "G", "--pattern", "K3", "--max-gadgets", "-1"],
+    # ... before the divisibility check: 3 does not divide 7
+    ["pipeline", "G7", "--pattern", "K3", "--max-gadgets", "-1"],
+    # a negative order is refused before sampling, under every sampler
+    ["experiment", "--sampler", "gnp-margin", "--n", "-1", "--pattern", "K3", "--trials", "2",
+     "--seed", "1"],
+    ["experiment", "--sampler", "gnp", "--n", "-1", "--pattern", "K3", "--trials", "2",
+     "--seed", "1"],
+    ["experiment", "--sampler", "gnp-exact", "--n", "-3", "--pattern", "K3", "--trials", "2",
+     "--seed", "1"],
 ])
 def test_hostile_inputs_exit_2(tmp_path, capsys, argv):
     from tilinglab.constructions import transitive_tournament
 
     files = {"G": write_graph(tmp_path, "g.json", complete_graph(6)),
+             "G7": write_graph(tmp_path, "g7.json", complete_graph(7)),
              "D": write_graph(tmp_path, "d.json", transitive_tournament(6))}
     assert main([files.get(a, a) for a in argv] + ["--quiet"]) == 2
     err = capsys.readouterr().err
@@ -519,6 +562,10 @@ def test_experiment_spec_refusals():
         ExperimentSpec("gnp-dominant", 6, 3, "-1/20", 0.5, "T3", 5, 1)
     with pytest.raises(ValueError, match="divisibility violated: r=3 must divide n=7"):
         ExperimentSpec("gnp-exact", 7, 3, "0", 0.5, "K3", 5, 1)
+    with pytest.raises(ValueError, match="vertex count -3 is not a nonnegative integer"):
+        ExperimentSpec("gnp-exact", -3, 3, "0", 0.5, "K3", 5, 1)
+    # the empty host is a valid order
+    ExperimentSpec("gnp", 0, 3, "0", 0.5, "K3", 5, 1)
     # the unconditioned sampler reads neither r nor gamma
     ExperimentSpec("gnp", 7, 1, "-1/20", 0.5, "K3", 5, 1)
     # dict specs are checked the same way

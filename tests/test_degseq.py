@@ -259,3 +259,72 @@ def test_evaluate_matches_check_baselines():
             if rep.vacuous:
                 vacuous.add(name)
     assert vacuous == {"ore", "posa"}
+
+
+def fraction_indexed_fields(seq, r, gamma):
+    """The indexed check with every quantity a Fraction, index by index:
+    (first violating index, slack profile)."""
+    n = len(seq)
+    slacks, first_bad = [], None
+    for i in range(1, n + 1):
+        if Fraction(i) >= Fraction(n, r):
+            break
+        slack = Fraction(seq[i - 1]) - (Fraction((r - 2) * n, r) + i)
+        slacks.append(slack)
+        if slack < gamma * n and first_bad is None:
+            first_bad = i
+    return first_bad, tuple(slacks)
+
+
+def fraction_posa_fields(seq):
+    n = len(seq)
+    slacks, first_bad = [], None
+    for i in range(1, n + 1):
+        if Fraction(i) >= Fraction(n - 1, 2):
+            break
+        slacks.append(Fraction(seq[i - 1] - (i + 1)))
+        if seq[i - 1] < i + 1 and first_bad is None:
+            first_bad = i
+    if n % 2 == 1:
+        mid = (n + 1) // 2
+        slacks.append(Fraction(seq[mid - 1] - mid))
+        if seq[mid - 1] < mid and first_bad is None:
+            first_bad = mid
+    return first_bad, tuple(slacks)
+
+
+def test_integer_checks_match_fraction_reference():
+    # the indexed and Posa checks loop and compare in integers; a plain
+    # Fraction re-scan must give the same reports, negative gamma included
+    from oracles import sample_digraph
+
+    from tilinglab.degseq import check_baseline
+    from tilinglab.graphs import dominant_degree_sequence
+
+    rng = random.Random("integer-degseq")
+    for _ in range(600):
+        n, r = rng.randint(0, 30), rng.randint(2, 7)
+        gamma = Fraction(rng.randint(-6, 6), rng.randint(1, 40))
+        g = sample_gnp(rng, n, rng.random())
+        d = sample_digraph(rng, n, rng.random())
+        for rep, seq in (
+            (check_margin_sequence(g, r, gamma), degree_sequence(g)),
+            (check_dominant_margin(d, r, gamma), dominant_degree_sequence(d)[0]),
+        ):
+            first_bad, slacks = fraction_indexed_fields(seq, r, gamma)
+            assert (rep.first_violating_index, rep.slack_profile) == (first_bad, slacks)
+            assert rep.satisfied == (first_bad is None)
+            assert rep.vacuous == (not slacks)
+        posa = check_baseline(g, "posa", r)
+        assert (posa.first_violating_index, posa.slack_profile) == fraction_posa_fields(
+            degree_sequence(g)
+        )
+        if n % r == 0:
+            exact = check_exact_sequence(g, r)
+            seq = degree_sequence(g)
+            first_bad, slacks = fraction_indexed_fields(seq, r, Fraction(0))
+            beta_ok = n // r + 1 <= n and Fraction(seq[n // r]) >= Fraction((r - 1) * n, r)
+            assert exact.slack_profile == slacks
+            assert exact.satisfied == (first_bad is None and beta_ok)
+            if first_bad is not None:
+                assert exact.first_violating_index == first_bad

@@ -8,7 +8,6 @@ from tilinglab.graphs import (
     GraphFormatError,
     PatternGraph,
     blow_up,
-    chromatic_number,
     degree_sequence,
     dominant_degree_sequence,
     format_edge_list,
@@ -24,7 +23,7 @@ from tilinglab.constructions import (
     transitive_tournament,
 )
 
-from oracles import oracle_chromatic, sample_digraph, sample_gnp
+from oracles import sample_digraph, sample_gnp
 
 PETERSEN = Graph(
     10,
@@ -125,21 +124,6 @@ def test_symmetrize():
         g = sample_gnp(rng, rng.randint(1, 20), rng.random())
         seq, _ = dominant_degree_sequence(symmetrize(g))
         assert seq == degree_sequence(g)
-
-
-def test_chromatic_examples():
-    assert chromatic_number(complete_multipartite(2, 2, 2)) == 3
-    c5 = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-    assert chromatic_number(c5) == 3
-    assert oracle_chromatic(PETERSEN) == 3
-    assert chromatic_number(PETERSEN) == 3
-
-
-def test_chromatic_vs_enumeration():
-    rng = random.Random(23)
-    for _ in range(25):
-        g = sample_gnp(rng, rng.randint(1, 8), rng.random())
-        assert chromatic_number(g) == oracle_chromatic(g)
 
 
 def test_json_round_trip():

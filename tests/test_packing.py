@@ -24,7 +24,6 @@ from tilinglab.packing import (
     Packing,
     SearchBudget,
     enumerate_copies,
-    equitable_complement_packing,
     find_perfect_packing,
     greedy_packing,
     is_perfect_packing,
@@ -38,6 +37,7 @@ from oracles import (
     brute_embeds,
     brute_twin_classes,
     brute_spans,
+    equitable_complement_packing,
     oracle_max_coverage,
     oracle_perfect_decision,
     raw_pairs,
@@ -458,7 +458,7 @@ def test_max_packing_with_family():
     fam = [transitive_pattern(3), transitive_pattern(4)]
     res = max_packing(host, fam)
     assert res.packing.coverage() == 4
-    assert res.packing.pattern_names() == ["T4"]
+    assert [p.name for p in res.packing.patterns] == ["T4"]
 
 
 def test_multipartite_witness_is_a_real_embedding():
