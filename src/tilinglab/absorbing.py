@@ -10,9 +10,15 @@ host[X ∪ {w}] has a perfect packing.
 The absorbing family is built by randomized greedy selection of disjoint
 candidate gadgets, scored by how many sampled vertex pairs they absorb on
 both sides, and every absorption performed later is re-verified exactly by
-the solver.  The family keeps a multiple of |pattern| many gadgets so that
-the idle part of the family always has the right divisibility, and the
-union is solver-checked for a perfect packing at build time.
+the solver.  A gadget of t*h-1 vertices plus one vertex is a single pattern
+copy when t = 1, so a candidate is then scored from one completion mask
+(`packing.completion_mask`: every vertex that completes it to a copy) in
+place of one spanning test per sampled vertex; for t >= 2 the gadget plus
+a vertex must be packed, and each sampled vertex takes an exact search,
+made only when the pair's other endpoint was absorbed.  The family keeps a
+multiple of |pattern| many gadgets so that the idle part of the family
+always has the right divisibility, and the union is solver-checked for a
+perfect packing at build time.
 
 `pipeline` chains family construction, an almost-perfect packing of the
 rest of the host (greedy plus the exchange engine where the pattern is a
@@ -32,6 +38,7 @@ from .packing import (
     Packing,
     SearchBudget,
     VerifyResult,
+    completion_mask,
     enumerate_copies,
     find_perfect_packing,
     greedy_packing,
@@ -535,7 +542,12 @@ def build_absorbing_family(
 
     Candidates are (t*h-1)-sets drawn with per-index derived sub-seeds;
     overlapping candidates are discarded and a survivor becomes a gadget
-    when it absorbs both endpoints of at least one sampled pair.  Fails
+    when it absorbs both endpoints of at least one sampled pair.  At t = 1
+    a candidate absorbs w exactly when w is in its completion mask, one
+    twin-class search over the host per candidate.  At t >= 2 each answer
+    is an exact search on the candidate plus w, cached, and a pair's second
+    endpoint is asked only when the first is absorbed: a mask would need
+    that search for every host vertex.  Fails
     loudly when too few disjoint gadgets survive or when the union has no
     perfect packing under the verification budget.  A ``t``,
     ``sample_size`` or given ``max_gadgets`` below 1 is a ValueError.
@@ -588,12 +600,16 @@ def build_absorbing_family(
             cmask |= 1 << v
         if cmask & used_mask:
             continue
-        hit = 0
-        for a, b in pairs:
-            if a in cand or b in cand:
-                continue
-            if absorbs(cand, a) and absorbs(cand, b):
-                hit += 1
+        if t == 1:
+            fits = completion_mask(host, pattern, cand)
+            hit = sum(fits >> a & fits >> b & 1 for a, b in pairs)
+        else:
+            hit = 0
+            for a, b in pairs:
+                if a in cand or b in cand:
+                    continue
+                if absorbs(cand, a) and absorbs(cand, b):
+                    hit += 1
         if hit >= _PAIR_THRESHOLD:
             gadgets.append(AbsorbingGadget(cand, hit))
             used_mask |= cmask
@@ -631,7 +647,9 @@ def absorb(
     Every vertex of W is assigned to its own unused gadget after an exact
     solver check; the idle gadgets are then packed jointly.  Capacity is
     one vertex per gadget.  A vertex of W or of a gadget that is not a
-    host vertex, and gadgets that share a vertex, are a ValueError.
+    host vertex, gadgets that share a vertex, and a gadget whose size plus
+    one is not a multiple of the pattern order (no vertex could make it
+    pack) are a ValueError.
     """
     gadget_verts = [u for gadget in fam.gadgets for u in gadget.verts]
     for v in [*W, *gadget_verts]:
@@ -648,6 +666,12 @@ def absorb(
     if overlap:
         raise ValueError(f"W intersects M: {sorted(overlap)}")
     h = pattern.order
+    for gi, gadget in enumerate(fam.gadgets):
+        if (len(gadget.verts) + 1) % h:
+            raise ValueError(
+                f"gadget {gi} {list(gadget.verts)} has {len(gadget.verts)} vertices; "
+                f"a {pattern.name} gadget has t*{h}-1"
+            )
     if len(w) % h != 0:
         raise ValueError(f"|W|={len(w)} not divisible by pattern order {h}")
     if len(w) > fam.capacity():

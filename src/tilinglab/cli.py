@@ -381,7 +381,8 @@ class ExperimentSpec:
 
     A conditioned sampler's `DegreeCondition` is built once, here, so a spec
     it refuses (r < 2, a negative gamma, r not dividing n under gnp-exact)
-    fails before any sampling, as does a negative n under any sampler.
+    fails before any sampling, as does a negative n or a density p outside
+    [0, 1] under any sampler.
     """
 
     sampler: str
@@ -398,6 +399,8 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError(f"vertex count {self.n} is not a nonnegative integer")
+        if not 0 <= self.p <= 1:
+            raise ValueError(f"density {self.p} is not in [0, 1]")
         if self.trials < 1:
             raise ValueError("trial count >= 1 required")
         if self.budget_nodes < 1:
@@ -451,8 +454,9 @@ def run_trial(spec: ExperimentSpec, trial: int) -> dict:
     attempts = 0
     while True:
         rng = random.Random(split_seed(spec.seed, trial, attempts))
-        # density schedule: push p upward every 200 rejections
-        p_eff = min(0.98, spec.p + 0.05 * (attempts // 200))
+        # density schedule: push p upward every 200 rejections, to at most
+        # 0.98 unless p itself is higher
+        p_eff = min(max(spec.p, 0.98), spec.p + 0.05 * (attempts // 200))
         g = _sample(rng, kind, n, p_eff)
         attempts += 1
         if condition is None or degseq.evaluate(condition, g).satisfied:
@@ -683,7 +687,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--max-attempts", type=int, default=100_000)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     common(p, "--seed", "--budget-nodes", "--out")
     p.set_defaults(func=cmd_experiment, budget_nodes=ExperimentSpec.budget_nodes)
 

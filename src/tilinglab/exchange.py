@@ -165,6 +165,12 @@ def swap_improve(
     at an end.
     """
     _require_tournament_packing(d, m, r)
+    return _swap_step(d, m, I)
+
+
+def _swap_step(d: Digraph, m: Packing, I: IndexBijection) -> Packing | None:
+    """`swap_improve` on a packing already checked; the swapped packing is
+    verified in full before it is returned."""
     covered = m.covered_mask()
     uncovered = sorted(
         (v for v in range(d.n) if not covered >> v & 1), key=lambda v: I[v]
@@ -196,13 +202,16 @@ def swap_to_fixpoint(
 ) -> tuple[Packing, int]:
     """Iterate swap_improve until no move remains; returns (packing, steps).
 
+    The input packing is checked once, as swap_improve checks it; each step
+    returns a packing verified in full, so later steps skip that check.
     Terminates because each move strictly increases a bounded integer sum.
     """
     if I is None:
         I = index_bijection(d)
+    _require_tournament_packing(d, m, r)
     steps = 0
     while True:
-        nxt = swap_improve(d, r, m, I)
+        nxt = _swap_step(d, m, I)
         if nxt is None:
             return m, steps
         assert nxt.coverage() == m.coverage()

@@ -282,6 +282,37 @@ def spans_pattern(
     return {p: u for cls, m in zip(tw.classes, members) for p, u in zip(cls, bits(m))}
 
 
+def completion_mask(host: Graph | Digraph, pattern: PatternGraph, verts: Sequence[int]) -> int:
+    """Bitmask of the host vertices w for which ``verts`` plus w spans the
+    pattern, for h-1 distinct host vertices ``verts`` (else ValueError).
+
+    One run of the twin-class search over the whole host puts each vertex
+    of ``verts`` in every class that allows it, in no order, as the
+    ``through`` vertex of `_twin_copies` goes in.  Each surviving state
+    has one slot left, and a full class allows nothing, so the union of
+    the allowed masks is exactly the set of completing vertices; no vertex
+    of ``verts`` is in it.  Every pattern takes this route, cliques and
+    transitive tournaments too.
+    """
+    if pattern.is_digraph != isinstance(host, Digraph):
+        raise ValueError("pattern and host kinds differ")
+    if len(set(verts)) != len(verts) or len(verts) != pattern.order - 1:
+        raise ValueError(
+            f"{pattern.name} is completed from {pattern.order - 1} distinct vertices, "
+            f"got {list(verts)}"
+        )
+    tw = pattern.twin_classes()
+    rows = arc_rows(host)
+    states = _twin_start(tw, host.full_mask())
+    for v in verts:
+        states = _twin_advance(tw, rows, states, v, ~(1 << v))
+    fits = 0
+    for _, masks, _ in states.values():
+        for m in masks:
+            fits |= m
+    return fits
+
+
 # -- copy enumeration ---------------------------------------------------------
 
 

@@ -2,12 +2,15 @@
 
 Everything here is deliberately written from scratch against the raw edge
 sets, without calling the library's spanning or solver code, so that
-agreement actually means something.  The one exception is the pair of
-recursive reference searches at the end: they call `enumerate_copies`,
-which is checked against `brute_embeds` on its own, and pin down the
-branching order, node counts and incumbents of the library's search.  By
-default they keep the library's memo of finished residuals, keyed on twins
-found here pair by pair; with ``memo=False`` they are the plain recursion.
+agreement actually means something.  The exceptions are the references
+at the end.  The pair of recursive reference searches call
+`enumerate_copies`, which is checked against `brute_embeds` on its own, and
+pin down the branching order, node counts and incumbents of the library's
+search.  By default they keep the library's memo of finished residuals,
+keyed on twins found here pair by pair; with ``memo=False`` they are the
+plain recursion.  The reference gadget scorer draws the library's samples
+and asks the library's exact check once per candidate and vertex, so it
+pins down which candidates the absorbing-family builder keeps.
 """
 
 from __future__ import annotations
@@ -15,9 +18,11 @@ from __future__ import annotations
 import itertools
 import random
 
+from tilinglab import absorbing
 from tilinglab.constructions import clique_pattern
 from tilinglab.graphs import Digraph, Graph, PatternGraph
 from tilinglab.packing import BudgetExhausted, Packing, SearchBudget, enumerate_copies
+from tilinglab.util import split_seed
 
 
 def sample_gnp(rng: random.Random, n: int, p: float) -> Graph:
@@ -325,3 +330,41 @@ def reference_max_packing(host, pattern, budget=None, memo=True):
     except BudgetExhausted:
         optimal = False
     return best_parts, optimal, own_budget.nodes
+
+
+def reference_absorbing_family(host, pattern, t, sample_size, rng_seed, max_gadgets):
+    """The absorbing family as `build_absorbing_family` draws it, scored by
+    asking `_perfect_on_subset` whether each candidate absorbs each endpoint
+    of each sampled pair (the second endpoint only when the first is
+    absorbed).  The union of the gadgets is not checked for a perfect
+    packing here."""
+    n, h = host.n, pattern.order
+    gsize = t * h - 1
+    if max_gadgets is None:
+        max_gadgets = 2 * h
+    pairs = []
+    for j in range(absorbing._PAIR_SAMPLES):
+        pair = tuple(sorted(random.Random(split_seed(rng_seed, 2, j)).sample(range(n), 2)))
+        if pair not in pairs:
+            pairs.append(pair)
+    gadgets = []
+    used = set()
+    for i in range(sample_size):
+        if len(gadgets) >= max_gadgets:
+            break
+        cand = tuple(sorted(random.Random(split_seed(rng_seed, 1, i)).sample(range(n), gsize)))
+        if used & set(cand):
+            continue
+        hit = 0
+        for pair in pairs:
+            if set(pair) & set(cand):
+                continue
+            if all(absorbing._perfect_on_subset(host, pattern, cand + (w,)) for w in pair):
+                hit += 1
+        if hit >= absorbing._PAIR_THRESHOLD:
+            gadgets.append(absorbing.AbsorbingGadget(cand, hit))
+            used.update(cand)
+    params = {"t": t, "sample_size": sample_size, "pair_threshold": absorbing._PAIR_THRESHOLD,
+              "max_gadgets": max_gadgets, "pair_sample_size": absorbing._PAIR_SAMPLES}
+    keep = len(gadgets) // h * h
+    return absorbing.AbsorbingFamily(tuple(gadgets[:keep]), params, rng_seed)

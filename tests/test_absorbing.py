@@ -38,7 +38,7 @@ from tilinglab.degseq import check_margin_sequence
 from tilinglab.graphs import Digraph, Graph, symmetrize
 from tilinglab.packing import find_perfect_packing, is_perfect_packing
 
-from oracles import sample_gnp, sample_tournament
+from oracles import reference_absorbing_family, sample_digraph, sample_gnp, sample_tournament
 
 
 def test_is_h_path_examples():
@@ -297,6 +297,33 @@ def test_build_family_and_gadgets_verified():
         assert hits
     # host[M] packs perfectly, as the build-time check requires
     assert find_perfect_packing(host.induced(m)[0], pat) is not None
+
+
+@pytest.mark.parametrize("name,t,n,p,samples", [
+    ("K3", 1, 18, 0.7, 40), ("K3", 2, 24, 0.85, 40),
+    ("T3", 1, 18, 0.75, 40), ("T3", 2, 24, 0.9, 40),
+    # six disjoint random gadgets of 5 or 11 vertices need a large host
+    ("K2,2,2", 1, 120, 0.9, 80), ("K2,2,2", 2, 200, 0.9, 150),
+])
+def test_family_matches_per_vertex_reference(name, t, n, p, samples):
+    """Gadgets, their pair counts, params and seed are those of the scorer
+    that asks the exact check once per candidate and vertex; where the
+    builder finds too few gadgets, so does the reference."""
+    pattern = pattern_from_name(name)
+    rng = random.Random(f"family:{name}:{t}")
+    built = 0
+    for i in range(2):
+        host = sample_digraph(rng, n, p) if pattern.is_digraph else sample_gnp(rng, n, p)
+        for seed in (i, 100 + i):
+            want = reference_absorbing_family(host, pattern, t, samples, seed, None)
+            try:
+                fam = build_absorbing_family(host, pattern, t=t, sample_size=samples, rng_seed=seed)
+            except FamilyConstructionError as exc:
+                assert ("too few" in str(exc)) == (not want.gadgets), exc
+                continue
+            assert fam == want
+            built += 1
+    assert built
 
 
 def test_build_family_reproducible():

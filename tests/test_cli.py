@@ -193,14 +193,17 @@ def test_absorb_rejects_vertices_outside_the_host(tmp_path, capsys):
     assert main(["absorbfam", k12, "--pattern", "K3", "--seed", "5",
                  "--sample-size", "80", "--max-gadgets", "3",
                  "--out", str(fam)]) == 0
-    bad_fam, unhashable, shapeless, overlapping = (
-        tmp_path / f"{name}.json" for name in "buso"
+    bad_fam, unhashable, shapeless, overlapping, missized = (
+        tmp_path / f"{name}.json" for name in "busom"
     )
     bad_fam.write_text(json.dumps({"gadgets": [{"verts": ["a", "b"], "pairs_checked": 0}]}))
     unhashable.write_text(json.dumps({"gadgets": [{"verts": [[0], [1]], "pairs_checked": 0}]}))
     shapeless.write_text(json.dumps({"gadgets": [{"verts": 5, "pairs_checked": 0}]}))
     overlapping.write_text(json.dumps({"gadgets": [
         {"verts": verts, "pairs_checked": 1} for verts in ([0, 1], [1, 2], [3, 4])
+    ]}))
+    missized.write_text(json.dumps({"gadgets": [
+        {"verts": verts, "pairs_checked": 1} for verts in ([0, 1], [2, 3, 4], [5, 6])
     ]}))
     free = sorted(set(range(12)) - set(json.loads(fam.read_text())["M"]))[:3]
     out = tmp_path / "abs.json"
@@ -212,6 +215,7 @@ def test_absorb_rejects_vertices_outside_the_host(tmp_path, capsys):
         (unhashable, ",".join(map(str, free)), "vertex [0] is not an integer"),
         (shapeless, ",".join(map(str, free)), "bad family file"),
         (overlapping, "5,6,7", "gadgets share vertices [1]"),
+        (missized, "7,8,9", "gadget 1 [2, 3, 4] has 3 vertices; a K3 gadget has t*3-1"),
     ):
         argv = ["absorb", k12, "--pattern", "K3", "--family", str(family),
                 "--w=" + w, "--out", str(out)]
@@ -541,13 +545,26 @@ def test_removed_flags_are_refused(capsys, argv):
      "--seed", "1"],
     ["experiment", "--sampler", "gnp-exact", "--n", "-3", "--pattern", "K3", "--trials", "2",
      "--seed", "1"],
+    # one-vertex gadgets can never absorb a vertex into a K3 packing
+    ["absorb", "G9", "--pattern", "K3", "--family", "F1", "--w", "3,4,5"],
+    # a density outside [0, 1] and a job count below 1
+    ["experiment", "--sampler", "gnp", "--n", "12", "--p", "1.5", "--pattern", "K3",
+     "--trials", "3", "--seed", "1"],
+    ["experiment", "--sampler", "gnp", "--n", "12", "--p", "-2", "--pattern", "K3",
+     "--trials", "3", "--seed", "1"],
+    ["experiment", "--sampler", "gnp", "--n", "12", "--pattern", "K3", "--trials", "3",
+     "--seed", "1", "--jobs", "-4"],
 ])
 def test_hostile_inputs_exit_2(tmp_path, capsys, argv):
     from tilinglab.constructions import transitive_tournament
 
+    singletons = {"gadgets": [{"verts": [v], "pairs_checked": 1} for v in range(3)]}
+    (tmp_path / "f1.json").write_text(json.dumps(singletons))
     files = {"G": write_graph(tmp_path, "g.json", complete_graph(6)),
              "G7": write_graph(tmp_path, "g7.json", complete_graph(7)),
-             "D": write_graph(tmp_path, "d.json", transitive_tournament(6))}
+             "G9": write_graph(tmp_path, "g9.json", complete_graph(9)),
+             "D": write_graph(tmp_path, "d.json", transitive_tournament(6)),
+             "F1": str(tmp_path / "f1.json")}
     assert main([files.get(a, a) for a in argv] + ["--quiet"]) == 2
     err = capsys.readouterr().err
     assert "Traceback" not in err and err
@@ -564,8 +581,12 @@ def test_experiment_spec_refusals():
         ExperimentSpec("gnp-exact", 7, 3, "0", 0.5, "K3", 5, 1)
     with pytest.raises(ValueError, match="vertex count -3 is not a nonnegative integer"):
         ExperimentSpec("gnp-exact", -3, 3, "0", 0.5, "K3", 5, 1)
-    # the empty host is a valid order
+    with pytest.raises(ValueError, match=r"density 1.01 is not in \[0, 1\]"):
+        ExperimentSpec("gnp", 6, 3, "0", 1.01, "K3", 5, 1)
+    # the empty host is a valid order, and 0 and 1 are valid densities
     ExperimentSpec("gnp", 0, 3, "0", 0.5, "K3", 5, 1)
+    ExperimentSpec("gnp", 6, 3, "0", 0.0, "K3", 5, 1)
+    ExperimentSpec("gnp", 6, 3, "0", 1.0, "K3", 5, 1)
     # the unconditioned sampler reads neither r nor gamma
     ExperimentSpec("gnp", 7, 1, "-1/20", 0.5, "K3", 5, 1)
     # dict specs are checked the same way
@@ -575,6 +596,15 @@ def test_experiment_spec_refusals():
             "pattern": "K3", "trials": 5, "seed": 1}
     with pytest.raises(ValueError, match="divisibility"):
         experiment_csv(spec)
+
+
+def test_experiment_density_one_samples_complete_hosts(capsys):
+    # the density schedule caps p at 0.98 only when p itself is lower
+    argv = ["experiment", "--sampler", "gnp", "--n", "12", "--p", "1.0", "--pattern", "K3",
+            "--trials", "3", "--seed", "1"]
+    assert main(argv) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert [row[2] for row in rows if row[0].isdigit()] == ["66"] * 3
 
 
 def test_check_accepts_table_names_and_aliases(tmp_path, capsys):

@@ -151,6 +151,10 @@ def test_swap_rejects_bad_packing():
     bogus = Packing.uniform(6, [(3, 4, 5)], transitive_pattern(3))
     with pytest.raises(ValueError):
         swap_improve(d, 3, bogus, I)
+    with pytest.raises(ValueError, match="fails verification"):
+        swap_to_fixpoint(d, 3, bogus, I)
+    with pytest.raises(ValueError, match="wrong order"):
+        swap_to_fixpoint(d, 3, Packing.uniform(6, [(0, 1)], transitive_pattern(2)))
 
 
 def test_swap_fuzz_invariants():
@@ -159,6 +163,7 @@ def test_swap_fuzz_invariants():
         d = sample_tournament(rng, rng.randint(6, 10))
         I = index_bijection(d)
         m = greedy_packing(d, transitive_pattern(3))
+        start = m
         weight = I.uncovered_weight(m.covered_mask(), d.n)
         steps = 0
         while True:
@@ -172,6 +177,8 @@ def test_swap_fuzz_invariants():
             m, weight = nxt, new_weight
             steps += 1
             assert steps <= d.n * d.n
+        # the loop checks its input once and then steps unchecked: same result
+        assert swap_to_fixpoint(d, 3, start, I) == (m, steps)
 
 
 def test_extend_examples():

@@ -23,6 +23,7 @@ from tilinglab.packing import (
     BudgetExhausted,
     Packing,
     SearchBudget,
+    completion_mask,
     enumerate_copies,
     find_perfect_packing,
     greedy_packing,
@@ -261,6 +262,42 @@ def test_copies_where_dead_states_are_dropped(pattern):
         random.Random(36).shuffle(order)
         cases += [(ext, sum(1 << v for v in order[k : k + 9])) for k in range(0, ext.n, 9)]
     assert sum(_assert_copies_match_oracle(host, pattern, within) for host, within in cases)
+
+
+COMPLETION_PATTERNS = [
+    *(pattern_from_name(name) for name in ("K2", "K3", "K4", "T3", "T4", "K1,2", "K2,2,2", "K2,3")),
+    PatternGraph(Digraph(3, [(0, 1), (1, 2), (2, 0)]), name="C3"),  # no twins, not transitive
+]
+
+
+@pytest.mark.parametrize("pattern", COMPLETION_PATTERNS, ids=lambda pat: pat.name)
+def test_completion_mask_matches_spanning_scan(pattern):
+    """For every (h-1)-set of seeded hosts of order 3 to 10, given in
+    shuffled order, the completion mask holds exactly the vertices w for
+    which the set plus w spans the pattern."""
+    rng = random.Random(f"completion:{pattern.name}")
+    h = pattern.order
+    hits = misses = 0
+    for n in range(max(3, h), 11):
+        for p in (0.6, 0.9):
+            host = sample_digraph(rng, n, p) if pattern.is_digraph else sample_gnp(rng, n, p)
+            for base in itertools.combinations(range(n), h - 1):
+                verts = list(base)
+                rng.shuffle(verts)
+                want = 0
+                for w in range(n):
+                    if w not in base and spans_pattern(host, verts + [w], pattern) is not None:
+                        want |= 1 << w
+                assert completion_mask(host, pattern, verts) == want, (n, verts)
+                hits += want.bit_count()
+                misses += n - h + 1 - want.bit_count()
+    assert hits and misses
+    other = Graph(h) if pattern.is_digraph else Digraph(h)
+    with pytest.raises(ValueError, match="kinds differ"):
+        completion_mask(other, pattern, list(range(h - 1)))
+    for bad in (list(range(h)), [0] * max(h - 1, 2)):
+        with pytest.raises(ValueError, match="distinct vertices"):
+            completion_mask(host, pattern, bad)
 
 
 def test_transitive_order_helper():
