@@ -62,6 +62,9 @@ def _load(path: str):
     except (OSError, GraphFormatError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         raise SystemExit(EXIT_INPUT)
+    except MemoryError:  # e.g. a vertex count whose rows cannot be allocated
+        print(f"input error: {path} is too large to load", file=sys.stderr)
+        raise SystemExit(EXIT_INPUT)
 
 
 def _pattern(name: str):

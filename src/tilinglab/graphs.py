@@ -6,7 +6,11 @@ copy-enumeration routine in this package) are single big-int ANDs.  The rows
 are the only stored adjacency; edge and arc sets are read off them.
 
 The constructors ``Graph(n, edges)`` and ``Digraph(n, arcs)`` validate every
-pair, since their pairs come from outside the package.  Graphs the package
+pair, since their pairs come from outside the package.  Each pair gets one
+inline test: both ends plain ints in 0..n-1, and distinct.  Only a pair
+that fails it goes through the full checks (``check_vertex`` on either end,
+then the loop test), which raise the error naming what is wrong, or let
+the pair through when its ends are int subclasses.  Graphs the package
 derives from another graph's rows (``induced``, ``symmetrize``, ``blow_up``,
 the experiment sampler) are built from rows directly and check no pair.
 
@@ -18,6 +22,7 @@ package, never induced containment.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -42,9 +47,19 @@ def check_vertex(v: int, n: int) -> None:
         raise GraphFormatError(f"vertex {v} out of range 0..{n - 1}")
 
 
+def _check_pair(u, v, n: int) -> None:
+    """The full checks for a pair that failed the constructors' inline
+    test: raise GraphFormatError unless both ends are vertices and differ.
+    Ends of an int subclass other than bool pass."""
+    check_vertex(u, n)
+    check_vertex(v, n)
+    if u == v:
+        raise GraphFormatError(f"loop at vertex {u}")
+
+
 class _GraphBase:
-    """What Graph and Digraph share: the order, pair validation, and the
-    pair list, counts, equality and induced subgraphs read off the rows.
+    """What Graph and Digraph share: the checked order, and the pair
+    list, counts, equality and induced subgraphs read off the rows.
 
     The adjacency rows are the graph: ``adj`` for a graph, ``out`` and
     ``inn`` for a digraph.  A subclass stores them in ``_set_rows``, hands
@@ -60,6 +75,8 @@ class _GraphBase:
     def __init__(self, n: int):
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise GraphFormatError(f"vertex count {n!r} is not a nonnegative integer")
+        if n > sys.maxsize:  # no list of rows is that long
+            raise GraphFormatError(f"vertex count {n} is too large")
         self.n = n
 
     @classmethod
@@ -69,16 +86,6 @@ class _GraphBase:
         g.n = n
         g._set_rows(*rows)
         return g
-
-    def _checked(self, pairs: Iterable[tuple[int, int]]) -> Iterator[tuple[int, int]]:
-        """The pairs, each with both endpoints in range and distinct."""
-        n = self.n
-        for u, v in pairs:
-            check_vertex(u, n)
-            check_vertex(v, n)
-            if u == v:
-                raise GraphFormatError(f"loop at vertex {u}")
-            yield u, v
 
     def pairs(self) -> list[tuple[int, int]]:
         """The edges (u < v) or arcs (u, v), sorted: row by row, each row
@@ -144,7 +151,9 @@ class Graph(_GraphBase):
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = ()):
         super().__init__(n)
         adj = [0] * n
-        for u, v in self._checked(edges):
+        for u, v in edges:
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n and u != v):
+                _check_pair(u, v, n)
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self._set_rows(adj)
@@ -185,7 +194,9 @@ class Digraph(_GraphBase):
         super().__init__(n)
         out = [0] * n
         inn = [0] * n
-        for u, v in self._checked(arcs):
+        for u, v in arcs:
+            if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n and u != v):
+                _check_pair(u, v, n)
             out[u] |= 1 << v
             inn[v] |= 1 << u
         self._set_rows(out, inn)
@@ -499,7 +510,7 @@ def graph_to_json(g: Graph | Digraph) -> str:
 def graph_from_json(text: str) -> Graph | Digraph:
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # also too many digits, too deep
         raise GraphFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise GraphFormatError("graph JSON must be an object")
@@ -554,8 +565,11 @@ def parse_edge_list(text: str) -> Graph | Digraph:
 
 def load_graph(path: str) -> Graph | Digraph:
     """Load a graph from a .json or edge-list file, by extension sniffing."""
-    with open(path) as fh:
-        text = fh.read()
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(f"{path} is not UTF-8 text: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         return graph_from_json(text)

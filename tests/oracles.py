@@ -10,7 +10,9 @@ search.  By default they keep the library's memo of finished residuals,
 keyed on twins found here pair by pair; with ``memo=False`` they are the
 plain recursion.  The reference gadget scorer draws the library's samples
 and asks the library's exact check once per candidate and vertex, so it
-pins down which candidates the absorbing-family builder keeps.
+pins down which candidates the absorbing-family builder keeps.  The pair
+checker is the constructors' per-pair loop as it was before their inline
+test: ``check_vertex`` on either end, then the loop test, for every pair.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import random
 
 from tilinglab import absorbing
 from tilinglab.constructions import clique_pattern
-from tilinglab.graphs import Digraph, Graph, PatternGraph
+from tilinglab.graphs import Digraph, Graph, GraphFormatError, PatternGraph, check_vertex
 from tilinglab.packing import BudgetExhausted, Packing, SearchBudget, enumerate_copies
 from tilinglab.util import split_seed
 
@@ -368,3 +370,20 @@ def reference_absorbing_family(host, pattern, t, sample_size, rng_seed, max_gadg
               "max_gadgets": max_gadgets, "pair_sample_size": absorbing._PAIR_SAMPLES}
     keep = len(gadgets) // h * h
     return absorbing.AbsorbingFamily(tuple(gadgets[:keep]), params, rng_seed)
+
+
+def reference_rows(cls, n: int, pairs) -> tuple[tuple[int, ...], ...]:
+    """The rows of ``cls(n, pairs)``, ``(adj,)`` or ``(out, inn)``, with every
+    pair checked in full one after another; raises the GraphFormatError
+    of the first bad pair."""
+    fwd, back = [0] * n, [0] * n
+    for u, v in pairs:
+        check_vertex(u, n)
+        check_vertex(v, n)
+        if u == v:
+            raise GraphFormatError(f"loop at vertex {u}")
+        fwd[u] |= 1 << v
+        back[v] |= 1 << u
+    if cls is Graph:
+        return (tuple(f | b for f, b in zip(fwd, back)),)
+    return tuple(fwd), tuple(back)

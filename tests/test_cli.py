@@ -274,6 +274,30 @@ def test_experiment_r2_matchings(tmp_path):
     assert "found=25,none=0" in out.read_text()
 
 
+HOSTILE_GRAPH_FILES = {
+    # UTF-16 with its byte-order mark, not UTF-8
+    "utf16.json": '\ufeff{"kind": "graph", "n": 3, "edges": []}'.encode("utf-16-le"),
+    # vertex counts no list can index, refused before anything is allocated
+    "huge.json": b'{"kind": "graph", "n": 1000000000000000000000000000000, "edges": []}',
+    "huge.txt": b"1000000000000000000000000000000 0 graph\n",
+    # a count that fits an index, but whose row list would need more bytes than
+    # an index can count: refused before anything is allocated
+    "rows.json": b'{"kind": "graph", "n": 2000000000000000000, "edges": []}',
+    # more digits than int() reads, and deeper nesting than the JSON decoder follows
+    "digits.json": b'{"kind": "graph", "n": ' + b"1" * 5000 + b', "edges": []}',
+    "deep.json": b'{"kind": "graph", "n": 3, "edges": ' + b"[" * 100000 + b"}",
+}
+
+
+@pytest.mark.parametrize("name", HOSTILE_GRAPH_FILES)
+def test_hostile_graph_files_exit_2(tmp_path, capsys, name):
+    path = tmp_path / name
+    path.write_bytes(HOSTILE_GRAPH_FILES[name])
+    assert main(["pack", str(path), "--pattern", "K3"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "Traceback" not in err
+
+
 def test_edge_list_input(tmp_path):
     from tilinglab.graphs import format_edge_list
 

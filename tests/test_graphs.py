@@ -1,4 +1,5 @@
 import random
+from enum import IntEnum
 
 import pytest
 
@@ -23,7 +24,7 @@ from tilinglab.constructions import (
     transitive_tournament,
 )
 
-from oracles import sample_digraph, sample_gnp
+from oracles import reference_rows, sample_digraph, sample_gnp
 
 PETERSEN = Graph(
     10,
@@ -40,7 +41,7 @@ def test_construction_validation():
         Graph(3, [(0, 3)])
     with pytest.raises(GraphFormatError):
         Digraph(2, [(1, 1)])
-    for n in (True, 2.0, "3", None, -1):
+    for n in (True, 2.0, "3", None, -1, 10**30):
         with pytest.raises(GraphFormatError):
             Graph(n)
         with pytest.raises(GraphFormatError):
@@ -279,6 +280,66 @@ def test_sampled_rows_match_constructor():
             ]
             assert_built_like(got, kind(n, pairs))
             assert ours.getstate() == theirs.getstate()
+
+
+Vertex = IntEnum("Vertex", [(f"V{i}", i) for i in range(12)])
+
+
+def _rows_or_message(build):
+    """What ``build`` returns, or the message of its GraphFormatError."""
+    try:
+        return build()
+    except GraphFormatError as exc:
+        return str(exc)
+
+
+def test_pair_checks_match_reference():
+    # the constructors' inline pair test, with its fall-back to the full
+    # checks, builds the same rows and raises the same message as checking
+    # every pair in full; one or two pairs of a seeded list are corrupted
+    rng = random.Random("inline-pair-test")
+    for trial in range(40):
+        cls = (Graph, Digraph)[trial % 2]
+        n = rng.randint(2, 12)
+        pairs = [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(1, 3 * n))]
+
+        def same_as_reference(pairs):
+            def rows():
+                g = cls(n, pairs)
+                return (g.adj,) if cls is Graph else (g.out, g.inn)
+
+            got = _rows_or_message(rows)
+            assert got == _rows_or_message(lambda: reference_rows(cls, n, pairs))
+            return got
+
+        clean = same_as_reference(pairs)
+        assert not isinstance(clean, str)
+
+        def corrupt(pair, bad):
+            u, v = pair
+            if bad == "loop":
+                return u, u
+            if bad == "enum":  # an int subclass with the same value
+                return Vertex(u), Vertex(v)
+            if bad == "both":  # the first end is reported
+                return rng.choice([True, "1", -1, n]), rng.choice([1.0, None, -1, n])
+            side = rng.randrange(2)
+            bad = n if bad == "n" else bad
+            return (bad, v) if side == 0 else (u, bad)
+
+        for bad in (True, 1.0, "1", None, -1, "n", "loop", "enum", "both"):
+            hit = list(pairs)
+            i = rng.randrange(len(hit))
+            hit[i] = corrupt(hit[i], bad)
+            got = same_as_reference(hit)
+            assert got == clean if bad == "enum" else isinstance(got, str)
+
+        if len(pairs) >= 2:
+            i, j = sorted(rng.sample(range(len(pairs)), 2))
+            first, second = rng.sample([True, 1.0, "1", None, -1, "n", "loop"], 2)
+            hit = list(pairs)
+            hit[i], hit[j] = corrupt(hit[i], first), corrupt(hit[j], second)
+            assert same_as_reference(hit) == same_as_reference(hit[: i + 1])
 
 
 def _is_automorphism(base, perm) -> bool:
