@@ -382,10 +382,12 @@ class ExperimentSpec:
     """A fully determined batch experiment: sampler, condition parameters,
     pattern, budgets, trial count and the master seed.
 
-    A conditioned sampler's `DegreeCondition` is built once, here, so a spec
-    it refuses (r < 2, a negative gamma, r not dividing n under gnp-exact)
-    fails before any sampling, as does a negative n or a density p outside
-    [0, 1] under any sampler.
+    The per-spec work is done once, here: the pattern is parsed, and a
+    conditioned sampler's `DegreeCondition` gives its threshold vector at
+    order n, which every sampled host is compared with.  So a spec the
+    condition refuses (r < 2, a negative gamma, r not dividing n under
+    gnp-exact) fails before any sampling, as does a negative n or a density
+    p outside [0, 1] under any sampler.
     """
 
     sampler: str
@@ -418,12 +420,12 @@ class ExperimentSpec:
         pat = constructions.pattern_from_name(self.pattern)
         if pat.is_digraph != (kind is Digraph):
             raise ValueError(f"pattern {pat.name} needs a {pat.base.kind} sampler")
-        condition = None
+        thresholds = None
         if name is not None:
             condition = degseq.DegreeCondition(name, self.r, Fraction(self.gamma))
-            if name == "exact" and self.n % self.r:
-                raise ValueError(f"divisibility violated: r={self.r} must divide n={self.n}")
-        object.__setattr__(self, "_condition", condition)
+            thresholds = condition.thresholds(self.n)
+        object.__setattr__(self, "_pattern", pat)
+        object.__setattr__(self, "_thresholds", thresholds)
 
 
 def _sample(rng: random.Random, kind: type, n: int, p: float) -> Graph | Digraph:
@@ -452,7 +454,7 @@ def _sample(rng: random.Random, kind: type, n: int, p: float) -> Graph | Digraph
 def run_trial(spec: ExperimentSpec, trial: int) -> dict:
     """One experiment trial; fully determined by (spec, trial)."""
     kind, _ = _SAMPLERS[spec.sampler]
-    condition = spec._condition
+    thresholds = spec._thresholds
     n = spec.n
     attempts = 0
     while True:
@@ -462,7 +464,9 @@ def run_trial(spec: ExperimentSpec, trial: int) -> dict:
         p_eff = min(max(spec.p, 0.98), spec.p + 0.05 * (attempts // 200))
         g = _sample(rng, kind, n, p_eff)
         attempts += 1
-        if condition is None or degseq.evaluate(condition, g).satisfied:
+        if thresholds is None or (
+            degseq.first_violation(degseq.sorted_degrees(g), thresholds) is None
+        ):
             break
         if attempts >= spec.max_attempts:
             return {
@@ -475,20 +479,16 @@ def run_trial(spec: ExperimentSpec, trial: int) -> dict:
                 "nodes": 0,
                 "violation": "",
             }
-    pat = constructions.pattern_from_name(spec.pattern)
     budget = packing.SearchBudget(spec.budget_nodes)
     try:
-        found = packing.find_perfect_packing(g, pat, budget)
+        # a found packing is verified inside find_perfect_packing
+        found = packing.find_perfect_packing(g, spec._pattern, budget)
         verdict = "found" if found is not None else "none"
     except packing.BudgetExhausted:
         verdict = "exhausted"
-        found = None
-    if found is not None:
-        check = packing.is_perfect_packing(g, found)
-        assert check.ok, check.reason
-    conditions = "unconditioned" if condition is None else "satisfied"
+    conditions = "unconditioned" if thresholds is None else "satisfied"
     violation = ""
-    if verdict == "none" and condition is not None:
+    if verdict == "none" and thresholds is not None:
         # counterexample: dump the instance verbatim for triage
         violation = ";".join(f"{u}-{v}" for u, v in g.pairs())
     return {
@@ -562,7 +562,7 @@ def cmd_experiment(args) -> int:
     tail = csv_text.strip().rsplit("\n", 1)[-1]
     _say(args, tail)
     counts = dict(field.split("=") for field in tail.split(",")[1:] if field)
-    if counts["none"] != "0" and spec._condition is not None:
+    if counts["none"] != "0" and spec._thresholds is not None:
         return EXIT_UNSATISFIED
     if counts["exhausted"] != "0":
         return EXIT_BUDGET

@@ -1,19 +1,26 @@
-"""Named degree-sequence predicates with exact rational thresholds.
+"""Named degree-sequence predicates with exact thresholds.
 
-Indexing is 1-based to match the usual d_1 <= ... <= d_n convention.  All
-thresholds are computed in exact rational arithmetic; the interesting
-sharpness phenomena live exactly at off-by-one boundaries near i = n/r, so
-floating point is never used.  Empty index ranges (n/r <= 1) report
-satisfied with an explicit vacuity flag.
+Indexing is 1-based to match the usual d_1 <= ... <= d_n convention.  The
+interesting sharpness phenomena live exactly at off-by-one boundaries near
+i = n/r, so floating point is never used.  Empty index ranges (n/r <= 1)
+report satisfied with an explicit vacuity flag.
+
+Every condition but ``ore`` is a threshold condition on the sorted
+(dominant) degree sequence, so its decision comes from an integer vector
+t_1..t_n: each entry is the ceiling of the exact rational threshold, 0
+outside the checked range, and `first_violation` finds the first i with
+d_i < t_i in one comparison.  The reports take ``satisfied`` and the first
+violating index from that comparison; their slacks stay exact rationals.
+``ore``, a condition on non-adjacent pairs, is the one pairwise checker.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import ceil
 
-from .graphs import Digraph, Graph, degree_sequence, dominant_degree_sequence
+from .graphs import Digraph, Graph
 from .util import as_fraction
 
 
@@ -33,6 +40,13 @@ class DegreeCondition:
             raise ValueError("r >= 2 required")
         if self.gamma < 0:
             raise ValueError("gamma >= 0 required")
+
+    def thresholds(self, n: int) -> list[int]:
+        """The integer vector t_1..t_n of this condition at order n, for
+        `first_violation`; every name of the table but ore has one."""
+        if self.name not in _THRESHOLDS:
+            raise ValueError(f"condition {self.name!r} has no threshold vector")
+        return _THRESHOLDS[self.name](n, self.r, self.gamma)
 
 
 @dataclass(frozen=True)
@@ -69,30 +83,87 @@ class ConditionReport:
         }
 
 
-def _indexed_check(name: str, seq: list[int], r: int, gamma: Fraction) -> ConditionReport:
-    """d_i >= (r-2)n/r + i + gamma*n for 1 <= i < n/r.
+def sorted_degrees(g: Graph | Digraph) -> list[int]:
+    """d_1 <= ... <= d_n read off the rows: the degrees of a graph, the
+    dominant degrees max(d+, d-) of a digraph."""
+    if isinstance(g, Digraph):
+        return sorted(map(max, map(int.bit_count, g.out), map(int.bit_count, g.inn)))
+    return sorted(map(int.bit_count, g.adj))
 
-    Compared scaled by r, in integers: r(d_i - i) - (r-2)n against the
-    ceiling of r*gamma*n, which decides the same for an integer left side.
+
+def first_violation(seq: Sequence[int], t: Sequence[int]) -> int | None:
+    """The first 1-based index i with d_i < t_i, or None.
+
+    An index of ``t`` past the end of ``seq`` counts as violated: part (b)
+    of the exact condition reads d_1 at n = 0.
     """
-    n = len(seq)
-    base = (r - 2) * n
-    margin = ceil(r * gamma * n)
-    slacks = []
-    first_bad = None
+    for i, (d, bound) in enumerate(zip(seq, t), 1):
+        if d < bound:
+            return i
+    return len(seq) + 1 if len(t) > len(seq) else None
+
+
+# -- threshold vectors, (n, r, gamma) -> t_1..t_n ------------------------------
+
+
+def _ceil_threshold(n: int, c: int, r: int, gamma: Fraction) -> int:
+    """ceil(c*n/r + gamma*n), in integers."""
+    q = gamma.denominator
+    return -(-n * (c * q + r * gamma.numerator) // (r * q))
+
+
+def _indexed_thresholds(n: int, r: int, gamma: Fraction) -> list[int]:
+    """d_i >= (r-2)n/r + i + gamma*n for 1 <= i < n/r."""
+    t = [0] * n
+    base = _ceil_threshold(n, r - 2, r, gamma)
     for i in range(1, (n - 1) // r + 1):  # exactly the i with i < n/r
-        scaled = r * (seq[i - 1] - i) - base
-        slacks.append(Fraction(scaled, r))
-        if scaled < margin and first_bad is None:
-            first_bad = i
-    vacuous = not slacks
+        t[i - 1] = base + i
+    return t
+
+
+def _exact_thresholds(n: int, r: int, gamma: Fraction) -> list[int]:
+    """(a) d_i >= (r-2)n/r + i for i < n/r, and (b) d_{n/r+1} >= (r-1)n/r;
+    r must divide n, and the condition has no margin."""
+    if n % r != 0:
+        raise ValueError(f"divisibility violated: r={r} must divide n={n}")
+    t = _indexed_thresholds(n, r, Fraction(0))
+    # (b) is read literally; its index lies past d_n only at n = 0
+    t[n // r : n // r + 1] = [(r - 1) * n // r]
+    return t
+
+
+def _min_degree_thresholds(n: int, r: int, gamma: Fraction) -> list[int]:
+    """d_1 >= (1 - 1/r + gamma)n."""
+    return [_ceil_threshold(n, r - 1, r, gamma)] + [0] * (n - 1) if n else []
+
+
+def _posa_thresholds(n: int, r: int, gamma: Fraction) -> list[int]:
+    """d_i >= i+1 for i < (n-1)/2, and d_{ceil(n/2)} >= ceil(n/2) for odd n."""
+    t = [0] * n
+    for i in range(1, (n - 2) // 2 + 1):  # exactly the i with i < (n-1)/2
+        t[i - 1] = i + 1
+    if n % 2:
+        t[n // 2] = (n + 1) // 2
+    return t
+
+
+# -- reports ------------------------------------------------------------------
+
+
+def _indexed_check(name: str, g: Graph | Digraph, r: int, t: list[int]) -> ConditionReport:
+    """The report of an indexed vector ``t``; the slacks are d_i - ((r-2)n/r + i)
+    for 1 <= i < n/r, without any margin."""
+    seq = sorted_degrees(g)
+    first_bad = first_violation(seq, t)
+    base = (r - 2) * g.n
+    slacks = tuple(Fraction(r * (seq[i - 1] - i) - base, r) for i in range(1, (g.n - 1) // r + 1))
     return ConditionReport(
         name,
         satisfied=first_bad is None,
-        vacuous=vacuous,
+        vacuous=not slacks,
         first_violating_index=first_bad,
-        slack_profile=tuple(slacks),
-        detail="index range empty" if vacuous else None,
+        slack_profile=slacks,
+        detail=None if slacks else "index range empty",
     )
 
 
@@ -103,61 +174,41 @@ def check_exact_sequence(g: Graph, r: int) -> ConditionReport:
     Part (b) is evaluated literally at index n/r + 1 even in tiny corner
     cases where part (a)'s range is empty.
     """
+    if r < 2:
+        raise ValueError("r >= 2 required")
     return _exact(g, r, Fraction(0))
 
 
 def _exact(g: Graph, r: int, gamma: Fraction) -> ConditionReport:
     # the condition table's signature; the exact condition has no margin
-    n = g.n
-    if r < 2:
-        raise ValueError("r >= 2 required")
-    if n % r != 0:
-        raise ValueError(f"divisibility violated: r={r} must divide n={n}")
-    seq = degree_sequence(g)
-    alpha = _indexed_check(f"exact(r={r})", seq, r, Fraction(0))
-    beta_index = n // r + 1
-    beta_threshold = Fraction((r - 1) * n, r)
-    beta_ok = beta_index <= n and Fraction(seq[beta_index - 1]) >= beta_threshold
-    satisfied = alpha.satisfied and beta_ok
-    if not alpha.satisfied:
-        first_bad = alpha.first_violating_index
-        detail = "(a) violated"
-    elif not beta_ok:
-        first_bad = beta_index
-        detail = f"(b) violated: d_{beta_index} < {beta_threshold}"
+    t = _exact_thresholds(g.n, r, gamma)
+    report = _indexed_check(f"exact(r={r})", g, r, t)
+    beta_index = g.n // r + 1
+    if report.satisfied:
+        detail = "vacuous (a) range" if report.vacuous else None
+    elif report.first_violating_index == beta_index:
+        detail = f"(b) violated: d_{beta_index} < {t[beta_index - 1]}"
     else:
-        first_bad = None
-        detail = "vacuous (a) range" if alpha.vacuous else None
-    return ConditionReport(
-        f"exact(r={r})",
-        satisfied=satisfied,
-        vacuous=alpha.vacuous,
-        first_violating_index=first_bad,
-        slack_profile=alpha.slack_profile,
-        detail=detail,
-    )
+        detail = "(a) violated"
+    return replace(report, detail=detail)
 
 
 def check_margin_sequence(g: Graph, r: int, gamma) -> ConditionReport:
     """d_i >= (r-2)n/r + i + gamma*n for all i < n/r (strict range)."""
     if r < 2:
         raise ValueError("r >= 2 required")
-    return _indexed_check(
-        f"margin(r={r},gamma={as_fraction(gamma)})",
-        degree_sequence(g),
-        r,
-        as_fraction(gamma),
-    )
+    gamma = as_fraction(gamma)
+    t = _indexed_thresholds(g.n, r, gamma)
+    return _indexed_check(f"margin(r={r},gamma={gamma})", g, r, t)
 
 
 def check_dominant_margin(d: Digraph, r: int, gamma) -> ConditionReport:
     """The digraph analogue over the dominant degree sequence."""
     if r < 2:
         raise ValueError("r >= 2 required")
-    seq, _ = dominant_degree_sequence(d)
-    return _indexed_check(
-        f"dominant-margin(r={r},gamma={as_fraction(gamma)})", seq, r, as_fraction(gamma)
-    )
+    gamma = as_fraction(gamma)
+    t = _indexed_thresholds(d.n, r, gamma)
+    return _indexed_check(f"dominant-margin(r={r},gamma={gamma})", d, r, t)
 
 
 def evaluate(condition: DegreeCondition, g: Graph | Digraph) -> ConditionReport:
@@ -193,23 +244,24 @@ def check_baseline(g: Graph | Digraph, name: str, r: int, gamma=0) -> ConditionR
     return check(g, r, as_fraction(gamma))
 
 
-def _min_degree_check(name: str, g: Graph, threshold: Fraction) -> ConditionReport:
-    seq = degree_sequence(g)
-    delta = Fraction(seq[0]) if seq else Fraction(0)
+def _min_degree_check(name: str, g: Graph, r: int, gamma: Fraction) -> ConditionReport:
+    seq = sorted_degrees(g)
+    first_bad = first_violation(seq, _min_degree_thresholds(g.n, r, gamma))
+    threshold = Fraction((r - 1) * g.n, r) + gamma * g.n
     return ConditionReport(
         name,
-        satisfied=delta >= threshold,
-        first_violating_index=None if delta >= threshold else 1,
-        slack_profile=(delta - threshold,),
+        satisfied=first_bad is None,
+        first_violating_index=first_bad,
+        slack_profile=((seq[0] if seq else 0) - threshold,),
     )
 
 
 def _hajnal_szemeredi(g: Graph, r: int, gamma: Fraction) -> ConditionReport:
-    return _min_degree_check("hajnal-szemeredi", g, Fraction((r - 1) * g.n, r))
+    return _min_degree_check("hajnal-szemeredi", g, r, Fraction(0))
 
 
 def _alon_yuster(g: Graph, r: int, gamma: Fraction) -> ConditionReport:
-    return _min_degree_check("alon-yuster", g, Fraction((r - 1) * g.n, r) + gamma * g.n)
+    return _min_degree_check("alon-yuster", g, r, gamma)
 
 
 def _ore(g: Graph, r: int, gamma: Fraction) -> ConditionReport:
@@ -232,25 +284,17 @@ def _ore(g: Graph, r: int, gamma: Fraction) -> ConditionReport:
 
 
 def _posa(g: Graph, r: int, gamma: Fraction) -> ConditionReport:
-    n = g.n
-    seq = degree_sequence(g)
-    posa_slacks = []
-    posa_bad = None
-    for i in range(1, (n - 2) // 2 + 1):  # exactly the i with i < (n-1)/2
-        posa_slacks.append(Fraction(seq[i - 1] - (i + 1)))
-        if seq[i - 1] < i + 1 and posa_bad is None:
-            posa_bad = i
-    if n % 2 == 1 and n >= 1:
-        mid = (n + 1) // 2
-        posa_slacks.append(Fraction(seq[mid - 1] - mid))
-        if seq[mid - 1] < mid and posa_bad is None:
-            posa_bad = mid
+    seq = sorted_degrees(g)
+    t = _posa_thresholds(g.n, r, gamma)
+    # every checked entry of t is positive, so its slacks are the d_i - t_i with t_i > 0
+    slacks = tuple(Fraction(d - bound) for d, bound in zip(seq, t) if bound)
+    first_bad = first_violation(seq, t)
     return ConditionReport(
         "posa",
-        satisfied=posa_bad is None,
-        vacuous=not posa_slacks,
-        first_violating_index=posa_bad,
-        slack_profile=tuple(posa_slacks),
+        satisfied=first_bad is None,
+        vacuous=not slacks,
+        first_violating_index=first_bad,
+        slack_profile=slacks,
     )
 
 
@@ -264,6 +308,17 @@ _CONDITIONS = {
     "alon-yuster": (Graph, _alon_yuster),
     "ore": (Graph, _ore),
     "posa": (Graph, _posa),
+}
+
+# every condition name but ore: its threshold vector (n, r, gamma), which the
+# checker above of the same name decides by
+_THRESHOLDS = {
+    "exact": _exact_thresholds,
+    "margin": _indexed_thresholds,
+    "dominant-margin": _indexed_thresholds,
+    "hajnal-szemeredi": lambda n, r, gamma: _min_degree_thresholds(n, r, Fraction(0)),
+    "alon-yuster": _min_degree_thresholds,
+    "posa": _posa_thresholds,
 }
 
 # the classical hypotheses, in report order

@@ -33,6 +33,7 @@ from .packing import (
     SearchBudget,
     greedy_packing,
     max_packing,
+    spans_pattern,
     transitive_order,
     verify_parts,
 )
@@ -165,12 +166,19 @@ def swap_improve(
     at an end.
     """
     _require_tournament_packing(d, m, r)
-    return _swap_step(d, m, I)
+    swapped = _swap_step(d, m, I)
+    if swapped is not None:
+        check = verify_parts(d, swapped)
+        assert check.ok, check.reason
+    return swapped
 
 
 def _swap_step(d: Digraph, m: Packing, I: IndexBijection) -> Packing | None:
-    """`swap_improve` on a packing already checked; the swapped packing is
-    verified in full before it is returned."""
+    """`swap_improve` on a packing already checked, without its checks.
+
+    Only the swapped part is checked: it spans its pattern and its incoming
+    vertex was uncovered, so a valid packing stays valid.
+    """
     covered = m.covered_mask()
     uncovered = sorted(
         (v for v in range(d.n) if not covered >> v & 1), key=lambda v: I[v]
@@ -190,10 +198,9 @@ def _swap_step(d: Digraph, m: Packing, I: IndexBijection) -> Packing | None:
                 new_part = tuple(sorted([u for u in part if u != y] + [x]))
                 parts = list(m.parts)
                 parts[pi] = new_part
-                swapped = Packing(m.n, tuple(parts), m.patterns)
-                check = verify_parts(d, swapped)
-                assert check.ok, check.reason
-                return swapped
+                assert not covered >> x & 1
+                assert spans_pattern(d, new_part, m.patterns[pi]) is not None, new_part
+                return Packing(m.n, tuple(parts), m.patterns)
     return None
 
 
@@ -202,9 +209,11 @@ def swap_to_fixpoint(
 ) -> tuple[Packing, int]:
     """Iterate swap_improve until no move remains; returns (packing, steps).
 
-    The input packing is checked once, as swap_improve checks it; each step
-    returns a packing verified in full, so later steps skip that check.
-    Terminates because each move strictly increases a bounded integer sum.
+    The input packing is checked in full once, as swap_improve checks it;
+    each step checks only the part it swaps, which keeps the packing valid,
+    and a packing that any step changed is verified in full once more before
+    it is returned.  Terminates because each move strictly increases a
+    bounded integer sum.
     """
     if I is None:
         I = index_bijection(d)
@@ -213,6 +222,9 @@ def swap_to_fixpoint(
     while True:
         nxt = _swap_step(d, m, I)
         if nxt is None:
+            if steps:
+                check = verify_parts(d, m)
+                assert check.ok, check.reason
             return m, steps
         assert nxt.coverage() == m.coverage()
         m = nxt

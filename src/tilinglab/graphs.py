@@ -564,8 +564,12 @@ def parse_edge_list(text: str) -> Graph | Digraph:
 
 
 def load_graph(path: str) -> Graph | Digraph:
-    """Load a graph from a .json or edge-list file, by extension sniffing."""
-    with open(path, encoding="utf-8") as fh:
+    """Load a graph from a JSON or edge-list file: JSON when the first
+    non-blank character is "{", whatever the extension.
+
+    A UTF-8 byte-order mark at the start is skipped.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -298,6 +298,23 @@ def test_hostile_graph_files_exit_2(tmp_path, capsys, name):
     assert err.startswith("input error: ") and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "name, text",
+    [
+        ("bom.json", '{"kind": "graph", "n": 3, "edges": [[0, 1], [1, 2], [0, 2]]}'),
+        ("bom.txt", "3 3 graph\n0 1\n1 2\n0 2\n"),
+    ],
+)
+def test_graph_file_with_byte_order_mark_loads(tmp_path, capsys, name, text):
+    # a UTF-8 byte-order mark used to send a JSON file to the edge-list parser
+    path = tmp_path / name
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+    out = tmp_path / "p.json"
+    assert main(["pack", str(path), "--pattern", "K3", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["parts"] == [[0, 1, 2]]
+    assert capsys.readouterr().err == ""
+
+
 def test_edge_list_input(tmp_path):
     from tilinglab.graphs import format_edge_list
 
@@ -351,6 +368,37 @@ def test_experiment_dominant_sampler(tmp_path):
                  "--out", str(out)]) == 0
     text = out.read_text()
     assert "found=8" in text
+
+
+@pytest.mark.parametrize(
+    "sampler, gamma, p, pattern",
+    [
+        ("gnp-min-degree", "0", 0.85, "K3"),
+        ("gnp-exact", "0", 0.75, "K3"),
+        ("gnp-margin", "1/24", 0.8, "K3"),
+        ("gnp-dominant", "1/24", 0.7, "T3"),
+    ],
+)
+def test_experiment_accepts_exactly_the_hosts_meeting_the_condition(sampler, gamma, p, pattern):
+    # one attempt per trial, at densities where about half the hosts meet
+    # the condition: the experiment's accept decision, read off the CSV,
+    # must be the report's on the very host the trial drew
+    from tilinglab.cli import _SAMPLERS, ExperimentSpec, _sample, experiment_csv
+    from tilinglab.util import split_seed
+
+    spec = ExperimentSpec(sampler, 12, 3, gamma, p, pattern, 200, 11, max_attempts=1)
+    kind, name = _SAMPLERS[sampler]
+    condition = degseq.DegreeCondition(name, 3, as_fraction(gamma))
+    rows = experiment_csv(spec).strip().split("\n")[1:-1]
+    accepted = []
+    for trial, row in enumerate(rows):
+        g = _sample(random.Random(split_seed(spec.seed, trial, 0)), kind, 12, p)
+        _, _, m, _, conditions, *_ = row.split(",")
+        assert conditions in ("satisfied", "sampling-failed")
+        accepted.append(conditions == "satisfied")
+        assert accepted[-1] == degseq.evaluate(condition, g).satisfied, trial
+        assert m == (str(g.edge_count()) if accepted[-1] else "")
+    assert len(accepted) == 200 and 50 <= sum(accepted) <= 150
 
 
 def test_improve_with_blowup_rounds(tmp_path):

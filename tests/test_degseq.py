@@ -19,7 +19,7 @@ from tilinglab.degseq import (
     check_margin_sequence,
     evaluate,
 )
-from tilinglab.graphs import Graph, degree_sequence, symmetrize
+from tilinglab.graphs import Digraph, Graph, degree_sequence, symmetrize
 
 from oracles import sample_gnp
 
@@ -328,3 +328,73 @@ def test_integer_checks_match_fraction_reference():
             assert exact.satisfied == (first_bad is None and beta_ok)
             if first_bad is not None:
                 assert exact.first_violating_index == first_bad
+
+
+def fraction_first_violation(name, seq, r, gamma):
+    """The first violating index of a threshold condition, from its exact
+    Fraction thresholds, index by index."""
+    n = len(seq)
+    if name in ("margin", "dominant-margin"):
+        return fraction_indexed_fields(seq, r, gamma)[0]
+    if name == "posa":
+        return fraction_posa_fields(seq)[0]
+    if name == "exact":
+        first_bad = fraction_indexed_fields(seq, r, Fraction(0))[0]
+        beta = n // r + 1
+        if first_bad is None and not (
+            beta <= n and Fraction(seq[beta - 1]) >= Fraction((r - 1) * n, r)
+        ):
+            return beta
+        return first_bad
+    margin = gamma * n if name == "alon-yuster" else 0
+    if n and Fraction(seq[0]) < Fraction((r - 1) * n, r) + margin:
+        return 1
+    return None
+
+
+def test_threshold_vectors_match_fraction_reference():
+    # every name but ore decides by its integer vector: the first index with
+    # d_i < t_i must be the Fraction re-scan's, and the report's
+    from oracles import sample_digraph
+
+    from tilinglab import degseq
+    from tilinglab.degseq import check_baseline, first_violation, sorted_degrees
+    from tilinglab.graphs import dominant_degree_sequence
+
+    assert set(degseq._THRESHOLDS) == set(degseq._CONDITIONS) - {"ore"}
+    rng = random.Random("threshold-vectors")
+    seen = set()
+    for _ in range(600):
+        n, r = rng.randint(0, 30), rng.randint(2, 7)
+        gamma = Fraction(rng.randint(-6, 6), rng.randint(1, 40))
+        g = sample_gnp(rng, n, rng.random())
+        d = sample_digraph(rng, n, rng.random())
+        seqs = {Graph: degree_sequence(g), Digraph: dominant_degree_sequence(d)[0]}
+        assert sorted_degrees(g) == seqs[Graph] and sorted_degrees(d) == seqs[Digraph]
+        for name, vector in degseq._THRESHOLDS.items():
+            host_kind = degseq._CONDITIONS[name][0]
+            host, seq = (g if host_kind is Graph else d), seqs[host_kind]
+            if name == "exact" and n % r:
+                with pytest.raises(ValueError, match="divisibility"):
+                    vector(n, r, gamma)
+                with pytest.raises(ValueError, match="divisibility"):
+                    check_baseline(host, name, r, gamma)
+                if n < r:
+                    seen.add("exact refused at n < r")
+                continue
+            t = vector(n, r, gamma)
+            assert all(type(x) is int for x in t)
+            assert len(t) == (1 if name == "exact" and n == 0 else n)
+            if gamma >= 0:
+                assert DegreeCondition(name, r, gamma).thresholds(n) == t
+            first_bad = first_violation(seq, t)
+            assert first_bad == fraction_first_violation(name, seq, r, gamma), (name, n, r)
+            rep = check_baseline(host, name, r, gamma)
+            assert (rep.satisfied, rep.first_violating_index) == (first_bad is None, first_bad)
+            seen.add((name, first_bad is None))
+            if name == "exact" and n <= r:
+                seen.add(f"exact at n={'r' if n else 0}")
+    # both outcomes for every name, and the exact corner cases
+    assert {(name, ok) for name in degseq._THRESHOLDS for ok in (True, False)} <= seen
+    assert {"exact at n=0", "exact at n=r", "exact refused at n < r"} <= seen
+    assert not check_baseline(Graph(0), "exact", 3).satisfied
