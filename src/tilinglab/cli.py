@@ -456,18 +456,11 @@ def run_trial(spec: ExperimentSpec, trial: int) -> dict:
     kind, _ = _SAMPLERS[spec.sampler]
     thresholds = spec._thresholds
     n = spec.n
-    attempts = 0
+    # no host of order n has larger degrees than K_n: if K_n fails the
+    # condition, every sample would, so the trial fails without sampling
+    feasible = thresholds is None or degseq.first_violation([n - 1] * n, thresholds) is None
+    attempts = 0 if feasible else spec.max_attempts
     while True:
-        rng = random.Random(split_seed(spec.seed, trial, attempts))
-        # density schedule: push p upward every 200 rejections, to at most
-        # 0.98 unless p itself is higher
-        p_eff = min(max(spec.p, 0.98), spec.p + 0.05 * (attempts // 200))
-        g = _sample(rng, kind, n, p_eff)
-        attempts += 1
-        if thresholds is None or (
-            degseq.first_violation(degseq.sorted_degrees(g), thresholds) is None
-        ):
-            break
         if attempts >= spec.max_attempts:
             return {
                 "trial": trial,
@@ -479,6 +472,16 @@ def run_trial(spec: ExperimentSpec, trial: int) -> dict:
                 "nodes": 0,
                 "violation": "",
             }
+        rng = random.Random(split_seed(spec.seed, trial, attempts))
+        # density schedule: push p upward every 200 rejections, to at most
+        # 0.98 unless p itself is higher
+        p_eff = min(max(spec.p, 0.98), spec.p + 0.05 * (attempts // 200))
+        g = _sample(rng, kind, n, p_eff)
+        attempts += 1
+        if thresholds is None or (
+            degseq.first_violation(degseq.sorted_degrees(g), thresholds) is None
+        ):
+            break
     budget = packing.SearchBudget(spec.budget_nodes)
     try:
         # a found packing is verified inside find_perfect_packing

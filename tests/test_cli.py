@@ -360,6 +360,37 @@ def test_experiment_accept_rate_counts_accepted_trials(tmp_path):
     assert lines[-1].endswith(",attempts=2,accept-rate=0.0000,")
 
 
+@pytest.mark.parametrize(
+    "sampler, n, r, gamma, pattern",
+    [
+        ("gnp-min-degree", 2, 3, "0", "K2"),  # t_1 = ceil(4/3) = 2 > d_1 <= 1
+        ("gnp-exact", 0, 3, "0", "K3"),  # part (b) reads past the empty sequence
+        ("gnp-margin", 6, 3, "1/2", "K3"),
+        ("gnp-dominant", 3, 2, "1/2", "T2"),
+    ],
+)
+def test_experiment_impossible_condition_fails_without_sampling(monkeypatch, sampler, n, r,
+                                                                 gamma, pattern):
+    # even K_n fails these conditions, so no sample can meet them: every trial
+    # gives the row that max_attempts rejections give, without drawing a host
+    from tilinglab import cli
+    from tilinglab.cli import ExperimentSpec, experiment_csv
+
+    def no_sampling(*args):
+        raise AssertionError("a host was sampled")
+
+    monkeypatch.setattr(cli, "_sample", no_sampling)
+    spec = ExperimentSpec(sampler, n, r, gamma, 0.5, pattern, 3, 1, max_attempts=3000)
+    lines = experiment_csv(spec).strip().split("\n")
+    assert lines[1:-1] == [f"{t},{n},,3000,sampling-failed,no-instance,0," for t in range(3)]
+    assert lines[-1] == ("summary,trials=3,found=0,none=0,exhausted=0,attempts=9000,"
+                         "accept-rate=0.0000,")
+    # a spec that K_n meets still samples
+    feasible = ExperimentSpec(sampler, n + r, r, "0", 0.5, pattern, 3, 1, max_attempts=3000)
+    with pytest.raises(AssertionError, match="a host was sampled"):
+        experiment_csv(feasible)
+
+
 def test_experiment_dominant_sampler(tmp_path):
     out = tmp_path / "d.csv"
     assert main(["experiment", "--sampler", "gnp-dominant", "--n", "6",

@@ -239,6 +239,13 @@ def test_condition_kind_comes_from_the_name():
     for name in ("hajnal-szemeredi", "alon-yuster", "ore", "posa", "exact", "margin"):
         with pytest.raises(ValueError, match=f"condition {name} needs a graph"):
             evaluate(DegreeCondition(name, 3), d)
+    # the public checkers refuse the wrong host kind as well
+    with pytest.raises(ValueError, match="condition exact needs a graph"):
+        check_exact_sequence(d, 3)
+    with pytest.raises(ValueError, match="condition margin needs a graph"):
+        check_margin_sequence(d, 3, 0)
+    with pytest.raises(ValueError, match="condition dominant-margin needs a digraph"):
+        check_dominant_margin(complete_graph(6), 3, 0)
 
 
 def test_evaluate_matches_check_baselines():
@@ -352,16 +359,55 @@ def fraction_first_violation(name, seq, r, gamma):
     return None
 
 
+def fraction_report(name, seq, r, gamma):
+    """The report of a threshold condition with every quantity a Fraction:
+    (its `to_json_obj()`, its slack profile)."""
+    n = len(seq)
+    first_bad = fraction_first_violation(name, seq, r, gamma)
+    label, detail, vacuous = name, None, False
+    if name in ("hajnal-szemeredi", "alon-yuster"):
+        margin = gamma * n if name == "alon-yuster" else 0
+        slacks = (Fraction(seq[0] if n else 0) - (Fraction((r - 1) * n, r) + margin),)
+    else:
+        if name == "posa":
+            slacks = fraction_posa_fields(seq)[1]
+        else:
+            slacks = fraction_indexed_fields(seq, r, gamma)[1]
+        vacuous = not slacks
+        if name == "exact":
+            label, beta = f"exact(r={r})", n // r + 1
+            if first_bad is None:
+                detail = "vacuous (a) range" if vacuous else None
+            elif first_bad == beta:
+                detail = f"(b) violated: d_{beta} < {Fraction((r - 1) * n, r)}"
+            else:
+                detail = "(a) violated"
+        elif name != "posa":
+            label = f"{name}(r={r},gamma={gamma})"
+            detail = "index range empty" if vacuous else None
+    obj = {
+        "name": label,
+        "satisfied": first_bad is None,
+        "vacuous": vacuous,
+        "first_violating_index": first_bad,
+        "slack_min": str(min(slacks)) if slacks else None,
+        "detail": detail,
+    }
+    return obj, slacks
+
+
 def test_threshold_vectors_match_fraction_reference():
     # every name but ore decides by its integer vector: the first index with
-    # d_i < t_i must be the Fraction re-scan's, and the report's
+    # d_i < t_i must be the Fraction re-scan's, and the report's; every
+    # report field must be the Fraction reference's
     from oracles import sample_digraph
 
     from tilinglab import degseq
     from tilinglab.degseq import check_baseline, first_violation, sorted_degrees
     from tilinglab.graphs import dominant_degree_sequence
 
-    assert set(degseq._THRESHOLDS) == set(degseq._CONDITIONS) - {"ore"}
+    vectors = {name: vector for name, (_, vector) in degseq._CONDITIONS.items() if vector}
+    assert set(vectors) == set(degseq._CONDITIONS) - {"ore"}
     rng = random.Random("threshold-vectors")
     seen = set()
     for _ in range(600):
@@ -371,7 +417,7 @@ def test_threshold_vectors_match_fraction_reference():
         d = sample_digraph(rng, n, rng.random())
         seqs = {Graph: degree_sequence(g), Digraph: dominant_degree_sequence(d)[0]}
         assert sorted_degrees(g) == seqs[Graph] and sorted_degrees(d) == seqs[Digraph]
-        for name, vector in degseq._THRESHOLDS.items():
+        for name, vector in vectors.items():
             host_kind = degseq._CONDITIONS[name][0]
             host, seq = (g if host_kind is Graph else d), seqs[host_kind]
             if name == "exact" and n % r:
@@ -382,7 +428,7 @@ def test_threshold_vectors_match_fraction_reference():
                 if n < r:
                     seen.add("exact refused at n < r")
                 continue
-            t = vector(n, r, gamma)
+            t = vector(n, r, gamma)[0]
             assert all(type(x) is int for x in t)
             assert len(t) == (1 if name == "exact" and n == 0 else n)
             if gamma >= 0:
@@ -391,10 +437,19 @@ def test_threshold_vectors_match_fraction_reference():
             assert first_bad == fraction_first_violation(name, seq, r, gamma), (name, n, r)
             rep = check_baseline(host, name, r, gamma)
             assert (rep.satisfied, rep.first_violating_index) == (first_bad is None, first_bad)
+            assert (rep.to_json_obj(), rep.slack_profile) == fraction_report(name, seq, r, gamma)
             seen.add((name, first_bad is None))
+            seen.add((name, rep.detail.split(":")[0] if rep.detail else None))
             if name == "exact" and n <= r:
                 seen.add(f"exact at n={'r' if n else 0}")
     # both outcomes for every name, and the exact corner cases
-    assert {(name, ok) for name in degseq._THRESHOLDS for ok in (True, False)} <= seen
+    assert {(name, ok) for name in vectors for ok in (True, False)} <= seen
     assert {"exact at n=0", "exact at n=r", "exact refused at n < r"} <= seen
+    assert {
+        ("exact", "(a) violated"),
+        ("exact", "(b) violated"),
+        ("exact", "vacuous (a) range"),
+        ("margin", "index range empty"),
+        ("dominant-margin", "index range empty"),
+    } <= seen
     assert not check_baseline(Graph(0), "exact", 3).satisfied

@@ -8,8 +8,10 @@ A settable value is one of:
 * a CLI flag slot: one optional flag on one subcommand of
   ``tilinglab.cli.build_parser()``, ``--help`` excluded.
 
-Usage: ``python tools/count_settables.py`` prints the three counts and their
-total; the total is the last line.  Only the standard library is needed.
+Usage: ``python tools/count_settables.py`` prints the three counts, the
+line count of ``src/tilinglab`` (the other figure every change reports) and
+the settable total; the total is the last line.  Only the standard library
+is needed.
 """
 
 from __future__ import annotations
@@ -52,6 +54,16 @@ def source_counts(package: str = PACKAGE) -> tuple[int, int]:
     return keywords, fields
 
 
+def source_lines(package: str = PACKAGE) -> int:
+    """Lines of the package's Python files, as ``wc -l`` counts them."""
+    lines = 0
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as fh:
+                lines += fh.read().count(b"\n")
+    return lines
+
+
 def flag_slots() -> int:
     """Optional flags over all subcommands, ``--help`` excluded."""
     sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -74,6 +86,7 @@ def main() -> int:
     print(f"keyword defaults: {keywords}")
     print(f"dataclass field defaults: {fields}")
     print(f"CLI flag slots: {flags}")
+    print(f"source lines: {source_lines()}")
     print(f"settable values: {keywords + fields + flags}")
     return 0
 
