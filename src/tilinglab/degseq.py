@@ -186,8 +186,7 @@ def _report(name: str, seq: list[int], r: int, gamma: Fraction, t, den, refs) ->
     first_bad = first_violation(seq, t)
     d = seq or [0]
     nums = [den * d[i - 1] - num for i, num in refs]
-    # an integer slack (den 1) takes Fraction's faster one-argument path
-    slacks = tuple(map(Fraction, nums, repeat(den)) if den > 1 else map(Fraction, nums))
+    slacks = tuple(map(Fraction, nums, repeat(den)))
     label, detail = name, None
     if name == "exact":
         label, beta_index = f"exact(r={r})", len(seq) // r + 1

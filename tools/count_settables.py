@@ -34,14 +34,17 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return False
 
 
-def source_counts(package: str = PACKAGE) -> tuple[int, int]:
-    """(keyword parameters with a default, dataclass fields with a default)."""
-    keywords = fields = 0
+def source_counts(package: str = PACKAGE) -> tuple[int, int, int]:
+    """(keyword parameters with a default, dataclass fields with a default,
+    lines of the package's Python files as ``wc -l`` counts them)."""
+    keywords = fields = lines = 0
     for name in sorted(os.listdir(package)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(package, name)) as fh:
-            tree = ast.parse(fh.read(), name)
+            text = fh.read()
+        lines += text.count("\n")
+        tree = ast.parse(text, name)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 keywords += len(node.args.defaults)
@@ -51,17 +54,7 @@ def source_counts(package: str = PACKAGE) -> tuple[int, int]:
                     isinstance(stmt, ast.AnnAssign) and stmt.value is not None
                     for stmt in node.body
                 )
-    return keywords, fields
-
-
-def source_lines(package: str = PACKAGE) -> int:
-    """Lines of the package's Python files, as ``wc -l`` counts them."""
-    lines = 0
-    for name in os.listdir(package):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name), "rb") as fh:
-                lines += fh.read().count(b"\n")
-    return lines
+    return keywords, fields, lines
 
 
 def flag_slots() -> int:
@@ -81,12 +74,12 @@ def flag_slots() -> int:
 
 
 def main() -> int:
-    keywords, fields = source_counts()
+    keywords, fields, lines = source_counts()
     flags = flag_slots()
     print(f"keyword defaults: {keywords}")
     print(f"dataclass field defaults: {fields}")
     print(f"CLI flag slots: {flags}")
-    print(f"source lines: {source_lines()}")
+    print(f"source lines: {lines}")
     print(f"settable values: {keywords + fields + flags}")
     return 0
 
