@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from dataclasses import dataclass
@@ -384,7 +385,8 @@ class ExperimentSpec:
 
     The per-spec work is done once, here: the pattern is parsed, and a
     conditioned sampler's `DegreeCondition` gives its threshold vector at
-    order n, which every sampled host is compared with.  So a spec the
+    order n, which every sampled host is compared with, and whether K_n
+    meets it (when it does not, no trial samples).  So a spec the
     condition refuses (r < 2, a negative gamma, r not dividing n under
     gnp-exact) fails before any sampling, as does a negative n or a density
     p outside [0, 1] under any sampler.
@@ -421,34 +423,70 @@ class ExperimentSpec:
         if pat.is_digraph != (kind is Digraph):
             raise ValueError(f"pattern {pat.name} needs a {pat.base.kind} sampler")
         thresholds = None
+        feasible = True
         if name is not None:
             condition = degseq.DegreeCondition(name, self.r, Fraction(self.gamma))
             thresholds = condition.thresholds(self.n)
+            # no host of order n has larger degrees than K_n: if K_n fails
+            # the condition, every sample would
+            feasible = degseq.first_violation([self.n - 1] * self.n, thresholds) is None
         object.__setattr__(self, "_pattern", pat)
         object.__setattr__(self, "_thresholds", thresholds)
+        object.__setattr__(self, "_feasible", feasible)
 
 
 def _sample(rng: random.Random, kind: type, n: int, p: float) -> Graph | Digraph:
     """Each pair of a graph, or each ordered pair of a digraph, with probability p.
 
-    Pairs are drawn row by row, each row ascending, one ``rng.random()``
-    per candidate pair; the rows are built as the pairs are drawn.
+    Pairs are decided row by row, each row ascending, exactly as one
+    ``rng.random() < p`` per candidate pair would decide them, and the
+    stream is left in the same state; the draws are taken in bulk.
+
+    This rests on CPython's Mersenne Twister: ``random()`` is K / 2**53 with
+    K = (a >> 5) * 2**26 + (b >> 6), a and b its next two 32-bit outputs, so
+    ``random() < p`` holds exactly when K < t = ceil(p * 2**53); and
+    ``getrandbits(64 * m)`` returns the next 2m outputs, least significant
+    first.  K's top byte is a's, so a pair is decided by a's top byte
+    alone unless it equals t's (about one pair in 256), when the full K is
+    compared.
     """
+    if n < 2:
+        return kind(n)
     directed = kind is Digraph
-    draw = rng.random
-    out = [0] * n
-    inn = [0] * n
-    for i in range(n):
-        row = 0
-        bit = 1 << i
-        for j in range(0 if directed else i + 1, n):
-            if i != j and draw() < p:
-                row |= 1 << j
-                inn[j] |= bit
-        out[i] = row
+    m = n * (n - 1) if directed else n * (n - 1) // 2
+    t = math.ceil(p * 2.0**53)
+    top = t >> 45
+    words = rng.getrandbits(64 * m).to_bytes(8 * m, "little")
+    # b"1" below t's top byte, b"0" above it, b"?" on a tie
+    flags = bytearray(words[3::8].translate((b"1" * top + b"?" + b"0" * 255)[:256]))
+    tie = flags.find(b"?")
+    while tie >= 0:
+        ab = int.from_bytes(words[8 * tie:8 * tie + 8], "little")
+        flags[tie] = ord("1" if (ab & 0xFFFFFFFF) >> 5 << 26 | ab >> 38 < t else "0")
+        tie = flags.find(b"?", tie + 1)
+    # the n x n matrix of flags, row-major, "0" where no pair is drawn
     if directed:
-        return Digraph._from_rows(n, out, inn)
-    return Graph._from_rows(n, [a | b for a, b in zip(out, inn)])
+        # n flags at a time fill the cells between two diagonal cells
+        matrix = b"0".join([b"", *[flags[s:s + n] for s in range(0, m, n)], b""])
+    else:
+        zeros = b"0" * n
+        rows = []
+        s = 0
+        for i in range(1, n + 1):
+            rows.append(zeros[:i] + flags[s:s + n - i])
+            s += n - i
+        matrix = b"".join(rows)
+    # bit i*n + j of out is cell (i, j); of inn, cell (j, i)
+    out = int(matrix[::-1], 2)
+    inn = int(b"".join([matrix[j::n] for j in range(n)])[::-1], 2)
+    mask = (1 << n) - 1
+    starts = range(0, n * n, n)
+    if directed:
+        return Digraph._from_rows(
+            n, [out >> s & mask for s in starts], [inn >> s & mask for s in starts]
+        )
+    adj = out | inn
+    return Graph._from_rows(n, [adj >> s & mask for s in starts])
 
 
 def run_trial(spec: ExperimentSpec, trial: int) -> dict:
@@ -456,10 +494,8 @@ def run_trial(spec: ExperimentSpec, trial: int) -> dict:
     kind, _ = _SAMPLERS[spec.sampler]
     thresholds = spec._thresholds
     n = spec.n
-    # no host of order n has larger degrees than K_n: if K_n fails the
-    # condition, every sample would, so the trial fails without sampling
-    feasible = thresholds is None or degseq.first_violation([n - 1] * n, thresholds) is None
-    attempts = 0 if feasible else spec.max_attempts
+    # a spec that even K_n fails gives up without sampling
+    attempts = 0 if spec._feasible else spec.max_attempts
     while True:
         if attempts >= spec.max_attempts:
             return {

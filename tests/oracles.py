@@ -13,15 +13,19 @@ and asks the library's exact check once per candidate and vertex, so it
 pins down which candidates the absorbing-family builder keeps.  The pair
 checker is the constructors' per-pair loop as it was before their inline
 test: ``check_vertex`` on either end, then the loop test, for every pair.
+The Ore report is the library's pair-by-pair loop as it was before it
+took the least degree sum in integers.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from tilinglab import absorbing
 from tilinglab.constructions import clique_pattern
+from tilinglab.degseq import ConditionReport
 from tilinglab.graphs import Digraph, Graph, GraphFormatError, PatternGraph, check_vertex
 from tilinglab.packing import BudgetExhausted, Packing, SearchBudget, enumerate_copies
 from tilinglab.util import split_seed
@@ -387,3 +391,23 @@ def reference_rows(cls, n: int, pairs) -> tuple[tuple[int, ...], ...]:
     if cls is Graph:
         return (tuple(f | b for f, b in zip(fwd, back)),)
     return tuple(fwd), tuple(back)
+
+
+def reference_ore(g: Graph, r: int) -> ConditionReport:
+    """The Ore report, one Fraction slack per non-adjacent pair."""
+    n = g.n
+    ore_threshold = 2 * Fraction((r - 1) * n, r) - 1
+    ore_worst: Fraction | None = None
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not g.has_edge(u, v):
+                s = Fraction(g.degree(u) + g.degree(v)) - ore_threshold
+                if ore_worst is None or s < ore_worst:
+                    ore_worst = s
+    return ConditionReport(
+        "ore",
+        satisfied=ore_worst is None or ore_worst >= 0,
+        vacuous=ore_worst is None,
+        slack_profile=() if ore_worst is None else (ore_worst,),
+        detail="no non-adjacent pairs" if ore_worst is None else None,
+    )

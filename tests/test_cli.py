@@ -266,6 +266,35 @@ def test_experiment_deterministic(tmp_path):
     assert a.read_bytes() != c.read_bytes()
 
 
+@pytest.mark.parametrize(
+    "sampler, n, gamma, p, pattern, summary, digest",
+    [
+        ("gnp-min-degree", 24, "0", 0.8, "K3",
+         "found=60,none=0,exhausted=0,attempts=343,accept-rate=0.1749,",
+         "7f5c1d887dd5032bfa832b86544672d90b81ec0f7fb89b752ace4990befb6c85"),
+        ("gnp-margin", 24, "1/20", 0.75, "K3",
+         "found=60,none=0,exhausted=0,attempts=230,accept-rate=0.2609,",
+         "8d917513485f6e71c78438fea5a1854a8e1834485e84c1bd6d7518fe2cf01b4d"),
+        ("gnp-dominant", 15, "0", 0.7, "T3",
+         "found=60,none=0,exhausted=0,attempts=61,accept-rate=0.9836,",
+         "c7ace6f3d41cb4f4378f5cf8681a4cbede5813422392da23cb66d2a34e2b58db"),
+    ],
+)
+def test_experiment_bytes_are_pinned(sampler, n, gamma, p, pattern, summary, digest):
+    """The benchmark's three experiment specs at seed 1, 60 trials: the CSV
+    bytes, pinned, so a faster sampler or check must draw and decide the
+    same hosts.  The one planned change that re-pins them is ROADMAP item 1
+    (the `split_seed` fix), which redraws every host."""
+    import hashlib
+
+    from tilinglab.cli import experiment_csv
+
+    text = experiment_csv(dict(sampler=sampler, n=n, r=3, gamma=gamma, p=p,
+                               pattern=pattern, trials=60, seed=1))
+    assert text.strip().split("\n")[-1] == "summary,trials=60," + summary
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_experiment_r2_matchings(tmp_path):
     out = tmp_path / "m.csv"
     assert main(["experiment", "--sampler", "gnp-exact", "--n", "8", "--r", "2",

@@ -13,6 +13,7 @@ from tilinglab.constructions import (
 )
 from tilinglab.degseq import (
     DegreeCondition,
+    check_baseline,
     check_baselines,
     check_dominant_margin,
     check_exact_sequence,
@@ -21,7 +22,7 @@ from tilinglab.degseq import (
 )
 from tilinglab.graphs import Digraph, Graph, degree_sequence, symmetrize
 
-from oracles import sample_gnp
+from oracles import reference_ore, sample_gnp
 
 
 def direct_margin_scan(g, r, gamma):
@@ -266,6 +267,24 @@ def test_evaluate_matches_check_baselines():
             if rep.vacuous:
                 vacuous.add(name)
     assert vacuous == {"ore", "posa"}
+
+
+def test_ore_matches_pairwise_reference():
+    # the least degree sum over non-adjacent pairs, taken in integers, gives
+    # the report the pair-by-pair Fraction loop gives: satisfied, vacuous,
+    # slack and detail
+    rng = random.Random(205)
+    hosts = [Graph(0), Graph(1), Graph(2), Graph(9), complete_graph(1), complete_graph(2),
+             complete_graph(8)]
+    hosts += [sample_gnp(rng, rng.randint(2, 30), rng.uniform(0.0, 1.0)) for _ in range(120)]
+    hosts += [sample_gnp(random.Random(7), 200, 0.8)]
+    outcomes = set()
+    for g in hosts:
+        for r in (2, 3, 4, 5):
+            want = reference_ore(g, r)
+            assert check_baseline(g, "ore", r) == want, (g, r)
+            outcomes.add((want.vacuous, want.satisfied))
+    assert outcomes == {(True, True), (False, True), (False, False)}
 
 
 def fraction_indexed_fields(seq, r, gamma):

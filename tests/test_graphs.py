@@ -1,3 +1,4 @@
+import math
 import random
 from enum import IntEnum
 
@@ -260,26 +261,37 @@ def test_induced_matches_edge_filter():
 
 
 def test_sampled_rows_match_constructor():
-    # the experiment sampler builds rows as it draws; the pairs drawn here
-    # from an identically seeded stream, fed to the constructor, agree, and
-    # both streams end in the same state
+    # the experiment sampler decides each pair as one rng.random() < p
+    # would: the pairs drawn here from an identically seeded stream, fed to
+    # the constructor, agree, and both streams end in the same state.  The
+    # sampler decides most pairs on the draw's top byte, floor(random() *
+    # 256); a draw whose top byte is that of ceil(p * 2**53) is a tie,
+    # decided on the full draw, and ties of both outcomes occur here
     from tilinglab.cli import _sample
 
-    for kind in (Graph, Digraph):
+    ties = {False: 0, True: 0}
+    for kind, big in ((Graph, 24), (Digraph, 15)):
         directed = kind is Digraph
-        for seed in range(12):
-            n = seed % 9
-            p = (0.0, 0.3, 0.7, 1.0)[seed % 4]
-            ours, theirs = random.Random(seed), random.Random(seed)
-            got = _sample(ours, kind, n, p)
-            pairs = [
-                (i, j)
-                for i in range(n)
-                for j in range(0 if directed else i + 1, n)
-                if i != j and theirs.random() < p
-            ]
-            assert_built_like(got, kind(n, pairs))
-            assert ours.getstate() == theirs.getstate()
+        cases = [(n, p) for n in range(9) for p in (0.0, 0.3, 0.7, 1.0)]
+        cases += [(big, p) for p in (0.0, 0.7, 0.75, 0.8, 0.98, 1.0)]
+        for n, p in cases:
+            top = math.ceil(p * 2**53) >> 45
+            for seed in range(12):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                got = _sample(ours, kind, n, p)
+                pairs = []
+                for i in range(n):
+                    for j in range(0 if directed else i + 1, n):
+                        if i == j:
+                            continue
+                        x = theirs.random()
+                        if int(x * 256) == top:
+                            ties[x < p] += 1
+                        if x < p:
+                            pairs.append((i, j))
+                assert_built_like(got, kind(n, pairs))
+                assert ours.getstate() == theirs.getstate()
+    assert ties[False] and ties[True], ties
 
 
 Vertex = IntEnum("Vertex", [(f"V{i}", i) for i in range(12)])
