@@ -4,26 +4,28 @@ This module is the ground-truth oracle of the package: `find_perfect_packing`
 (exhaustive backtracking) and `max_packing` (branch-and-bound) share one
 explicit-stack search branching on the lowest-index uncovered vertex, and
 `is_perfect_packing` re-verifies every structure any other module produces.
-The search remembers the residuals it has finished, keyed by their counts
-in the host's twin classes, so residuals that a permutation of host twins
-maps onto each other are searched once; it finds the same packings, with
-the same verdicts, as a search without the memo.
+The verifier keeps the covered vertices as one bitmask.  The search
+remembers the residuals it has finished, keyed by their counts in the
+host's twin classes, so residuals that a permutation of host twins maps
+onto each other are searched once; it finds the same packings, with the
+same verdicts, as a search without the memo.
 
 A vertex set "spans" a pattern when the host contains the pattern as a
 subgraph on that set (extra edges are fine).  Spanning tests and copy
 enumeration take one of three routes, chosen by the pattern's
 classification: cliques and transitive tournaments keep their own
-mask-based loops, and every other pattern goes through one search over
-the pattern's twin classes (`PatternGraph.twin_classes`), which fills the
-classes of a complete multipartite pattern as it fills any other.  That
-search drops a state as soon as some class allows fewer host vertices than
-it still has room for; such a state has no completion, so the copies and
-their order are those of the search without the check.
+mask-based loops (a clique spans when each vertex's adjacency row holds
+the rest of the set; each enumerator is one flat loop over an explicit
+stack of candidate masks), and every other pattern goes through one
+search over the pattern's twin classes (`PatternGraph.twin_classes`),
+which fills the classes of a complete multipartite pattern as it fills
+any other.  That search drops a state as soon as some class allows fewer
+host vertices than it still has room for; such a state has no completion,
+so the copies and their order are those of the search without the check.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -249,11 +251,28 @@ def _twin_copies(
         yield from extend(_twin_advance(tw, rows, start, through, ~(1 << through)))
 
 
+def _joined(g: Graph, verts: Iterable[int], mask: int) -> bool:
+    """True when every two of ``verts`` (the vertices of ``mask``) are adjacent."""
+    adj = g.adj
+    for u in verts:
+        if adj[u] & mask != mask ^ (1 << u):
+            return False
+    return True
+
+
+def _out_of_range(v: int, n: int) -> ValueError:
+    return ValueError(f"vertex {v} out of range 0..{n - 1}")
+
+
 def spans_pattern(
     host: Graph | Digraph, verts: Sequence[int], pattern: PatternGraph
 ) -> dict[int, int] | None:
-    """Witness mapping if the vertex set spans the pattern, else None."""
+    """Witness mapping if the vertex set spans the pattern, else None.
+
+    Every vertex must be a host vertex (else ValueError)."""
     vs = sorted(set(verts))
+    if vs and (vs[0] < 0 or vs[-1] >= host.n):
+        raise _out_of_range(vs[0] if vs[0] < 0 else vs[-1], host.n)
     if len(vs) != pattern.order:
         return None
     if pattern.is_digraph != isinstance(host, Digraph):
@@ -263,16 +282,13 @@ def spans_pattern(
         if order is None:
             return None
         return {i: v for i, v in enumerate(order)}
-    if pattern.clique_order:
-        for u, v in itertools.combinations(vs, 2):
-            if not host.has_edge(u, v):
-                return None
-        return {i: v for i, v in enumerate(vs)}
-    tw = pattern.twin_classes()
-    rows = arc_rows(host)
     mask = 0
     for v in vs:
         mask |= 1 << v
+    if pattern.clique_order:
+        return {i: v for i, v in enumerate(vs)} if _joined(host, vs, mask) else None
+    tw = pattern.twin_classes()
+    rows = arc_rows(host)
     states = _twin_start(tw, mask)
     for v in vs:
         states = _twin_advance(tw, rows, states, v, -(2 << v))
@@ -301,6 +317,9 @@ def completion_mask(host: Graph | Digraph, pattern: PatternGraph, verts: Sequenc
             f"{pattern.name} is completed from {pattern.order - 1} distinct vertices, "
             f"got {list(verts)}"
         )
+    for v in verts:
+        if not 0 <= v < host.n:
+            raise _out_of_range(v, host.n)
     tw = pattern.twin_classes()
     rows = arc_rows(host)
     states = _twin_start(tw, host.full_mask())
@@ -319,44 +338,74 @@ def completion_mask(host: Graph | Digraph, pattern: PatternGraph, verts: Sequenc
 def _clique_copies(
     g: Graph, r: int, within: int, through: int | None
 ) -> Iterator[tuple[int, ...]]:
-    def extend(current: list[int], cand: int, lo: int) -> Iterator[tuple[int, ...]]:
-        if len(current) == r:
-            yield tuple(sorted(current))
-            return
-        cand &= ~((1 << lo) - 1)
-        for v in bits(cand):
-            current.append(v)
-            yield from extend(current, cand & g.adj[v], v + 1)
-            current.pop()
-
+    """Vertex sets spanning K_r, each exactly once (ids ascending), in
+    depth-first order over ascending vertex ids.  One loop runs the whole
+    search: ``cand`` holds the candidates left at the current level (common
+    neighbours of ``current`` above its last vertex), and ``stack`` holds
+    those left at each level above it."""
+    adj = g.adj
     if through is None:
-        yield from extend([], within, 0)
+        current, cand = [], within
     else:
-        yield from extend([through], within & g.adj[through], 0)
+        current, cand = [through], within & adj[through]
+        if r == 1:
+            yield (through,)
+            return
+    last = r - 1
+    stack: list[int] = []
+    while True:
+        if len(current) == last:
+            while cand:  # every candidate completes a copy
+                low = cand & -cand
+                cand ^= low
+                yield tuple(sorted(current + [low.bit_length() - 1]))
+        elif cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            stack.append(cand)
+            current.append(v)
+            cand &= adj[v]
+            continue
+        if not stack:
+            return
+        cand = stack.pop()
+        current.pop()
 
 
 def _transitive_copies(
     d: Digraph, r: int, within: int, through: int | None
 ) -> Iterator[tuple[int, ...]]:
-    """Vertex sets spanning T_r, each exactly once (ids ascending), pruning
-    any partial set that has already lost orderability."""
-
-    def extend(current: list[int], lo: int) -> Iterator[tuple[int, ...]]:
-        if len(current) == r:
-            yield tuple(sorted(current))
-            return
-        cand = within & ~((1 << lo) - 1)
-        for v in bits(cand):
-            current.append(v)
-            if transitive_order(d, current) is not None:
-                yield from extend(current, v + 1)
-            current.pop()
-
+    """Vertex sets spanning T_r, each exactly once (ids ascending), in
+    depth-first order over ascending vertex ids, pruning any partial set
+    that has already lost orderability.  One loop runs the whole search:
+    ``cand`` holds the candidates left at the current level (the vertices of
+    ``within`` above the last vertex of ``current``), and ``stack`` holds
+    those left at each level above it."""
     if through is None:
-        yield from extend([], 0)
+        current, cand = [], within
     else:
-        within &= ~(1 << through)
-        yield from extend([through], 0)
+        current, cand = [through], within & ~(1 << through)
+        if r == 1:
+            yield (through,)
+            return
+    stack: list[int] = []
+    while True:
+        if cand:
+            low = cand & -cand
+            cand ^= low
+            current.append(low.bit_length() - 1)
+            if transitive_order(d, current) is not None:
+                if len(current) < r:
+                    stack.append(cand)  # the level below tries the same candidates
+                    continue
+                yield tuple(sorted(current))
+            current.pop()
+            continue
+        if not stack:
+            return
+        cand = stack.pop()
+        current.pop()
 
 
 def enumerate_copies(
@@ -369,14 +418,18 @@ def enumerate_copies(
 
     ``through`` restricts to sets containing that vertex, which must be a
     host vertex (else ValueError, at the call); ``within`` is a bitmask
-    restricting the host vertices considered.  No set is yielded twice.  A
-    caller that wants a witness mapping calls `spans_pattern` on the set.
+    restricting the host vertices considered, and its bits outside the host
+    are ignored.  No set is yielded twice.  A caller that wants a witness
+    mapping calls `spans_pattern` on the set.
     """
     if pattern.is_digraph != isinstance(host, Digraph):
         raise ValueError("pattern and host kinds differ")
     if through is not None and not 0 <= through < host.n:
-        raise ValueError(f"vertex {through} out of range 0..{host.n - 1}")
-    mask = host.full_mask() if within is None else within
+        raise _out_of_range(through, host.n)
+    if within is None:
+        mask = host.full_mask()
+    else:  # the search's masks lie inside the host: skip building its full mask
+        mask = within & host.full_mask() if within >> host.n else within
     if pattern.order > host.n or through is not None and not mask >> through & 1:
         return (verts for verts in ())
     if pattern.transitive_order:
@@ -612,29 +665,45 @@ def is_perfect_packing(
     """Check disjointness, coverage, and that each part spans its pattern.
 
     ``universe`` defaults to all host vertices; pass a subset to verify a
-    perfect packing of an induced subgraph (e.g. host[M ∪ W]).
+    perfect packing of an induced subgraph (e.g. host[M ∪ W]).  The
+    covered vertices are one bitmask, and every failure gives the reason of
+    the first vertex or part at fault.
     """
-    target = frozenset(range(host.n)) if universe is None else frozenset(universe)
-    seen: set[int] = set()
+    n = host.n
+    directed = isinstance(host, Digraph)
+    target = range(n) if universe is None else frozenset(universe)
+    covered = 0
     for idx, (part, pat) in enumerate(zip(packing.parts, packing.patterns)):
+        before = covered
         for v in part:
-            if not 0 <= v < host.n:
+            if not 0 <= v < n:
                 return VerifyResult(False, f"part {idx}: vertex {v} out of range")
             if v not in target:
                 return VerifyResult(False, f"part {idx}: vertex {v} outside universe")
-            if v in seen:
+            bit = 1 << v
+            if covered & bit:
                 return VerifyResult(False, f"disjointness violated at vertex {v}")
-            seen.add(v)
+            covered |= bit
         if len(part) != pat.order:
             return VerifyResult(
                 False, f"part {idx}: size {len(part)} != pattern order {pat.order}"
             )
-        if spans_pattern(host, part, pat) is None:
+        # the part's vertices are distinct host vertices: test spanning on them directly
+        if pat.is_digraph != directed:
+            spans = False
+        elif pat.clique_order:
+            spans = _joined(host, part, covered ^ before)
+        elif pat.transitive_order:
+            spans = transitive_order(host, part) is not None
+        else:
+            spans = spans_pattern(host, part, pat) is not None
+        if not spans:
             return VerifyResult(
                 False, f"part {idx}: {tuple(part)} does not span {pat.name}"
             )
-    if seen != target:
-        missing = sorted(target - seen)
+    # every covered vertex is in the target, so equal counts mean equal sets
+    if covered.bit_count() != len(target):
+        missing = sorted(set(target).difference(bits(covered)))
         return VerifyResult(False, f"coverage violated: {missing} uncovered")
     return VerifyResult(True)
 

@@ -14,7 +14,13 @@ pins down which candidates the absorbing-family builder keeps.  The pair
 checker is the constructors' per-pair loop as it was before their inline
 test: ``check_vertex`` on either end, then the loop test, for every pair.
 The Ore report is the library's pair-by-pair loop as it was before it
-took the least degree sum in integers.
+took the least degree sum in integers.  The recursive clique and
+transitive-tournament enumerators are the library's copy loops as they
+were before they became one flat loop each, and the reference verifier is
+`is_perfect_packing` as it was before it kept the covered vertices as a
+bitmask: it gives every `VerifyResult` reason, tests a clique part pair
+by pair with ``has_edge`` and leaves every other part to the library's
+`spans_pattern`.
 """
 
 from __future__ import annotations
@@ -26,8 +32,16 @@ from fractions import Fraction
 from tilinglab import absorbing
 from tilinglab.constructions import clique_pattern
 from tilinglab.degseq import ConditionReport
-from tilinglab.graphs import Digraph, Graph, GraphFormatError, PatternGraph, check_vertex
-from tilinglab.packing import BudgetExhausted, Packing, SearchBudget, enumerate_copies
+from tilinglab.graphs import Digraph, Graph, GraphFormatError, PatternGraph, bits, check_vertex
+from tilinglab.packing import (
+    BudgetExhausted,
+    Packing,
+    SearchBudget,
+    VerifyResult,
+    enumerate_copies,
+    spans_pattern,
+    transitive_order,
+)
 from tilinglab.util import split_seed
 
 
@@ -411,3 +425,77 @@ def reference_ore(g: Graph, r: int) -> ConditionReport:
         slack_profile=() if ore_worst is None else (ore_worst,),
         detail="no non-adjacent pairs" if ore_worst is None else None,
     )
+
+
+def reference_clique_copies(g: Graph, r: int, within: int, through: int | None):
+    """The sets spanning K_r by nested generators, one per level."""
+
+    def extend(current, cand, lo):
+        if len(current) == r:
+            yield tuple(sorted(current))
+            return
+        cand &= ~((1 << lo) - 1)
+        for v in bits(cand):
+            current.append(v)
+            yield from extend(current, cand & g.adj[v], v + 1)
+            current.pop()
+
+    if through is None:
+        yield from extend([], within, 0)
+    else:
+        yield from extend([through], within & g.adj[through], 0)
+
+
+def reference_transitive_copies(d: Digraph, r: int, within: int, through: int | None):
+    """The sets spanning T_r by nested generators, one per level, each
+    partial set kept only while it is still orderable."""
+
+    def extend(current, lo):
+        if len(current) == r:
+            yield tuple(sorted(current))
+            return
+        cand = within & ~((1 << lo) - 1)
+        for v in bits(cand):
+            current.append(v)
+            if transitive_order(d, current) is not None:
+                yield from extend(current, v + 1)
+            current.pop()
+
+    if through is None:
+        yield from extend([], 0)
+    else:
+        within &= ~(1 << through)
+        yield from extend([through], 0)
+
+
+def reference_is_perfect_packing(host, packing: Packing, universe=None) -> VerifyResult:
+    """Disjointness, coverage and spanning, checked vertex by vertex and part
+    by part, with the first failure's reason."""
+    target = frozenset(range(host.n)) if universe is None else frozenset(universe)
+    seen: set[int] = set()
+    for idx, (part, pat) in enumerate(zip(packing.parts, packing.patterns)):
+        for v in part:
+            if not 0 <= v < host.n:
+                return VerifyResult(False, f"part {idx}: vertex {v} out of range")
+            if v not in target:
+                return VerifyResult(False, f"part {idx}: vertex {v} outside universe")
+            if v in seen:
+                return VerifyResult(False, f"disjointness violated at vertex {v}")
+            seen.add(v)
+        if len(part) != pat.order:
+            return VerifyResult(
+                False, f"part {idx}: size {len(part)} != pattern order {pat.order}"
+            )
+        vs = sorted(set(part))
+        if pat.clique_order and len(vs) == pat.order and isinstance(host, Graph):
+            spans = all(host.has_edge(u, v) for u, v in itertools.combinations(vs, 2))
+        else:
+            spans = spans_pattern(host, part, pat) is not None
+        if not spans:
+            return VerifyResult(
+                False, f"part {idx}: {tuple(part)} does not span {pat.name}"
+            )
+    if seen != target:
+        missing = sorted(target - seen)
+        return VerifyResult(False, f"coverage violated: {missing} uncovered")
+    return VerifyResult(True)

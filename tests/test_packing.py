@@ -1,3 +1,4 @@
+import enum
 import itertools
 import random
 import tracemalloc
@@ -42,8 +43,11 @@ from oracles import (
     oracle_max_coverage,
     oracle_perfect_decision,
     raw_pairs,
+    reference_clique_copies,
+    reference_is_perfect_packing,
     reference_max_packing,
     reference_perfect_packing,
+    reference_transitive_copies,
     sample_digraph,
     sample_gnp,
     sample_tournament,
@@ -141,6 +145,10 @@ def test_enumerate_copies_match_oracle(pattern):
             assert len(got) == len(set(got))
             assert got == sorted(got) == want
             found += len(got)
+            # bits at or above n, even the endless ones of a negative mask, are ignored
+            for high in (1 << host.n + 40, -1 << host.n):
+                wide = (host.full_mask() if w is None else w) | high
+                assert list(enumerate_copies(host, pattern, through=t, within=wide)) == got
     assert found > 0
     # a vertex outside the host is an error; one only masked out has no copy
     for bad in (-1, host.n):
@@ -152,6 +160,31 @@ def test_enumerate_copies_match_oracle(pattern):
     other = Graph(2) if pattern.is_digraph else Digraph(2)
     with pytest.raises(ValueError, match="kinds differ"):
         list(enumerate_copies(other, pattern))
+
+
+def test_flat_copy_loops_match_recursive_reference():
+    """The one-loop clique and transitive-tournament enumerators yield the
+    sets of the nested-generator ones, in the same order, for every r from
+    1 to 5, every ``through`` and with and without a random ``within``."""
+    rng = random.Random(19)
+    cases = copies = 0
+    for n in range(15):
+        for p in (0.2, 0.5, 0.8, 0.95):
+            g, d = sample_gnp(rng, n, p), sample_digraph(rng, n, p)
+            for r in range(1, 6):
+                for within in (g.full_mask(), rng.getrandbits(n), rng.getrandbits(n)):
+                    for through in [None, *(v for v in range(n) if within >> v & 1)]:
+                        for host, flat, recursive in (
+                            (g, packing._clique_copies, reference_clique_copies),
+                            (d, packing._transitive_copies, reference_transitive_copies),
+                        ):
+                            got = list(flat(host, r, within, through))
+                            assert got == list(recursive(host, r, within, through)), (
+                                n, p, r, within, through, host.kind
+                            )
+                            cases += 1
+                            copies += len(got)
+    assert cases > 10_000 and copies > 100_000
 
 
 @pytest.mark.parametrize("pattern", TWIN_PATTERNS, ids=lambda pat: pat.name)
@@ -298,6 +331,14 @@ def test_completion_mask_matches_spanning_scan(pattern):
     for bad in (list(range(h)), [0] * max(h - 1, 2)):
         with pytest.raises(ValueError, match="distinct vertices"):
             completion_mask(host, pattern, bad)
+    # a vertex outside the host is refused and named, not wrapped to the last
+    # row or failing on a negative shift
+    for bad in (-1, host.n):
+        verts = list(range(h - 2)) + [bad]
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            completion_mask(host, pattern, verts)
+        with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
+            spans_pattern(host, verts + [h - 2], pattern)
 
 
 def test_transitive_order_helper():
@@ -351,6 +392,109 @@ def test_verifier_violations():
     nonspan = Packing.uniform(5, [(0, 1, 3)], pat)
     res = is_perfect_packing(C5, nonspan, universe=(0, 1, 3))
     assert not res.ok and "span" in res.reason
+
+
+class _Vertex(enum.IntEnum):
+    ONE = 1
+
+
+def _planted(rng, n, tagged, p, drop=None):
+    """A host of order n carrying each pattern on its part (pattern vertex i
+    on the part's vertex i) and extra pairs at density p.  Given ``drop``, a
+    planted pair of the first part, the host misses that pair and has no
+    extra pair inside the first part."""
+    directed = tagged[0][1].is_digraph
+    first = tagged[0][0] if drop else ()
+    pairs = {
+        (u, v)
+        for u in range(n)
+        for v in range(n)
+        if u != v and (directed or u < v) and rng.random() < p
+        and not (u in first and v in first)
+    }
+    for part, pat in tagged:
+        base = pat.base.arcs if directed else pat.base.edges
+        pairs.update((part[a], part[b]) for a, b in base)
+    if drop is not None:
+        pairs -= {drop} if directed else {drop, drop[::-1]}
+    return Digraph(n, pairs) if directed else Graph(n, pairs)
+
+
+def _corrupted(n, parts, pats):
+    """(label, parts, patterns, universe) variants of a valid packing."""
+    first, last = parts[0], parts[-1]
+    yield "valid", parts, pats, None
+    yield "valid, every vertex as universe", parts, pats, list(range(n))
+    yield "valid parts of a subset", parts[:-1], pats[:-1], [v for p in parts[:-1] for v in p]
+    yield "a part twice", parts + [first], pats + [pats[0]], None
+    yield "overlapping parts", parts[:-1] + [(first[0],) + last[1:]], pats, None
+    yield "a vertex repeated in a part", [(first[0],) + first[:-1]] + parts[1:], pats, None
+    for bad in (n, -1):
+        yield "a vertex out of range", [first[:-1] + (bad,)] + parts[1:], pats, None
+    one = [tuple(True if v == 1 else v for v in p) for p in parts]
+    yield "a bool vertex", one, pats, None
+    enum_one = [tuple(_Vertex.ONE if v == 1 else v for v in p) for p in parts]
+    yield "an IntEnum vertex", enum_one, pats, None
+    yield "a part too small", [first[:-1]] + parts[1:], pats, None
+    yield "a part too big", [first + (n,)] + parts[1:], pats, None
+    yield "an uncovered vertex", parts[:-1], pats[:-1], None
+    yield "a vertex outside the universe", parts, pats, [v for p in parts[1:] for v in p]
+    swapped = [v for p in parts[:-1] for v in p if v != first[0]] + [last[0]]
+    yield "a vertex outside a universe of its size", parts[:-1], pats[:-1], swapped
+    yield "a universe vertex outside the host", parts, pats, list(range(n + 1))
+
+
+def test_verifier_matches_detailed_reference():
+    """The bitmask verifier gives the result of the set-based verifier,
+    reason included, on valid and corrupted uniform and mixed packings of
+    K_r, T_r and twin-class patterns, with and without a universe."""
+    rng = random.Random(619)
+    k2, k3, k4 = clique_pattern(2), clique_pattern(3), clique_pattern(4)
+    t2, t3, t4 = transitive_pattern(2), transitive_pattern(3), transitive_pattern(4)
+    c3 = TWIN_PATTERNS[2]
+    families = [
+        [k2], [k3], [k4], [t3], [t4], [pattern_from_name("K2,2")], [pattern_from_name("K1,2")],
+        [c3], [k3, pattern_from_name("K2,2"), k2], [t4, t3, c3, t2],
+    ]
+    outcomes = {}
+    for family in families:
+        for p in (0.0, 0.3):
+            pats = [rng.choice(family) for _ in range(rng.randint(2, 4))]
+            n = sum(pat.order for pat in pats)
+            order = list(range(n))
+            rng.shuffle(order)
+            parts, at = [], 0
+            for pat in pats:
+                parts.append(tuple(order[at:at + pat.order]))
+                at += pat.order
+            tagged = list(zip(parts, pats))
+            hosts = [_planted(rng, n, tagged, p)]
+            base0 = pats[0].base
+            a, b = min(base0.arcs if base0.kind == "digraph" else base0.edges)
+            hosts.append(_planted(rng, n, tagged, p, drop=(parts[0][a], parts[0][b])))
+            other = transitive_pattern(pats[0].order) if not pats[0].is_digraph else (
+                clique_pattern(pats[0].order)
+            )
+            variants = list(_corrupted(n, parts, pats))
+            variants.append(("a pattern of the other kind", parts, [other] + pats[1:], None))
+            for h, host in enumerate(hosts):
+                for label, vparts, vpats, universe in variants:
+                    packing_ = Packing(n, tuple(vparts), tuple(vpats))
+                    got = is_perfect_packing(host, packing_, universe)
+                    want = reference_is_perfect_packing(host, packing_, universe)
+                    assert got == want, (label, [pat.name for pat in pats], h)
+                    if universe is None:
+                        assert verify_parts(host, packing_) == reference_is_perfect_packing(
+                            host, packing_, packing_.covered()
+                        ), (label, h)
+                    outcomes.setdefault((label, h), set()).add(got.ok)
+    # the valid packings pass on their own host and fail without one pair
+    for label in ("valid", "valid, every vertex as universe", "valid parts of a subset"):
+        assert outcomes[label, 0] == {True} and outcomes[label, 1] == {False}
+    broken = ("a part", "a pattern", "overlapping", "a vertex", "an uncovered", "a universe")
+    for label, h in outcomes:
+        if label.startswith(broken):
+            assert outcomes[label, h] == {False}, label
 
 
 def test_solver_agrees_with_partition_oracle():
