@@ -8,7 +8,14 @@ and absorbing families serialize to JSON; traces and experiments to CSV.
 
 Exit codes: 0 success/found/satisfied, 1 condition not satisfied or
 refutation found, 2 input error, 3 proven NONE / construction failure,
-4 budget exhausted.
+4 budget exhausted.  There is one error boundary: a subcommand raises on
+bad input, and `main` alone turns any `ValueError` or `OSError` (an
+unreadable or malformed file, a bad pattern or parameter, an unwritable
+`--out`) into one "input error: ..." line on stderr and exit 2; argparse's
+own usage errors exit 2 as well.  Codes 1, 3 and 4 are verdicts, which
+each subcommand returns itself: 3 for a proven NONE (`pack`, `path`) or a
+failed construction (`absorbfam`, `absorb`, `pipeline`), 4 when the node
+budget ran out (`pack`, `maxpack`, `improve`, `experiment`).
 
 Experiment CSVs contain only deterministic fields (search-node counts as
 the cost measure, never wall-clock), so one seed always produces
@@ -26,13 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import absorbing, constructions, degseq, exchange, packing
-from .graphs import (
-    Digraph,
-    Graph,
-    GraphFormatError,
-    graph_to_json,
-    load_graph,
-)
+from .graphs import Digraph, Graph, graph_to_json, load_graph
 from .util import split_seed
 
 EXIT_OK = 0
@@ -60,29 +61,16 @@ def _say(args, message: str) -> None:
 def _load(path: str):
     try:
         return load_graph(path)
-    except (OSError, GraphFormatError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
     except MemoryError:  # e.g. a vertex count whose rows cannot be allocated
-        print(f"input error: {path} is too large to load", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
-
-
-def _pattern(name: str):
-    try:
-        return constructions.pattern_from_name(name)
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        raise ValueError(f"{path} is too large to load") from None
 
 
 def _host_and_pattern(args):
-    """The host file and the pattern; exits 2 when their kinds differ."""
+    """The host file and the pattern; ValueError when their kinds differ."""
     g = _load(args.file)
-    pat = _pattern(args.pattern)
+    pat = constructions.pattern_from_name(args.pattern)
     if pat.is_digraph != isinstance(g, Digraph):
-        print(f"input error: pattern {pat.name} needs a {pat.base.kind} host", file=sys.stderr)
-        raise SystemExit(EXIT_INPUT)
+        raise ValueError(f"pattern {pat.name} needs a {pat.base.kind} host")
     return g, pat
 
 
@@ -120,39 +108,28 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 def cmd_gen(args) -> int:
     preset = args.preset
-    try:
-        if preset == "tr":
-            g = constructions.transitive_tournament(args.r)
-        elif preset == "kr-power":
-            g = constructions.pattern_power("K", args.r, args.t)
-        elif preset == "tr-power":
-            g = constructions.pattern_power("T", args.r, args.t)
-        elif preset == "hs-tight":
-            if args.n is None:
-                raise ValueError("hs-tight needs --n")
-            g = constructions.hs_tight_instance(args.r, args.n)
-        elif preset == "extremal-square":
-            if args.n is None:
-                raise ValueError("extremal-square needs --n")
-            parts = _int_list(args.parts) if args.parts else tuple([2] * args.r)
-            stars = _int_list(args.stars) if args.stars else ()
-            params = constructions.ExtremalParams(
-                args.r, parts, args.n, args.C, stars
-            )
-            inst = constructions.extremal_instance(params)
-            g = inst.graph
-            _say(
-                args,
-                "classes: "
-                + " ".join(f"|V_{i+1}|={len(c)}" for i, c in enumerate(inst.classes))
-                + f"; stars: {[len(s) for s in inst.stars]}; v={inst.v}",
-            )
-        else:
-            print(f"unknown preset {preset!r}", file=sys.stderr)
-            return EXIT_INPUT
-    except (ValueError, constructions.ExtremalParamError) as exc:
-        print(f"parameter error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    if preset in ("hs-tight", "extremal-square") and args.n is None:
+        raise ValueError(f"{preset} needs --n")
+    if preset == "tr":
+        g = constructions.transitive_tournament(args.r)
+    elif preset == "kr-power":
+        g = constructions.pattern_power("K", args.r, args.t)
+    elif preset == "tr-power":
+        g = constructions.pattern_power("T", args.r, args.t)
+    elif preset == "hs-tight":
+        g = constructions.hs_tight_instance(args.r, args.n)
+    else:  # extremal-square: argparse's choices admit no other preset
+        parts = _int_list(args.parts) if args.parts else tuple([2] * args.r)
+        stars = _int_list(args.stars) if args.stars else ()
+        params = constructions.ExtremalParams(args.r, parts, args.n, args.C, stars)
+        inst = constructions.extremal_instance(params)
+        g = inst.graph
+        _say(
+            args,
+            "classes: "
+            + " ".join(f"|V_{i+1}|={len(c)}" for i, c in enumerate(inst.classes))
+            + f"; stars: {[len(s) for s in inst.stars]}; v={inst.v}",
+        )
     _write(args.out, graph_to_json(g))
     return EXIT_OK
 
@@ -167,15 +144,11 @@ _CONDITION_ALIASES = {"hs": "hajnal-szemeredi", "ay": "alon-yuster", "dominant":
 def cmd_check(args) -> int:
     g = _load(args.file)
     reports = []
-    try:
-        for name in args.condition.split(","):
-            name = name.strip()
-            reports.append(
-                degseq.check_baseline(g, _CONDITION_ALIASES.get(name, name), args.r, args.gamma)
-            )
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    for name in args.condition.split(","):
+        name = name.strip()
+        reports.append(
+            degseq.check_baseline(g, _CONDITION_ALIASES.get(name, name), args.r, args.gamma)
+        )
     if args.format == "json":
         _write(args.out, json.dumps([r.to_json_obj() for r in reports], indent=2))
     else:
@@ -227,16 +200,11 @@ def cmd_maxpack(args) -> int:
 def cmd_improve(args) -> int:
     g = _load(args.file)
     if not isinstance(g, Digraph):
-        print("input error: improvement loop runs on digraphs", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        res = exchange.blowup_iterate(
-            g, args.r, args.z, args.gamma,
-            budget=_budget(args), seed_policy=args.seed_policy,
-        )
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ValueError("improvement loop runs on digraphs")
+    res = exchange.blowup_iterate(
+        g, args.r, args.z, args.gamma,
+        budget=_budget(args), seed_policy=args.seed_policy,
+    )
     _write(args.out, exchange.trace_to_csv(res.trace))
     _say(args, f"final coverage {res.packing.coverage()}/{res.packing.n}")
     return EXIT_BUDGET if res.seed_optimal is False else EXIT_OK
@@ -247,13 +215,9 @@ def cmd_improve(args) -> int:
 
 def cmd_path(args) -> int:
     g, pat = _host_and_pattern(args)
-    try:
-        path = absorbing.find_connecting_path(
-            g, pat, args.x, args.y, args.t, beta_count=args.beta_count
-        )
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    path = absorbing.find_connecting_path(
+        g, pat, args.x, args.y, args.t, beta_count=args.beta_count
+    )
     if path is None:
         _say(args, "no connecting path found (search exhausted)")
         return EXIT_NONE
@@ -280,9 +244,6 @@ def cmd_absorbfam(args) -> int:
             rng_seed=args.seed,
             max_gadgets=args.max_gadgets,
         )
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except absorbing.FamilyConstructionError as exc:
         _say(args, f"construction failed: {exc}")
         return EXIT_NONE
@@ -307,11 +268,7 @@ def cmd_absorb(args) -> int:
         print(f"input error: bad family file: {exc}", file=sys.stderr)
         return EXIT_INPUT
     diag: dict = {}
-    try:
-        result = absorbing.absorb(g, pat, fam, _int_list(args.w), diagnostics=diag)
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    result = absorbing.absorb(g, pat, fam, _int_list(args.w), diagnostics=diag)
     if result is None:
         _say(args, f"absorption failed: {diag.get('reason', 'unknown')}")
         return EXIT_NONE
@@ -321,18 +278,14 @@ def cmd_absorb(args) -> int:
 
 def cmd_pipeline(args) -> int:
     g, pat = _host_and_pattern(args)
-    try:
-        res = absorbing.pipeline(
-            g,
-            pat,
-            t=args.t,
-            sample_size=args.sample_size,
-            rng_seed=args.seed,
-            max_gadgets=args.max_gadgets,
-        )
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    res = absorbing.pipeline(
+        g,
+        pat,
+        t=args.t,
+        sample_size=args.sample_size,
+        rng_seed=args.seed,
+        max_gadgets=args.max_gadgets,
+    )
     if not res.success:
         _say(args, f"pipeline failed at stage {res.stage}: {res.diagnostics}")
         return EXIT_NONE
@@ -345,11 +298,7 @@ def cmd_pipeline(args) -> int:
 
 def cmd_certify(args) -> int:
     g, pat = _host_and_pattern(args)
-    try:
-        res = constructions.certify_uncoverable(g, args.vertex, pat)
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    res = constructions.certify_uncoverable(g, args.vertex, pat)
     if res.uncoverable:
         _say(
             args,
@@ -580,22 +529,18 @@ def experiment_csv(spec: "ExperimentSpec | dict", jobs: int = 1) -> str:
 
 
 def cmd_experiment(args) -> int:
-    try:
-        spec = ExperimentSpec(
-            sampler=args.sampler,
-            n=args.n,
-            r=args.r,
-            gamma=str(args.gamma),
-            p=args.p,
-            pattern=args.pattern,
-            trials=args.trials,
-            seed=args.seed,
-            budget_nodes=args.budget_nodes,
-            max_attempts=args.max_attempts,
-        )
-    except ValueError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    spec = ExperimentSpec(
+        sampler=args.sampler,
+        n=args.n,
+        r=args.r,
+        gamma=str(args.gamma),
+        p=args.p,
+        pattern=args.pattern,
+        trials=args.trials,
+        seed=args.seed,
+        budget_nodes=args.budget_nodes,
+        max_attempts=args.max_attempts,
+    )
     csv_text = experiment_csv(spec, jobs=args.jobs)
     _write(args.out, csv_text)
     tail = csv_text.strip().rsplit("\n", 1)[-1]
@@ -737,10 +682,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the one place an input failure becomes exit 2."""
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except GraphFormatError as exc:
+    except (OSError, ValueError) as exc:  # GraphFormatError is a ValueError
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SystemExit as exc:  # in-process calls get the code, not the raise

@@ -318,30 +318,40 @@ class ExpandResult:
     seed_optimal: bool | None
 
 
+def _swap_and_extend(
+    d: Digraph, r: int, gamma, m: Packing, rnd: int, phase: str, trace: list[TraceRow]
+) -> Packing:
+    """One expansion round from the seed ``m``: exchanges to a fixpoint,
+    then upgrades.  Appends the seed row (labelled ``phase``) and one row
+    per step to ``trace``, and returns the expanded packing."""
+    trace.append(TraceRow(rnd, phase, m.coverage(), d.n))
+    m, steps = swap_to_fixpoint(d, r, m)
+    trace.append(TraceRow(rnd, f"swap[{steps}]", m.coverage(), d.n))
+    extended = extend_mixed(d, r, m, gamma)
+    if extended is not None:
+        m = extended
+    trace.append(TraceRow(rnd, "extend", m.coverage(), d.n))
+    return m
+
+
 def expand_coverage(
     d: Digraph,
     r: int,
     gamma,
     budget: SearchBudget | None = None,
     seed_policy: str = "auto",
-    seed_packing: Packing | None = None,
-    round_index: int = 0,
 ) -> ExpandResult:
     """Seed packing -> exchange fixpoint -> upgrades, with coverage trace.
 
     The seed is an exact maximum packing for small hosts ("auto" with
     n <= 15, or "max") and a greedy maximal packing otherwise.
-    ``seed_optimal`` is None for a greedy or given seed, and False when
-    the budget cut the exact seed search short.  The trace is
-    nondecreasing: no phase ever loses coverage.
+    ``seed_optimal`` is None for a greedy seed, and False when the budget
+    cut the exact seed search short.  The trace is nondecreasing: no phase
+    ever loses coverage.
     """
     gamma = as_fraction(gamma)
-    trace: list[TraceRow] = []
     seed_optimal: bool | None = None
-    if seed_packing is not None:
-        m = seed_packing
-        phase = "seed:given"
-    elif seed_policy == "max" or (seed_policy == "auto" and d.n <= 15):
+    if seed_policy == "max" or (seed_policy == "auto" and d.n <= 15):
         res = max_packing(d, transitive_pattern(r), budget)
         m = res.packing
         seed_optimal = res.optimal
@@ -352,16 +362,8 @@ def expand_coverage(
     else:
         raise ValueError(f"unknown seed policy {seed_policy!r}")
     seed_cov = m.coverage()
-    trace.append(TraceRow(round_index, phase, seed_cov, d.n))
-
-    m, steps = swap_to_fixpoint(d, r, m)
-    trace.append(TraceRow(round_index, f"swap[{steps}]", m.coverage(), d.n))
-
-    extended = extend_mixed(d, r, m, gamma)
-    if extended is not None:
-        m = extended
-    trace.append(TraceRow(round_index, "extend", m.coverage(), d.n))
-
+    trace: list[TraceRow] = []
+    m = _swap_and_extend(d, r, gamma, m, 0, phase, trace)
     return ExpandResult(
         packing=m,
         trace=trace,
@@ -432,34 +434,14 @@ def blowup_iterate(
     """
     if z < 0:
         raise ValueError("z >= 0 required")
-    trace: list[TraceRow] = []
-    proportions: list[Fraction] = []
-    res = expand_coverage(
-        d,
-        r,
-        gamma,
-        budget=budget,
-        seed_policy=seed_policy,
-        round_index=0,
-    )
-    seed_optimal = res.seed_optimal
-    host, m = d, res.packing
-    trace.extend(res.trace)
-    proportions.append(Fraction(m.coverage(), host.n))
+    res = expand_coverage(d, r, gamma, budget=budget, seed_policy=seed_policy)
+    host, m, trace = d, res.packing, res.trace
+    proportions = [Fraction(m.coverage(), host.n)]
     for rnd in range(1, z + 1):
         if m.coverage() == host.n:
             break
         host, m = convert_to_blowup_packing(host, m, r)
         trace.append(TraceRow(rnd, "blowup", m.coverage(), host.n))
-        res = expand_coverage(
-            host,
-            r,
-            gamma,
-            budget=budget,
-            seed_packing=m,
-            round_index=rnd,
-        )
-        m = res.packing
-        trace.extend(res.trace)
+        m = _swap_and_extend(host, r, gamma, m, rnd, "seed:given", trace)
         proportions.append(Fraction(m.coverage(), host.n))
-    return BlowupResult(host, m, proportions, trace, seed_optimal)
+    return BlowupResult(host, m, proportions, trace, res.seed_optimal)

@@ -676,6 +676,8 @@ def is_perfect_packing(
     for idx, (part, pat) in enumerate(zip(packing.parts, packing.patterns)):
         before = covered
         for v in part:
+            if v is True or v is False:  # a bool is no vertex, as in graphs.check_vertex
+                return VerifyResult(False, f"part {idx}: vertex {v!r} is not an integer")
             if not 0 <= v < n:
                 return VerifyResult(False, f"part {idx}: vertex {v} out of range")
             if v not in target:

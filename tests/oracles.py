@@ -475,6 +475,8 @@ def reference_is_perfect_packing(host, packing: Packing, universe=None) -> Verif
     seen: set[int] = set()
     for idx, (part, pat) in enumerate(zip(packing.parts, packing.patterns)):
         for v in part:
+            if isinstance(v, bool):
+                return VerifyResult(False, f"part {idx}: vertex {v!r} is not an integer")
             if not 0 <= v < host.n:
                 return VerifyResult(False, f"part {idx}: vertex {v} out of range")
             if v not in target:

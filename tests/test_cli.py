@@ -538,7 +538,46 @@ def test_experiment_default_budget(tmp_path):
 def test_gen_missing_n_is_input_error(tmp_path, capsys):
     assert main(["gen", "hs-tight", "--r", "3", "--quiet"]) == 2
     assert main(["gen", "extremal-square", "--r", "3", "--quiet"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().err == (
+        "input error: hs-tight needs --n\ninput error: extremal-square needs --n\n"
+    )
+
+
+def test_unwritable_out_is_input_error(tmp_path, capsys):
+    """Every subcommand that writes answers an --out in a missing directory
+    with exit 2 and one input-error line, and writes its output otherwise."""
+    from tilinglab.constructions import transitive_tournament
+
+    k12 = write_graph(tmp_path, "k12.json", complete_graph(12))
+    t6 = write_graph(tmp_path, "t6.json", transitive_tournament(6))
+    fam = tmp_path / "fam.json"
+    build_family = ["absorbfam", k12, "--pattern", "K3", "--seed", "5",
+                    "--sample-size", "80", "--max-gadgets", "3"]
+    assert main(build_family + ["--out", str(fam)]) == 0
+    w = sorted(set(range(12)) - set(json.loads(fam.read_text())["M"]))[:3]
+    writers = [
+        ["gen", "tr", "--r", "3"],
+        ["check", k12, "--r", "3", "--format", "json"],
+        ["pack", k12, "--pattern", "K3"],
+        ["maxpack", k12, "--pattern", "K3"],
+        ["improve", t6, "--r", "3"],
+        ["path", k12, "--pattern", "K3", "--x", "0", "--y", "11", "--t", "2"],
+        build_family,
+        ["absorb", k12, "--pattern", "K3", "--family", str(fam), "--w", ",".join(map(str, w))],
+        ["pipeline", k12, "--pattern", "K3", "--seed", "3"],
+        ["experiment", "--n", "6", "--pattern", "K3", "--trials", "2", "--seed", "1"],
+    ]
+    missing = tmp_path / "missing" / "x"
+    for argv in writers:
+        assert main(argv + ["--quiet", "--out", str(missing)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("input error: ") and "Traceback" not in err, argv
+        assert str(missing) in err, argv
+        out = tmp_path / "out"
+        assert main(argv + ["--quiet", "--out", str(out)]) == 0, argv
+        assert out.read_text(), argv
+        out.unlink()
+    assert not missing.parent.exists()
 
 
 def test_gen_hs_tight(tmp_path):

@@ -489,9 +489,10 @@ def test_verifier_matches_detailed_reference():
                         ), (label, h)
                     outcomes.setdefault((label, h), set()).add(got.ok)
     # the valid packings pass on their own host and fail without one pair
-    for label in ("valid", "valid, every vertex as universe", "valid parts of a subset"):
+    valid = ("valid", "valid, every vertex as universe", "valid parts of a subset", "an IntEnum vertex")
+    for label in valid:
         assert outcomes[label, 0] == {True} and outcomes[label, 1] == {False}
-    broken = ("a part", "a pattern", "overlapping", "a vertex", "an uncovered", "a universe")
+    broken = ("a part", "a pattern", "overlapping", "a vertex", "a bool", "an uncovered", "a universe")
     for label, h in outcomes:
         if label.startswith(broken):
             assert outcomes[label, h] == {False}, label
