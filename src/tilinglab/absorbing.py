@@ -10,15 +10,15 @@ host[X ∪ {w}] has a perfect packing.
 The absorbing family is built by randomized greedy selection of disjoint
 candidate gadgets, scored by how many sampled vertex pairs they absorb on
 both sides, and every absorption performed later is re-verified exactly by
-the solver.  A gadget of t*h-1 vertices plus one vertex is a single pattern
-copy when t = 1, so a candidate is then scored from one completion mask
-(`packing.completion_mask`: every vertex that completes it to a copy) in
-place of one spanning test per sampled vertex; for t >= 2 the gadget plus
-a vertex must be packed, and each sampled vertex takes an exact search,
-made only when the pair's other endpoint was absorbed.  The family keeps a
-multiple of |pattern| many gadgets so that the idle part of the family
-always has the right divisibility, and the union is solver-checked for a
-perfect packing at build time.
+the solver.  One test, `_absorbed`, answers which vertices a gadget
+absorbs, for scoring and for absorption alike.  A gadget of t*h-1 vertices
+plus one vertex is a single pattern copy when t = 1, so the answer is then
+one completion mask (`packing.completion_mask`: every vertex that completes
+it to a copy); for t >= 2 the gadget plus a vertex must be packed, and each
+vertex asked about takes an exact search.  The family keeps a multiple
+of |pattern| many gadgets so that the idle part of the family always has
+the right divisibility, and the union is solver-checked for a perfect
+packing at build time.
 
 `pipeline` chains family construction, an almost-perfect packing of the
 rest of the host (greedy plus the exchange engine where the pattern is a
@@ -191,27 +191,28 @@ def auxiliary_graph(
 def _aux_paths(
     aux: Graph, x: int, y: int, t: int
 ) -> Iterator[tuple[int, ...]]:
-    """Simple x-y paths with exactly t edges, in lexicographic DFS order."""
+    """Simple x-y paths with exactly t edges, in lexicographic DFS order.
 
+    One loop runs the search: ``stack`` holds, per vertex of ``path``, an
+    iterator over its neighbours not yet tried."""
+    if t < 1:
+        return
     path = [x]
     used = {x}
-
-    def rec() -> Iterator[tuple[int, ...]]:
-        if len(path) == t + 1:
-            if path[-1] == y:
-                yield tuple(path)
-            return
-        for u in aux.neighbors(path[-1]):
-            if u in used or (u == y and len(path) != t):
-                continue
+    stack = [iter(aux.neighbors(x))]
+    while stack:
+        u = next(stack[-1], None)
+        if u is None:
+            stack.pop()
+            used.remove(path.pop())
+        elif u in used or (u == y) != (len(path) == t):
+            continue
+        elif len(path) == t:
+            yield (*path, u)
+        else:
             path.append(u)
             used.add(u)
-            yield from rec()
-            path.pop()
-            used.remove(u)
-
-    if t >= 1:
-        yield from rec()
+            stack.append(iter(aux.neighbors(u)))
 
 
 def find_connecting_path(
@@ -226,7 +227,7 @@ def find_connecting_path(
 
     Walks the auxiliary graph for x-y paths of length t, then lifts each
     one to vertex-disjoint connector blocks by backtracking over the
-    connector streams.
+    connector streams, one stream per block placed and one for the next.
     """
     if x == y:
         raise ValueError("endpoints must differ")
@@ -238,23 +239,20 @@ def find_connecting_path(
     for waypoints in _aux_paths(aux, x, y, t):
         forbidden = set(waypoints)
         blocks: list[tuple[int, ...]] = []
-
-        def lift(i: int) -> bool:
-            if i == t:
-                return True
-            a, b = waypoints[i], waypoints[i + 1]
-            for block in length1_connectors(host, pattern, a, b):
-                if any(v in forbidden for v in block):
-                    continue
+        streams = [length1_connectors(host, pattern, x, waypoints[1])]
+        while streams and len(blocks) < t:
+            block = next(streams[-1], None)
+            if block is None:
+                streams.pop()
+                if blocks:
+                    forbidden.difference_update(blocks.pop())
+            elif not any(v in forbidden for v in block):
                 blocks.append(block)
                 forbidden.update(block)
-                if lift(i + 1):
-                    return True
-                blocks.pop()
-                forbidden.difference_update(block)
-            return False
-
-        if lift(0):
+                i = len(blocks)
+                if i < t:
+                    streams.append(length1_connectors(host, pattern, waypoints[i], waypoints[i + 1]))
+        if blocks:
             path = HPath(pattern, tuple(blocks), waypoints)
             check = is_h_path(host, path)
             assert check.ok, check.reason
@@ -463,6 +461,26 @@ def _perfect_on_subset(
     return [tuple(sorted(mapping[v] for v in part)) for part in packing.parts]
 
 
+def _absorbed(
+    host: Graph | Digraph, pattern: PatternGraph, verts: tuple[int, ...], among: int
+) -> int:
+    """Mask of the vertices w of ``among``, outside ``verts``, for which
+    host[verts + (w,)] packs perfectly.  When ``verts`` misses one vertex of
+    a single copy this is one completion mask; otherwise each such w takes
+    one exact search."""
+    for v in verts:
+        among &= ~(1 << v)
+    if not among:
+        return 0
+    if len(verts) == pattern.order - 1:
+        return completion_mask(host, pattern, verts) & among
+    fits = 0
+    for w in bits(among):
+        if _perfect_on_subset(host, pattern, verts + (w,)) is not None:
+            fits |= 1 << w
+    return fits
+
+
 def is_absorbing_for(
     host: Graph | Digraph,
     pattern: PatternGraph,
@@ -542,15 +560,13 @@ def build_absorbing_family(
 
     Candidates are (t*h-1)-sets drawn with per-index derived sub-seeds;
     overlapping candidates are discarded and a survivor becomes a gadget
-    when it absorbs both endpoints of at least one sampled pair.  At t = 1
-    a candidate absorbs w exactly when w is in its completion mask, one
-    twin-class search over the host per candidate.  At t >= 2 each answer
-    is an exact search on the candidate plus w, cached, and a pair's second
-    endpoint is asked only when the first is absorbed: a mask would need
-    that search for every host vertex.  Fails
-    loudly when too few disjoint gadgets survive or when the union has no
-    perfect packing under the verification budget.  A ``t``,
-    ``sample_size`` or given ``max_gadgets`` below 1 is a ValueError.
+    when it absorbs both endpoints of at least one sampled pair.  Each
+    candidate is asked once about all the sampled endpoints (`_absorbed`):
+    at t = 1 that is one twin-class search over the host, at t >= 2 one
+    exact search per endpoint outside the candidate.  Fails loudly when
+    too few disjoint gadgets survive or when the union has no perfect
+    packing under the verification budget.  A ``t``, ``sample_size`` or
+    given ``max_gadgets`` below 1 is a ValueError.
     """
     _check_family_counts(t, sample_size, max_gadgets)
     n = host.n
@@ -567,24 +583,11 @@ def build_absorbing_family(
         "max_gadgets": max_gadgets,
         "pair_sample_size": _PAIR_SAMPLES,
     }
-    pairs = []
-    seen_pairs = set()
-    for j in range(_PAIR_SAMPLES):
-        rng = random.Random(split_seed(rng_seed, 2, j))
-        pair = tuple(sorted(rng.sample(range(n), 2)))
-        if pair not in seen_pairs:
-            seen_pairs.add(pair)
-            pairs.append(pair)
-
-    absorb_cache: dict[tuple[tuple[int, ...], int], bool] = {}
-
-    def absorbs(verts: tuple[int, ...], w: int) -> bool:
-        key = (verts, w)
-        if key not in absorb_cache:
-            absorb_cache[key] = (
-                _perfect_on_subset(host, pattern, verts + (w,)) is not None
-            )
-        return absorb_cache[key]
+    pairs = list(dict.fromkeys(  # distinct, in the order drawn
+        tuple(sorted(random.Random(split_seed(rng_seed, 2, j)).sample(range(n), 2)))
+        for j in range(_PAIR_SAMPLES)
+    ))
+    endpoints = sum(1 << v for v in set().union(*pairs))
 
     gadgets: list[AbsorbingGadget] = []
     used_mask = 0
@@ -600,16 +603,8 @@ def build_absorbing_family(
             cmask |= 1 << v
         if cmask & used_mask:
             continue
-        if t == 1:
-            fits = completion_mask(host, pattern, cand)
-            hit = sum(fits >> a & fits >> b & 1 for a, b in pairs)
-        else:
-            hit = 0
-            for a, b in pairs:
-                if a in cand or b in cand:
-                    continue
-                if absorbs(cand, a) and absorbs(cand, b):
-                    hit += 1
+        fits = _absorbed(host, pattern, cand, endpoints)
+        hit = sum(fits >> a & fits >> b & 1 for a, b in pairs)
         if hit >= _PAIR_THRESHOLD:
             gadgets.append(AbsorbingGadget(cand, hit))
             used_mask |= cmask
@@ -680,68 +675,59 @@ def absorb(
         )
         return None
 
-    # which gadget can take which vertex, verified exactly by the solver
-    feasible: dict[int, list[tuple[int, list[tuple[int, ...]]]]] = {}
-    for v in w:
-        options = []
-        for gi, gadget in enumerate(fam.gadgets):
-            local = _perfect_on_subset(host, pattern, gadget.verts + (v,))
-            if local is not None:
-                options.append((gi, local))
-        if not options:
+    # which gadgets can take each vertex, verified exactly by the solver
+    wmask = sum(1 << v for v in w)
+    fits = [_absorbed(host, pattern, g.verts, wmask) for g in fam.gadgets]
+    options = [[gi for gi, f in enumerate(fits) if f >> v & 1] for v in w]
+    for v, gis in zip(w, options):
+        if not gis:
             notes["reason"] = f"no gadget absorbs vertex {v}"
             return None
-        feasible[v] = options
 
-    # backtracking over injective assignments, then pack the idle remainder;
-    # configuration attempts are capped so a refusal is a diagnostic, not a
-    # nonexistence proof
-    attempts = 0
+    # depth-first over injective assignments, w[i] to gadget chosen[i] with
+    # ``levels[i]`` iterating the gadgets left for w[i]; a leaf packs the
+    # idle gadgets jointly.  Leaves are capped so a refusal at the cap is a
+    # diagnostic, not a nonexistence proof
     max_attempts = 500
-    assignment: dict[int, tuple[int, list[tuple[int, ...]]]] = {}
-    taken: set[int] = set()
-
-    def assign(idx: int) -> Packing | None:
-        nonlocal attempts
-        if idx == len(w):
+    attempts = 0
+    chosen: list[int] = []
+    levels = [iter(options[0])] if w else []
+    idle = None
+    while True:
+        if len(chosen) == len(w):
             attempts += 1
             if attempts > max_attempts:
-                return None
+                break
             idle_verts = sorted(
-                u
-                for gi, gadget in enumerate(fam.gadgets)
-                if gi not in taken
-                for u in gadget.verts
+                u for gi, g in enumerate(fam.gadgets) if gi not in chosen for u in g.verts
             )
-            parts: list[tuple[int, ...]] = []
-            for _, local in assignment.values():
-                parts.extend(local)
-            if idle_verts:
-                idle = _perfect_on_subset(host, pattern, idle_verts)
-                if idle is None:
-                    return None
-                parts.extend(idle)
-            return Packing.uniform(host.n, parts, pattern)
-        v = w[idx]
-        for gi, local in feasible[v]:
-            if gi in taken or attempts > max_attempts:
-                continue
-            taken.add(gi)
-            assignment[v] = (gi, local)
-            result = assign(idx + 1)
-            if result is not None:
-                return result
-            taken.discard(gi)
-            del assignment[v]
-        return None
-
-    packing = assign(0)
-    if packing is None:
-        notes["reason"] = (
-            f"no gadget assignment with a packable idle remainder found "
-            f"within {max_attempts} configurations"
+            idle = _perfect_on_subset(host, pattern, idle_verts) if idle_verts else []
+            if idle is not None or not w:
+                break
+            chosen.pop()
+        gi = next((gi for gi in levels[-1] if gi not in chosen), None)
+        if gi is not None:
+            chosen.append(gi)
+            if len(chosen) < len(w):
+                levels.append(iter(options[len(chosen)]))
+            continue
+        levels.pop()
+        if not levels:
+            break
+        chosen.pop()
+    if idle is None:
+        notes["reason"] = "no gadget assignment with a packable idle remainder " + (
+            f"found within {max_attempts} configurations"
+            if attempts > max_attempts
+            else f"exists: the search tried all {attempts} configurations"
         )
         return None
+    parts = [
+        part
+        for v, gi in zip(w, chosen)
+        for part in _perfect_on_subset(host, pattern, fam.gadgets[gi].verts + (v,))
+    ]
+    packing = Packing.uniform(host.n, parts + idle, pattern)
     check = is_perfect_packing(host, packing, universe=m | set(w))
     assert check.ok, check.reason
     notes["used_gadgets"] = len(w)

@@ -15,13 +15,12 @@ subgraph on that set (extra edges are fine).  Spanning tests and copy
 enumeration take one of three routes, chosen by the pattern's
 classification: cliques and transitive tournaments keep their own
 mask-based loops (a clique spans when each vertex's adjacency row holds
-the rest of the set; each enumerator is one flat loop over an explicit
-stack of candidate masks), and every other pattern goes through one
-search over the pattern's twin classes (`PatternGraph.twin_classes`),
-which fills the classes of a complete multipartite pattern as it fills
+the rest of the set), and every other pattern goes through one search
+over the pattern's twin classes (`PatternGraph.twin_classes`), which fills the classes of a complete multipartite pattern as it fills
 any other.  That search drops a state as soon as some class allows fewer
 host vertices than it still has room for; such a state has no completion,
 so the copies and their order are those of the search without the check.
+Each of the three enumerators is one flat loop over an explicit stack.
 """
 
 from __future__ import annotations
@@ -220,35 +219,42 @@ def _twin_copies(
     The classes of a state may allow the same vertices, so a partial set is
     also cut when the union of all allowed masks is too small to finish it.
     A full class allows nothing, so at the last level that union is exactly
-    the set of completing vertices.
+    the set of completing vertices.  One loop runs the whole search, one
+    level per pass: ``cand`` holds the candidates left at the current level
+    (none once it is cut or finished), and ``stack`` holds the states and
+    candidates left at each level above it.
     """
     tw = pattern.twin_classes()
     rows = arc_rows(host)
     h = pattern.order
+    states = _twin_start(tw, within)
     current: list[int] = []
-
-    def extend(states: dict[object, _TwinState]) -> Iterator[tuple[int, ...]]:
+    if through is not None:
+        current.append(through)
+        states = _twin_advance(tw, rows, states, through, ~(1 << through))
+    stack: list[tuple[dict[object, _TwinState], int]] = []
+    while True:
         cand = 0
         for _, masks, _ in states.values():
             for m in masks:
                 cand |= m
         if len(current) + cand.bit_count() < h:
-            return
-        if len(current) == h - 1:
+            cand = 0
+        elif len(current) == h - 1:
             for v in bits(cand):
                 yield tuple(sorted(current + [v]))
-            return
-        for v in bits(cand):
-            current.append(v)
-            yield from extend(_twin_advance(tw, rows, states, v, -(2 << v)))
+            cand = 0
+        while not cand and stack:
+            states, cand = stack.pop()
             current.pop()
-
-    if through is None:
-        yield from extend(_twin_start(tw, within))
-    else:
-        current.append(through)
-        start = _twin_start(tw, within)
-        yield from extend(_twin_advance(tw, rows, start, through, ~(1 << through)))
+        if not cand:
+            return
+        low = cand & -cand
+        cand ^= low
+        v = low.bit_length() - 1
+        stack.append((states, cand))
+        current.append(v)
+        states = _twin_advance(tw, rows, states, v, -(2 << v))
 
 
 def _joined(g: Graph, verts: Iterable[int], mask: int) -> bool:

@@ -20,24 +20,43 @@ were before they became one flat loop each, and the reference verifier is
 `is_perfect_packing` as it was before it kept the covered vertices as a
 bitmask: it gives every `VerifyResult` reason, tests a clique part pair
 by pair with ``has_edge`` and leaves every other part to the library's
-`spans_pattern`.
+`spans_pattern`.  The recursive twin-class enumerator is `_twin_copies`
+as it was before it became one flat loop, over the library's twin states.
+The reference absorption is `absorb` as it was before it shared one
+absorption test with the family builder and ran its assignment search as
+one loop: a table of local packings per vertex and gadget, and a
+recursive search over assignments.  `recursion_room` lowers the
+interpreter's recursion limit, so a search that recurses once per level
+fails fast on a small instance.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
+import sys
 from fractions import Fraction
 
 from tilinglab import absorbing
 from tilinglab.constructions import clique_pattern
 from tilinglab.degseq import ConditionReport
-from tilinglab.graphs import Digraph, Graph, GraphFormatError, PatternGraph, bits, check_vertex
+from tilinglab.graphs import (
+    Digraph,
+    Graph,
+    GraphFormatError,
+    PatternGraph,
+    arc_rows,
+    bits,
+    check_vertex,
+)
 from tilinglab.packing import (
     BudgetExhausted,
     Packing,
     SearchBudget,
     VerifyResult,
+    _twin_advance,
+    _twin_start,
     enumerate_copies,
     spans_pattern,
     transitive_order,
@@ -501,3 +520,119 @@ def reference_is_perfect_packing(host, packing: Packing, universe=None) -> Verif
         missing = sorted(target - seen)
         return VerifyResult(False, f"coverage violated: {missing} uncovered")
     return VerifyResult(True)
+
+
+def reference_twin_copies(host, pattern: PatternGraph, within: int, through: int | None):
+    """The sets spanning a pattern of the twin-class search by nested
+    generators, one per level, over the library's twin states."""
+    tw = pattern.twin_classes()
+    rows = arc_rows(host)
+    h = pattern.order
+
+    def extend(current, states):
+        cand = 0
+        for _, masks, _ in states.values():
+            for m in masks:
+                cand |= m
+        if len(current) + cand.bit_count() < h:
+            return
+        if len(current) == h - 1:
+            for v in bits(cand):
+                yield tuple(sorted(current + [v]))
+            return
+        for v in bits(cand):
+            current.append(v)
+            yield from extend(current, _twin_advance(tw, rows, states, v, -(2 << v)))
+            current.pop()
+
+    start = _twin_start(tw, within)
+    if through is None:
+        yield from extend([], start)
+    else:
+        yield from extend(
+            [through], _twin_advance(tw, rows, start, through, ~(1 << through))
+        )
+
+
+def reference_absorb(host, pattern: PatternGraph, fam, W) -> tuple[Packing | None, str | None]:
+    """`absorb` on valid input by a table of local packings and a recursive
+    assignment search capped at 500 leaves: the packing and None, or None
+    and the reason."""
+    w = sorted(W)
+    if len(w) > fam.capacity():
+        return None, f"capacity exceeded: |W|={len(w)} > {fam.capacity()} gadgets"
+    feasible = {}
+    for v in w:
+        options = []
+        for gi, gadget in enumerate(fam.gadgets):
+            local = absorbing._perfect_on_subset(host, pattern, gadget.verts + (v,))
+            if local is not None:
+                options.append((gi, local))
+        if not options:
+            return None, f"no gadget absorbs vertex {v}"
+        feasible[v] = options
+    attempts = 0
+    max_attempts = 500
+    assignment = {}
+    taken = set()
+
+    def assign(idx):
+        nonlocal attempts
+        if idx == len(w):
+            attempts += 1
+            if attempts > max_attempts:
+                return None
+            idle_verts = sorted(
+                u for gi, gadget in enumerate(fam.gadgets) if gi not in taken for u in gadget.verts
+            )
+            parts = []
+            for _, local in assignment.values():
+                parts.extend(local)
+            if idle_verts:
+                idle = absorbing._perfect_on_subset(host, pattern, idle_verts)
+                if idle is None:
+                    return None
+                parts.extend(idle)
+            return Packing.uniform(host.n, parts, pattern)
+        v = w[idx]
+        for gi, local in feasible[v]:
+            if gi in taken or attempts > max_attempts:
+                continue
+            taken.add(gi)
+            assignment[v] = (gi, local)
+            result = assign(idx + 1)
+            if result is not None:
+                return result
+            taken.discard(gi)
+            del assignment[v]
+        return None
+
+    found = assign(0)
+    if found is not None:
+        return found, None
+    if attempts > max_attempts:
+        return None, (
+            "no gadget assignment with a packable idle remainder found "
+            f"within {max_attempts} configurations"
+        )
+    return None, (
+        "no gadget assignment with a packable idle remainder exists: "
+        f"the search tried all {attempts} configurations"
+    )
+
+
+@contextlib.contextmanager
+def recursion_room(frames: int):
+    """Run the block with the recursion limit ``frames`` above the depth
+    of the caller, restoring the old limit afterwards."""
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)

@@ -7,6 +7,7 @@ import pytest
 
 from tilinglab.absorbing import (
     AbsorbingFamily,
+    AbsorbingGadget,
     FamilyConstructionError,
     HPath,
     _perfect_on_subset,
@@ -38,7 +39,13 @@ from tilinglab.degseq import check_margin_sequence
 from tilinglab.graphs import Digraph, Graph, symmetrize
 from tilinglab.packing import find_perfect_packing, is_perfect_packing
 
-from oracles import reference_absorbing_family, sample_digraph, sample_gnp, sample_tournament
+from oracles import (
+    reference_absorb,
+    reference_absorbing_family,
+    sample_digraph,
+    sample_gnp,
+    sample_tournament,
+)
 
 
 def test_is_h_path_examples():
@@ -378,6 +385,62 @@ def test_absorb_scenarios():
         absorb(k30, pat, fam30, outside[:2])
     with pytest.raises(ValueError, match="intersects"):
         absorb(k30, pat, fam30, sorted(fam30.M)[:3])
+
+
+@pytest.mark.parametrize("name,t,n,p", [
+    ("K3", 1, 24, 0.75), ("K3", 2, 30, 0.85),
+    ("T3", 1, 24, 0.8), ("T3", 2, 30, 0.9),
+    ("K2,2", 1, 32, 0.75), ("K2,2", 2, 48, 0.9),
+])
+def test_absorb_matches_recursive_reference(name, t, n, p):
+    """Packings and reasons are those of the table of local packings and the
+    recursive assignment search, for |W| of 0, h and 2h, on hosts of falling
+    density (the sparser ones leave vertices no gadget absorbs)."""
+    pattern = pattern_from_name(name)
+    h = pattern.order
+    rng = random.Random(f"absorb:{name}:{t}")
+    outcomes = set()
+    for i in range(4):
+        q = p - 0.1 * i
+        host = sample_digraph(rng, n, q) if pattern.is_digraph else sample_gnp(rng, n, q)
+        try:
+            fam = build_absorbing_family(host, pattern, t=t, sample_size=100, rng_seed=i)
+        except FamilyConstructionError:
+            continue
+        rest = sorted(set(range(n)) - fam.M)
+        for size in (0, h, 2 * h):
+            for _ in range(2):
+                W = rng.sample(rest, size)
+                diag = {}
+                got = absorb(host, pattern, fam, W, diagnostics=diag)
+                want, reason = reference_absorb(host, pattern, fam, W)
+                assert diag.get("reason") == reason
+                assert (got and got.parts) == (want and want.parts)
+                outcomes.add((size, got is not None))
+    assert {(0, True), (h, True)} <= outcomes and any(not ok for _, ok in outcomes)
+
+
+@pytest.mark.parametrize("count,reason", [
+    (9, "found within 500 configurations"),
+    (8, "exists: the search tried all 336 configurations"),
+])
+def test_absorb_reason_tells_the_cap_from_an_exhausted_search(count, reason):
+    """W = {0, 1, 2} and gadgets that are edges joined to all of W, with no
+    edge between gadgets: every gadget absorbs every vertex of W, and the
+    idle gadgets never pack.  9 gadgets give 504 assignments, past the
+    cap; 8 give 336, all tried."""
+    edges = []
+    for gi in range(count):
+        a, b = 3 + 2 * gi, 4 + 2 * gi
+        edges += [(a, b), *((w, a) for w in range(3)), *((w, b) for w in range(3))]
+    host = Graph(3 + 2 * count, edges)
+    fam = AbsorbingFamily(
+        tuple(AbsorbingGadget((3 + 2 * gi, 4 + 2 * gi), 0) for gi in range(count)), {}, 0
+    )
+    diag = {}
+    assert absorb(host, clique_pattern(3), fam, [0, 1, 2], diagnostics=diag) is None
+    assert diag["reason"].endswith(reason)
+    assert reference_absorb(host, clique_pattern(3), fam, [0, 1, 2]) == (None, diag["reason"])
 
 
 def test_pipeline_complete_graph():

@@ -165,6 +165,27 @@ def test_path_command(tmp_path):
                  "--t", "1", "--quiet"]) == 3
 
 
+@pytest.mark.parametrize("n,t,code", [(302, 150, 0), (301, 150, 3)])
+def test_path_runs_deeper_than_the_recursion_limit(tmp_path, n, t, code):
+    """K2-paths on a cycle are cycle paths of twice the length.  On C_{2t+2}
+    the one path of length t from 0 to 2 goes the long way round; on
+    C_{2t+1} there is none, and the search walks t levels deep before it
+    says so.  Either way the answer comes with the recursion limit far
+    below t, as a verdict code and not a traceback."""
+    from oracles import recursion_room
+
+    cycle = write_graph(tmp_path, "cycle.json", Graph(n, [(i, (i + 1) % n) for i in range(n)]))
+    out = tmp_path / "path.json"
+    with recursion_room(60):
+        got = main(["path", cycle, "--pattern", "K2", "--x", "0", "--y", "2",
+                    "--t", str(t), "--quiet", "--out", str(out)])
+    assert got == code
+    if code == 0:
+        obj = json.loads(out.read_text())
+        assert obj["connectors"] == [0, *range(n - 2, 0, -2)]
+        assert obj["blocks"] == [[v] for v in range(n - 1, 2, -2)]
+
+
 def test_absorb_family_flow(tmp_path):
     k12 = write_graph(tmp_path, "k12.json", complete_graph(12))
     fam = tmp_path / "fam.json"

@@ -46,8 +46,10 @@ from oracles import (
     reference_clique_copies,
     reference_is_perfect_packing,
     reference_max_packing,
+    recursion_room,
     reference_perfect_packing,
     reference_transitive_copies,
+    reference_twin_copies,
     sample_digraph,
     sample_gnp,
     sample_tournament,
@@ -185,6 +187,40 @@ def test_flat_copy_loops_match_recursive_reference():
                             cases += 1
                             copies += len(got)
     assert cases > 10_000 and copies > 100_000
+
+
+@pytest.mark.parametrize("pattern", TWIN_PATTERNS, ids=lambda pat: pat.name)
+def test_flat_twin_loop_matches_recursive_reference(pattern):
+    """The one-loop twin-class enumerator yields the sets of the
+    nested-generator one, in the same order, for every ``through`` and with
+    and without a random ``within``."""
+    rng = random.Random(f"twin:{pattern.name}")
+    cases = copies = 0
+    for n in range(pattern.order, pattern.order + 6):
+        for p in (0.5, 0.8, 0.95):
+            host = sample_digraph(rng, n, p) if pattern.is_digraph else sample_gnp(rng, n, p)
+            for within in (host.full_mask(), rng.getrandbits(n)):
+                for through in [None, *(v for v in range(n) if within >> v & 1)]:
+                    got = list(packing._twin_copies(host, pattern, within, through))
+                    assert got == list(reference_twin_copies(host, pattern, within, through))
+                    cases += 1
+                    copies += len(got)
+    assert cases > 100 and copies > 0
+
+
+def test_twin_search_runs_deeper_than_the_recursion_limit():
+    """K2^h on its own host K_{h,h} is one copy found 2h levels deep, and
+    the search needs no more frames for it than for a small pattern."""
+    h = 60
+    host, pattern = pattern_power("K", 2, h), pattern_from_name(f"K2^{h}")
+    with recursion_room(40):
+        copies = list(enumerate_copies(host, pattern, through=0))
+        found = find_perfect_packing(host, pattern)
+        cert = certify_uncoverable(host, 0, pattern)
+    everything = tuple(range(2 * h))
+    assert copies == [everything]
+    assert found is not None and found.parts == (everything,)
+    assert not cert.uncoverable and cert.refutation == everything
 
 
 @pytest.mark.parametrize("pattern", TWIN_PATTERNS, ids=lambda pat: pat.name)
