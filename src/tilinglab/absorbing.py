@@ -15,7 +15,9 @@ absorbs, for scoring and for absorption alike.  A gadget of t*h-1 vertices
 plus one vertex is a single pattern copy when t = 1, so the answer is then
 one completion mask (`packing.completion_mask`: every vertex that completes
 it to a copy); for t >= 2 the gadget plus a vertex must be packed, and each
-vertex asked about takes an exact search.  The family keeps a multiple
+vertex asked about takes an exact search.  Every subset question is one
+search of the host within the subset's vertex mask
+(`packing.perfect_parts_within`).  The family keeps a multiple
 of |pattern| many gadgets so that the idle part of the family always has
 the right divisibility, and the union is solver-checked for a perfect
 packing at build time.
@@ -23,13 +25,15 @@ packing at build time.
 `pipeline` chains family construction, an almost-perfect packing of the
 rest of the host (greedy plus the exchange engine where the pattern is a
 clique or transitive tournament), and final absorption of the leftover.
+The rest of the host is the one induced subgraph: the exchange ranks
+vertices by their degrees inside it.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .constructions import clique_pattern, pattern_power, transitive_pattern
 from .graphs import Digraph, Graph, PatternGraph, bits, check_vertex, symmetrize
@@ -40,9 +44,10 @@ from .packing import (
     VerifyResult,
     completion_mask,
     enumerate_copies,
-    find_perfect_packing,
     greedy_packing,
+    greedy_parts,
     is_perfect_packing,
+    perfect_parts_within,
     spans_pattern,
 )
 from .util import split_seed
@@ -445,20 +450,11 @@ _PAIR_THRESHOLD = 1
 _IDLE_BUDGET = 2_000_000
 
 
-def _perfect_on_subset(
-    host: Graph | Digraph,
-    pattern: PatternGraph,
-    verts: Sequence[int],
-    budget: SearchBudget | None = None,
-) -> list[tuple[int, ...]] | None:
-    if len(verts) == pattern.order and pattern.is_digraph == isinstance(host, Digraph):
-        # one part: test the set itself, with no subgraph and no search
-        return None if spans_pattern(host, verts, pattern) is None else [tuple(sorted(verts))]
-    sub, mapping = host.induced(verts)
-    packing = find_perfect_packing(sub, pattern, budget)
-    if packing is None:
-        return None
-    return [tuple(sorted(mapping[v] for v in part)) for part in packing.parts]
+def _mask(verts: Iterable[int]) -> int:
+    m = 0
+    for v in verts:
+        m |= 1 << v
+    return m
 
 
 def _absorbed(
@@ -467,16 +463,16 @@ def _absorbed(
     """Mask of the vertices w of ``among``, outside ``verts``, for which
     host[verts + (w,)] packs perfectly.  When ``verts`` misses one vertex of
     a single copy this is one completion mask; otherwise each such w takes
-    one exact search."""
-    for v in verts:
-        among &= ~(1 << v)
+    one exact search of the host within ``verts`` and w."""
+    vmask = _mask(verts)
+    among &= ~vmask
     if not among:
         return 0
     if len(verts) == pattern.order - 1:
         return completion_mask(host, pattern, verts) & among
     fits = 0
     for w in bits(among):
-        if _perfect_on_subset(host, pattern, verts + (w,)) is not None:
+        if perfect_parts_within(host, pattern, vmask | 1 << w, None) is not None:
             fits |= 1 << w
     return fits
 
@@ -488,13 +484,15 @@ def is_absorbing_for(
     Q: Sequence[int],
 ) -> bool:
     """Accept iff host[S] and host[S ∪ Q] both have perfect packings."""
-    s = set(S)
-    q = set(Q)
+    for v in [*S, *Q]:
+        check_vertex(v, host.n)
+    s = _mask(S)
+    q = _mask(Q)
     if s & q:
-        raise ValueError(f"S and Q intersect: {sorted(s & q)}")
-    if _perfect_on_subset(host, pattern, sorted(s)) is None:
+        raise ValueError(f"S and Q intersect: {list(bits(s & q))}")
+    if perfect_parts_within(host, pattern, s, None) is None:
         return False
-    return _perfect_on_subset(host, pattern, sorted(s | q)) is not None
+    return perfect_parts_within(host, pattern, s | q, None) is not None
 
 
 class FamilyConstructionError(RuntimeError):
@@ -598,9 +596,7 @@ def build_absorbing_family(
         rng = random.Random(split_seed(rng_seed, 1, i))
         cand = tuple(sorted(rng.sample(range(n), gsize)))
         examined += 1
-        cmask = 0
-        for v in cand:
-            cmask |= 1 << v
+        cmask = _mask(cand)
         if cmask & used_mask:
             continue
         fits = _absorbed(host, pattern, cand, endpoints)
@@ -615,16 +611,16 @@ def build_absorbing_family(
             f"too few gadgets survive: examined {examined} candidates, "
             f"needed {h} disjoint gadgets with pair coverage >= {_PAIR_THRESHOLD}"
         )
-    m_verts = sorted(v for g in gadgets for v in g.verts)
+    m_mask = _mask(v for g in gadgets for v in g.verts)
     try:
-        idle = _perfect_on_subset(host, pattern, m_verts, SearchBudget(_IDLE_BUDGET))
+        idle = perfect_parts_within(host, pattern, m_mask, SearchBudget(_IDLE_BUDGET))
     except BudgetExhausted as exc:
         raise FamilyConstructionError(
-            f"idle packing of |M|={len(m_verts)} not verified: {exc}"
+            f"idle packing of |M|={m_mask.bit_count()} not verified: {exc}"
         ) from exc
     if idle is None:
         raise FamilyConstructionError(
-            f"union of {len(gadgets)} gadgets (|M|={len(m_verts)}) admits no "
+            f"union of {len(gadgets)} gadgets (|M|={m_mask.bit_count()}) admits no "
             "perfect packing"
         )
     return AbsorbingFamily(tuple(gadgets), params, rng_seed)
@@ -676,7 +672,7 @@ def absorb(
         return None
 
     # which gadgets can take each vertex, verified exactly by the solver
-    wmask = sum(1 << v for v in w)
+    wmask = _mask(w)
     fits = [_absorbed(host, pattern, g.verts, wmask) for g in fam.gadgets]
     options = [[gi for gi, f in enumerate(fits) if f >> v & 1] for v in w]
     for v, gis in zip(w, options):
@@ -690,6 +686,7 @@ def absorb(
     # diagnostic, not a nonexistence proof
     max_attempts = 500
     attempts = 0
+    gmasks = [_mask(g.verts) for g in fam.gadgets]
     chosen: list[int] = []
     levels = [iter(options[0])] if w else []
     idle = None
@@ -698,10 +695,8 @@ def absorb(
             attempts += 1
             if attempts > max_attempts:
                 break
-            idle_verts = sorted(
-                u for gi, g in enumerate(fam.gadgets) if gi not in chosen for u in g.verts
-            )
-            idle = _perfect_on_subset(host, pattern, idle_verts) if idle_verts else []
+            idle_mask = sum(gm for gi, gm in enumerate(gmasks) if gi not in chosen)
+            idle = perfect_parts_within(host, pattern, idle_mask, None)
             if idle is not None or not w:
                 break
             chosen.pop()
@@ -725,7 +720,7 @@ def absorb(
     parts = [
         part
         for v, gi in zip(w, chosen)
-        for part in _perfect_on_subset(host, pattern, fam.gadgets[gi].verts + (v,))
+        for part in perfect_parts_within(host, pattern, gmasks[gi] | 1 << v, None)
     ]
     packing = Packing.uniform(host.n, parts + idle, pattern)
     check = is_perfect_packing(host, packing, universe=m | set(w))
@@ -750,34 +745,26 @@ def _almost_pack(host: Graph | Digraph, pattern: PatternGraph) -> Packing:
 
     Clique patterns run the exchange on the symmetrized host (a clique is
     exactly a transitive copy there); transitive tournament patterns run
-    it directly.  Other patterns keep the greedy result, re-greedified
-    until inextensible.
+    it directly.  After each exchange run a greedy pass over the uncovered
+    vertices adds parts, until a pass adds none.  Other patterns keep the
+    greedy result, which one pass leaves inextensible.
     """
     from .exchange import swap_to_fixpoint
 
     m = greedy_packing(host, pattern)
-    r = pattern.order
     if pattern.transitive_order:
         dhost = host
-        as_tournament = True
     elif pattern.clique_order and isinstance(host, Graph):
         dhost = symmetrize(host)
-        as_tournament = True
     else:
-        as_tournament = False
-    if not as_tournament:
         return m
+    r = pattern.order
     tr = transitive_pattern(r)
     work = Packing.uniform(host.n, m.parts, tr)
     added = True
     while added:
         work, _ = swap_to_fixpoint(dhost, r, work)
-        # relabelling keeps id order, so the parts are those a greedy pass
-        # over the uncovered vertices of dhost itself would commit
-        rest, mapping = dhost.induced(bits(host.full_mask() & ~work.covered_mask()))
-        added = [
-            tuple(mapping[v] for v in part) for part in greedy_packing(rest, tr).parts
-        ]
+        added = greedy_parts(dhost, tr, host.full_mask() & ~work.covered_mask())
         work = Packing.uniform(host.n, list(work.parts) + added, tr)
     return Packing.uniform(host.n, work.parts, pattern)
 
@@ -820,9 +807,7 @@ def pipeline(
     rest = sorted(set(range(host.n)) - fam.M)
     sub, mapping = host.induced(rest)
     almost = _almost_pack(sub, pattern)
-    global_parts = [
-        tuple(sorted(mapping[v] for v in part)) for part in almost.parts
-    ]
+    global_parts = [tuple(mapping[v] for v in part) for part in almost.parts]  # ids keep order
     covered = {v for part in global_parts for v in part}
     leftover = sorted(set(rest) - covered)
     diag["almost_covered"] = len(covered)

@@ -199,50 +199,40 @@ class ExtremalInstance:
 
 
 def extremal_instance(params: ExtremalParams) -> ExtremalInstance:
-    """Build the no-packing construction; the distinguished vertex is 0."""
+    """Build the no-packing construction; the distinguished vertex is 0.
+
+    Every class is joined to its complement, except that V_1 and V_3 are
+    not joined; V_3 is a clique, and a star forest lies inside V_2.  The
+    rows are built from the class masks.
+    """
     params.validate()
     sizes = params.class_sizes()
+    full = (1 << params.n) - 1
     classes = []
+    masks = []
     start = 0
     for size in sizes:
         classes.append(tuple(range(start, start + size)))
+        masks.append(((1 << size) - 1) << start)
         start += size
-    v1, v2, v3 = classes[0], classes[1], classes[2]
-    rest = classes[3:]
-    edges: list[tuple[int, int]] = []
-    # V_3 is complete and joined to everything except V_1
-    others = [u for u in range(params.n) if u not in v1]
-    for i, u in enumerate(v3):
-        for w in others:
-            if w != u and (w not in v3 or w > u):
-                edges.append((u, w))
-    # V_2 joined to its complement
-    v2_set = set(v2)
-    for u in v2:
-        for w in range(params.n):
-            if w not in v2_set:
-                edges.append((u, w))
-    # each V_i (i >= 4) joined to its complement
-    for cls in rest:
-        cls_set = set(cls)
-        for u in cls:
-            for w in range(params.n):
-                if w not in cls_set:
-                    edges.append((u, w))
+    adj = [full & ~m for m, size in zip(masks, sizes) for _ in range(size)]
+    for u in classes[0]:
+        adj[u] &= ~masks[2]
+    for u in classes[2]:
+        adj[u] = adj[u] & ~masks[0] | masks[2] & ~(1 << u)
     # the star forest inside V_2, one consecutive chunk per star
     star_sizes = params.star_sizes or preset_star_sizes(params.n, sizes[1])
     stars = []
     pos = 0
     for size in star_sizes:
-        chunk = v2[pos : pos + size]
+        chunk = classes[1][pos : pos + size]
         pos += size
-        center = chunk[0]
         for leaf in chunk[1:]:
-            edges.append((center, leaf))
-        stars.append(tuple(chunk))
-    graph = Graph(params.n, edges)
+            adj[chunk[0]] |= 1 << leaf
+            adj[leaf] |= 1 << chunk[0]
+        stars.append(chunk)
     return ExtremalInstance(
-        graph, 0, tuple(classes), tuple(stars), params
+        Graph._from_rows(params.n, adj), 0, tuple(classes), tuple(stars), params
     )
 
 

@@ -204,19 +204,16 @@ def _swap_step(d: Digraph, m: Packing, I: IndexBijection) -> Packing | None:
     return None
 
 
-def swap_to_fixpoint(
-    d: Digraph, r: int, m: Packing, I: IndexBijection | None = None
-) -> tuple[Packing, int]:
+def swap_to_fixpoint(d: Digraph, r: int, m: Packing) -> tuple[Packing, int]:
     """Iterate swap_improve until no move remains; returns (packing, steps).
 
     The input packing is checked in full once, as swap_improve checks it;
     each step checks only the part it swaps, which keeps the packing valid,
     and a packing that any step changed is verified in full once more before
     it is returned.  Terminates because each move strictly increases a
-    bounded integer sum.
+    bounded integer sum under `index_bijection`.
     """
-    if I is None:
-        I = index_bijection(d)
+    I = index_bijection(d)
     _require_tournament_packing(d, m, r)
     steps = 0
     while True:

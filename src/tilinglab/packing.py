@@ -4,11 +4,16 @@ This module is the ground-truth oracle of the package: `find_perfect_packing`
 (exhaustive backtracking) and `max_packing` (branch-and-bound) share one
 explicit-stack search branching on the lowest-index uncovered vertex, and
 `is_perfect_packing` re-verifies every structure any other module produces.
+The search starts from a vertex mask, so `perfect_parts_within` asks
+whether a vertex subset packs perfectly by searching the host within it,
+with no induced copy and no id map; `greedy_parts` is the greedy pass
+within a mask.
 The verifier keeps the covered vertices as one bitmask.  The search
 remembers the residuals it has finished, keyed by their counts in the
 host's twin classes, so residuals that a permutation of host twins maps
 onto each other are searched once; it finds the same packings, with the
-same verdicts, as a search without the memo.
+same verdicts, as a search without the memo (within a mask as well, where
+the host's classes may be finer than those of the induced subgraph).
 
 A vertex set "spans" a pattern when the host contains the pattern as a
 subgraph on that set (extra edges are fine).  Spanning tests and copy
@@ -452,16 +457,17 @@ def _search(
     host: Graph | Digraph,
     patterns: Sequence[PatternGraph],
     budget: SearchBudget | None,
+    mask: int,
     coverable: list[int] | None = None,
 ) -> Iterator[tuple[tuple[tuple[int, ...], PatternGraph], ...]]:
-    """Depth-first search over residual vertex masks, yielding each packing,
-    as (part, pattern) pairs, that covers more vertices than any before it.
-    Every node ticks the budget, if any, and branches on its lowest
-    uncovered vertex v: every copy through v, pattern by pattern, then,
-    given ``coverable``, leaving v uncovered.  Without it only a perfect
-    packing counts; with it a node is pruned when its covered count plus
-    ``coverable[uncovered]`` cannot beat the incumbent, and so is a popped
-    choice point, with all its remaining branches.  The stack holds only
+    """Depth-first search over residual vertex masks from ``mask``, yielding
+    each packing of host[mask], as (part, pattern) pairs, that covers more
+    vertices than any before it.  Every node ticks the budget, if any, and
+    branches on its lowest uncovered vertex v: every copy through v, pattern
+    by pattern, then, given ``coverable``, leaving v uncovered.  Without it
+    only a perfect packing counts; with it a node is pruned when its covered
+    count plus ``coverable[uncovered]`` cannot beat the incumbent, and so is
+    a popped choice point, with all its remaining branches.  The stack holds only
     open choice points: a one-part look-ahead finds a node's last branch,
     and the node is popped before the search descends into it.
 
@@ -475,9 +481,8 @@ def _search(
     options = list(patterns) + ([] if coverable is None else [None])  # None skips v
     parts: list[tuple[tuple[int, ...], PatternGraph]] = []
     stack = []  # (mask, covered, len(parts), option, its copies, its next part)
-    mask = host.full_mask()
     covered = 0
-    best = host.n - 1 if coverable is None else -1
+    best = mask.bit_count() - 1 if coverable is None else -1
     memo: dict = {}  # residual key -> most covered it was finished with
     key = None
     while True:
@@ -588,13 +593,31 @@ def find_perfect_packing(
     certifies nonexistence.  Raises BudgetExhausted if a node budget runs
     out (never silently reported as None).
     """
-    if host.n % pattern.order != 0:
+    parts = perfect_parts_within(host, pattern, host.full_mask(), budget)
+    return None if parts is None else Packing(host.n, tuple(parts), (pattern,) * len(parts))
+
+
+def perfect_parts_within(
+    host: Graph | Digraph, pattern: PatternGraph, within: int, budget: SearchBudget | None
+) -> list[tuple[int, ...]] | None:
+    """The verified parts of a perfect packing of host[within], for a mask
+    ``within`` of host vertices; None at once when the pattern order does
+    not divide its size, else only after exhausting the search.  The search
+    runs on the host from the residual ``within``, so it finds the packing
+    `find_perfect_packing` finds on the induced subgraph, in host ids.
+    Raises BudgetExhausted, and ValueError when a nonempty ``within`` meets
+    a pattern of the other kind.
+    """
+    if within.bit_count() % pattern.order:
         return None
-    for found in _search(host, (pattern,), budget):
+    for found in _search(host, (pattern,), budget, within):
         packing = Packing.uniform(host.n, (verts for verts, _ in found), pattern)
-        check = is_perfect_packing(host, packing)
+        # the whole host is verified without building its vertex set
+        check = is_perfect_packing(
+            host, packing, None if within == host.full_mask() else bits(within)
+        )
         assert check.ok, check.reason
-        return packing
+        return list(packing.parts)
     return None
 
 
@@ -633,34 +656,36 @@ def max_packing(
     optimal = True
     try:
         # the loop variable keeps the last incumbent if the budget runs out
-        for best in _search(host, patterns, own_budget, coverable):
+        for best in _search(host, patterns, own_budget, host.full_mask(), coverable):
             pass
     except BudgetExhausted:
         optimal = False
     return MaxPackingResult(Packing.tagged(host.n, best), optimal, own_budget.nodes)
 
 
-def greedy_packing(
-    host: Graph | Digraph,
-    pattern: PatternGraph,
-) -> Packing:
-    """Maximal packing from a single greedy pass.
+def greedy_packing(host: Graph | Digraph, pattern: PatternGraph) -> Packing:
+    """Maximal packing from a single greedy pass over the whole host."""
+    return Packing.uniform(host.n, greedy_parts(host, pattern, host.full_mask()), pattern)
 
-    Anchors are visited in index order; each uncovered anchor commits the
-    first copy through it among uncovered vertices.  Later commits only
-    remove candidates, so one pass yields an inextensible packing.
+
+def greedy_parts(
+    host: Graph | Digraph, pattern: PatternGraph, within: int
+) -> list[tuple[int, ...]]:
+    """The parts of one greedy pass over host[within], for a mask ``within``
+    of host vertices.  Anchors are visited in index order; each uncovered
+    anchor commits the first copy through it among uncovered vertices.
+    Later commits only remove candidates, so the parts are inextensible.
     """
-    mask = host.full_mask()
     parts = []
-    for anchor in range(host.n):
-        if not mask >> anchor & 1:
+    for anchor in bits(within):
+        if not within >> anchor & 1:
             continue
-        for verts in enumerate_copies(host, pattern, anchor, mask):
+        for verts in enumerate_copies(host, pattern, anchor, within):
             for u in verts:
-                mask &= ~(1 << u)
+                within &= ~(1 << u)
             parts.append(verts)
             break
-    return Packing.uniform(host.n, parts, pattern)
+    return parts
 
 
 def is_perfect_packing(

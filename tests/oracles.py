@@ -8,11 +8,14 @@ at the end.  The pair of recursive reference searches call
 pin down the branching order, node counts and incumbents of the library's
 search.  By default they keep the library's memo of finished residuals,
 keyed on twins found here pair by pair; with ``memo=False`` they are the
-plain recursion.  The reference gadget scorer draws the library's samples
-and asks the library's exact check once per candidate and vertex, so it
-pins down which candidates the absorbing-family builder keeps.  The pair
-checker is the constructors' per-pair loop as it was before their inline
-test: ``check_vertex`` on either end, then the loop test, for every pair.
+plain recursion.  The reference subset check is the one the absorbing
+layer made before it searched the host within a vertex mask: the induced
+subgraph, `find_perfect_packing` on it and the parts mapped back to host
+ids.  The reference gadget scorer draws the library's samples and asks
+that check once per candidate and vertex, so it pins down which
+candidates the absorbing-family builder keeps.  The pair checker is the
+constructors' per-pair loop as it was before their inline test:
+``check_vertex`` on either end, then the loop test, for every pair.
 The Ore report is the library's pair-by-pair loop as it was before it
 took the least degree sum in integers.  The recursive clique and
 transitive-tournament enumerators are the library's copy loops as they
@@ -25,9 +28,13 @@ as it was before it became one flat loop, over the library's twin states.
 The reference absorption is `absorb` as it was before it shared one
 absorption test with the family builder and ran its assignment search as
 one loop: a table of local packings per vertex and gadget, and a
-recursive search over assignments.  `recursion_room` lowers the
-interpreter's recursion limit, so a search that recurses once per level
-fails fast on a small instance.
+recursive search over assignments, every subset asked by the reference
+subset check.  The reference almost-perfect packing is the pipeline's
+greedy-and-exchange stage as it was when each greedy round ran on an
+induced copy of the uncovered vertices.  The reference extremal instance
+is `extremal_instance` as it was when it listed its edges one by one.
+`recursion_room` lowers the interpreter's recursion limit, so a search
+that recurses once per level fails fast on a small instance.
 """
 
 from __future__ import annotations
@@ -39,7 +46,13 @@ import sys
 from fractions import Fraction
 
 from tilinglab import absorbing
-from tilinglab.constructions import clique_pattern
+from tilinglab.constructions import (
+    ExtremalInstance,
+    ExtremalParams,
+    clique_pattern,
+    preset_star_sizes,
+    transitive_pattern,
+)
 from tilinglab.degseq import ConditionReport
 from tilinglab.graphs import (
     Digraph,
@@ -49,6 +62,7 @@ from tilinglab.graphs import (
     arc_rows,
     bits,
     check_vertex,
+    symmetrize,
 )
 from tilinglab.packing import (
     BudgetExhausted,
@@ -58,9 +72,12 @@ from tilinglab.packing import (
     _twin_advance,
     _twin_start,
     enumerate_copies,
+    find_perfect_packing,
+    greedy_packing,
     spans_pattern,
     transitive_order,
 )
+from tilinglab.exchange import swap_to_fixpoint
 from tilinglab.util import split_seed
 
 
@@ -371,9 +388,19 @@ def reference_max_packing(host, pattern, budget=None, memo=True):
     return best_parts, optimal, own_budget.nodes
 
 
+def reference_perfect_on_subset(host, pattern, verts, budget=None):
+    """The parts of a perfect packing of host[verts] in host ids, or None:
+    `find_perfect_packing` on the induced subgraph, mapped back."""
+    sub, mapping = host.induced(verts)
+    packing = find_perfect_packing(sub, pattern, budget)
+    if packing is None:
+        return None
+    return [tuple(sorted(mapping[v] for v in part)) for part in packing.parts]
+
+
 def reference_absorbing_family(host, pattern, t, sample_size, rng_seed, max_gadgets):
     """The absorbing family as `build_absorbing_family` draws it, scored by
-    asking `_perfect_on_subset` whether each candidate absorbs each endpoint
+    asking `reference_perfect_on_subset` whether each candidate absorbs each endpoint
     of each sampled pair (the second endpoint only when the first is
     absorbed).  The union of the gadgets is not checked for a perfect
     packing here."""
@@ -398,7 +425,7 @@ def reference_absorbing_family(host, pattern, t, sample_size, rng_seed, max_gadg
         for pair in pairs:
             if set(pair) & set(cand):
                 continue
-            if all(absorbing._perfect_on_subset(host, pattern, cand + (w,)) for w in pair):
+            if all(reference_perfect_on_subset(host, pattern, cand + (w,)) for w in pair):
                 hit += 1
         if hit >= absorbing._PAIR_THRESHOLD:
             gadgets.append(absorbing.AbsorbingGadget(cand, hit))
@@ -565,7 +592,7 @@ def reference_absorb(host, pattern: PatternGraph, fam, W) -> tuple[Packing | Non
     for v in w:
         options = []
         for gi, gadget in enumerate(fam.gadgets):
-            local = absorbing._perfect_on_subset(host, pattern, gadget.verts + (v,))
+            local = reference_perfect_on_subset(host, pattern, gadget.verts + (v,))
             if local is not None:
                 options.append((gi, local))
         if not options:
@@ -589,7 +616,7 @@ def reference_absorb(host, pattern: PatternGraph, fam, W) -> tuple[Packing | Non
             for _, local in assignment.values():
                 parts.extend(local)
             if idle_verts:
-                idle = absorbing._perfect_on_subset(host, pattern, idle_verts)
+                idle = reference_perfect_on_subset(host, pattern, idle_verts)
                 if idle is None:
                     return None
                 parts.extend(idle)
@@ -619,6 +646,62 @@ def reference_absorb(host, pattern: PatternGraph, fam, W) -> tuple[Packing | Non
         "no gadget assignment with a packable idle remainder exists: "
         f"the search tried all {attempts} configurations"
     )
+
+
+def reference_almost_pack(host, pattern: PatternGraph) -> Packing:
+    """`absorbing._almost_pack`: a greedy packing, then, for a clique or
+    transitive-tournament pattern, exchanges to a fixpoint and a greedy
+    round on the induced subgraph of the uncovered vertices, mapped back,
+    until a round adds no part."""
+    m = greedy_packing(host, pattern)
+    if pattern.transitive_order:
+        dhost = host
+    elif pattern.clique_order and isinstance(host, Graph):
+        dhost = symmetrize(host)
+    else:
+        return m
+    r = pattern.order
+    tr = transitive_pattern(r)
+    work = Packing.uniform(host.n, m.parts, tr)
+    added = True
+    while added:
+        work, _ = swap_to_fixpoint(dhost, r, work)
+        rest, mapping = dhost.induced(bits(host.full_mask() & ~work.covered_mask()))
+        added = [tuple(mapping[v] for v in part) for part in greedy_packing(rest, tr).parts]
+        work = Packing.uniform(host.n, list(work.parts) + added, tr)
+    return Packing.uniform(host.n, work.parts, pattern)
+
+
+def reference_extremal_instance(params: ExtremalParams) -> ExtremalInstance:
+    """`extremal_instance` from a list of edges: V_3 complete and joined to
+    every vertex outside V_1, every other class but V_1 joined to its
+    complement, and one star per consecutive chunk of V_2."""
+    params.validate()
+    sizes = params.class_sizes()
+    classes = []
+    start = 0
+    for size in sizes:
+        classes.append(tuple(range(start, start + size)))
+        start += size
+    v1, v2, v3 = classes[0], classes[1], classes[2]
+    edges = []
+    for u in v3:
+        for w in range(params.n):
+            if w not in v1 and w != u and (w not in v3 or w > u):
+                edges.append((u, w))
+    for cls in [v2, *classes[3:]]:
+        for u in cls:
+            for w in range(params.n):
+                if w not in cls:
+                    edges.append((u, w))
+    stars = []
+    pos = 0
+    for size in params.star_sizes or preset_star_sizes(params.n, sizes[1]):
+        chunk = v2[pos : pos + size]
+        pos += size
+        edges.extend((chunk[0], leaf) for leaf in chunk[1:])
+        stars.append(tuple(chunk))
+    return ExtremalInstance(Graph(params.n, edges), 0, tuple(classes), tuple(stars), params)
 
 
 @contextlib.contextmanager

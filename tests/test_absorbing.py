@@ -10,7 +10,7 @@ from tilinglab.absorbing import (
     AbsorbingGadget,
     FamilyConstructionError,
     HPath,
-    _perfect_on_subset,
+    _almost_pack,
     absorb,
     auxiliary_graph,
     build_absorbing_family,
@@ -37,11 +37,18 @@ from tilinglab.constructions import (
 )
 from tilinglab.degseq import check_margin_sequence
 from tilinglab.graphs import Digraph, Graph, symmetrize
-from tilinglab.packing import find_perfect_packing, is_perfect_packing
+from tilinglab.packing import (
+    find_perfect_packing,
+    greedy_packing,
+    is_perfect_packing,
+    perfect_parts_within,
+)
 
 from oracles import (
     reference_absorb,
     reference_absorbing_family,
+    reference_almost_pack,
+    reference_perfect_on_subset,
     sample_digraph,
     sample_gnp,
     sample_tournament,
@@ -281,6 +288,10 @@ def test_is_absorbing_for():
     assert not is_absorbing_for(k6, pat, [0, 1, 2], [3])
     with pytest.raises(ValueError):
         is_absorbing_for(k6, pat, [0, 1], [1, 2])
+    # a vertex outside the host is refused, whatever the size of the set
+    for S, Q in (([0, 1, 6], []), ([0, 1, 2], [3, 4, 6]), ([-1, 0, 1], [])):
+        with pytest.raises(ValueError, match="out of range"):
+            is_absorbing_for(k6, pat, S, Q)
 
 
 def test_build_family_and_gadgets_verified():
@@ -536,18 +547,46 @@ def test_pipeline_deterministic_under_seed():
 
 
 def test_perfect_on_subset_one_part_matches_search():
-    # a set of the pattern's order is answered by testing it, without the
-    # induced subgraph and the search; both ways give the same answer
+    # the search of the host within a vertex mask gives the parts that
+    # `find_perfect_packing` gives on the induced subgraph, mapped back: for
+    # sets of one, two and three parts, a size the pattern order does not
+    # divide (None) and the empty set (no parts)
     rng = random.Random("one-part")
     cases = [(sample_gnp(rng, 10, 0.6), clique_pattern(3)),
-             (sample_gnp(rng, 10, 0.7), pattern_from_name("K2,2")),
+             (sample_gnp(rng, 10, 0.8), clique_pattern(3)),
+             (sample_gnp(rng, 12, 0.7), pattern_from_name("K2,2")),
+             (sample_gnp(rng, 12, 0.9), pattern_from_name("K2,2")),
              (sample_tournament(rng, 9), transitive_pattern(3))]
+    found = set()
     for host, pattern in cases:
-        for _ in range(40):
-            verts = rng.sample(range(host.n), pattern.order)
-            sub, mapping = host.induced(verts)
-            found = find_perfect_packing(sub, pattern)
-            expected = None if found is None else [tuple(sorted(mapping[v] for v in found.parts[0]))]
-            assert _perfect_on_subset(host, pattern, verts) == expected
+        h = pattern.order
+        for size in (h, 2 * h, 3 * h, h + 1, 0):
+            for _ in range(40):
+                verts = rng.sample(range(host.n), size)
+                mask = sum(1 << v for v in verts)
+                got = perfect_parts_within(host, pattern, mask, None)
+                assert got == reference_perfect_on_subset(host, pattern, verts)
+                found.add((size // h, size % h, got is not None))
+    assert found >= {(1, 0, True), (2, 0, True), (3, 0, True), (1, 0, False), (2, 0, False)}
+    assert (1, 1, False) in found and (0, 0, True) in found and (1, 1, True) not in found
+    assert perfect_parts_within(complete_graph(4), clique_pattern(3), 0, None) == []
     with pytest.raises(ValueError):
-        _perfect_on_subset(sample_tournament(rng, 4), clique_pattern(3), [0, 1, 2])
+        perfect_parts_within(sample_tournament(rng, 4), clique_pattern(3), 0b111, None)
+
+
+@pytest.mark.parametrize("name,n,p", [
+    ("K3", 15, 0.5), ("K3", 21, 0.35), ("T3", 12, 0.5), ("T3", 15, 0.35), ("K2,2", 16, 0.5),
+])
+def test_almost_pack_matches_induced_regreedy(name, n, p):
+    """The greedy rounds over the uncovered vertices give the parts of the
+    greedy rounds on an induced copy of them, mapped back; some hosts gain
+    parts in a round after the exchanges."""
+    pattern = pattern_from_name(name)
+    rng = random.Random(f"almost:{name}:{n}")
+    gained = 0
+    for _ in range(30):
+        host = sample_digraph(rng, n, p) if pattern.is_digraph else sample_gnp(rng, n, p)
+        got = _almost_pack(host, pattern)
+        assert got == reference_almost_pack(host, pattern)
+        gained += len(got.parts) > len(greedy_packing(host, pattern).parts)
+    assert gained or not (pattern.clique_order or pattern.transitive_order)

@@ -22,7 +22,7 @@ from tilinglab.constructions import (
 from tilinglab.graphs import degree_sequence, dominant_degree_sequence
 from tilinglab.packing import find_perfect_packing, is_perfect_packing
 
-from oracles import has_path_on_4_vertices
+from oracles import has_path_on_4_vertices, reference_extremal_instance
 
 
 def test_transitive_tournament():
@@ -153,6 +153,23 @@ def test_extremal_invalid_params():
         ExtremalParams(2, (2, 2), 36, 1).validate()
     with pytest.raises(ExtremalParamError):
         ExtremalParams(3, (2, 2, 1), 36, 1).validate()
+
+
+@pytest.mark.parametrize("params", [
+    ExtremalParams(3, (2, 2, 2), 36, 1),
+    ExtremalParams(3, (2, 2, 2), 144, 1, star_sizes=(6, 6, 6, 6, 6, 6, 5, 4, 3, 2, 2)),
+    ExtremalParams(3, (2, 2, 2), 144, 1),
+    ExtremalParams(4, (2, 2, 2, 2), 64, 1),
+    ExtremalParams(5, (2, 2, 2, 2, 2), 100, 2),
+    ExtremalParams(3, (2, 2, 2), 225, 1),
+])
+def test_extremal_rows_match_edge_list_builder(params):
+    """The rows built from class masks are those of the edge-by-edge builder,
+    with the same classes and stars."""
+    inst = extremal_instance(params)
+    want = reference_extremal_instance(params)
+    assert inst.graph.adj == want.graph.adj
+    assert (inst.classes, inst.stars, inst.v) == (want.classes, want.stars, want.v)
 
 
 def test_preset_star_sizes():

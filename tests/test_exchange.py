@@ -152,7 +152,7 @@ def test_swap_rejects_bad_packing():
     with pytest.raises(ValueError):
         swap_improve(d, 3, bogus, I)
     with pytest.raises(ValueError, match="fails verification"):
-        swap_to_fixpoint(d, 3, bogus, I)
+        swap_to_fixpoint(d, 3, bogus)
     with pytest.raises(ValueError, match="wrong order"):
         swap_to_fixpoint(d, 3, Packing.uniform(6, [(0, 1)], transitive_pattern(2)))
 
@@ -178,7 +178,7 @@ def test_swap_fuzz_invariants():
             steps += 1
             assert steps <= d.n * d.n
         # the loop checks its input once and then steps unchecked: same result
-        assert swap_to_fixpoint(d, 3, start, I) == (m, steps)
+        assert swap_to_fixpoint(d, 3, start) == (m, steps)
 
 
 def test_extend_examples():
