@@ -497,6 +497,58 @@ def test_improve_with_blowup_rounds(tmp_path):
     assert "blowup" in text
 
 
+@pytest.mark.parametrize(
+    "seed, n, p, r, z, policy, budget, code, stdout, digest",
+    [
+        (11, 11, 0.49, 3, 3, "greedy", None, 0, "294/297",
+         "5b29b4353cb965cfb884c8c1ace374bdac21966c03a61df7e6a8272ce3323d74"),
+        (29, 15, 0.52, 3, 2, "auto", None, 0, "15/15",
+         "03035777d6d0b6dcef179e60418235a1d6d0d8c4e2df193857bdcf11fc649b65"),
+        (32, 12, 0.71, 3, 3, "max", None, 0, "12/12",
+         "3ab7c78f31a843aa8cdb22694ac863493c24b29e76beb0704c7921956d6502ba"),
+        (26, 6, 0.88, 3, 3, "auto", None, 0, "6/6",
+         "c9c5ddebd8b9830b857de877a782cbad2481c124fbf6b7177083212eae519eb5"),
+        (4, 12, 0.41, 3, 1, "greedy", None, 0, "30/36",
+         "a120b6f2f1aabf2bf1afecf3b7151162119a5d2487ccff7bed34cab6464eb223"),
+        (21, 14, 0.63, 3, 1, "max", None, 0, "42/42",
+         "f8bc39166f856f240dd7ef7cdb86e51369ad98a1e211371b8742fe7280a2755b"),
+        (33, 16, 0.47, 3, 2, "auto", None, 0, "48/48",
+         "ef8774fcb2f60295d57167e58553f1dd5358938111dc88543ee2935dc1c82b87"),
+        (14, 14, 0.35, 3, 0, "auto", None, 0, "12/14",
+         "a9c70a98d2ae9b58c3d69c38df6c2052ad535be39084c885c858f19308a27f85"),
+        (10, 16, 0.68, 4, 2, "greedy", None, 0, "256/256",
+         "4bc3263c257ff3b1e7ce329fb955ecdedfdb39a9a1a1a9f87fc749ab33ec2e12"),
+        (24, 18, 0.36, 2, 3, "greedy", None, 0, "143/144",
+         "36e3fc15ebc6eea415dad66f920543e7a6059fecfff078e5f9b6b061a5d3abf6"),
+        (8, 14, 0.88, 3, 0, "max", None, 0, "14/14",
+         "754993f8fffe118aa395b01d1cd1d97bb897fe18ba90d25d9e7b8ca7f83f40bd"),
+        (2, 14, 0.68, 4, 1, "auto", None, 0, "14/14",
+         "84d1f55bc8597c7a9d2d8c37c11bf90ee37afc77fa5617b1607ffaaf33e34149"),
+        (13, 13, 0.77, 3, 1, "max", 5, 4, "13/13",
+         "28ca8caccff2a9ee65f8bfcf855e4a2a9bd6db66bf966a8fc524862b7c386479"),
+    ],
+)
+def test_improve_output_is_pinned(tmp_path, capsys, seed, n, p, r, z, policy, budget,
+                                  code, stdout, digest):
+    """Seeded digraphs through `improve` at every seed policy, with and
+    without blow-up rounds: the exit code, the stdout line and the trace CSV
+    bytes, pinned, so a rewrite of the exchange or the expansion loop must
+    take the same steps."""
+    import hashlib
+
+    from oracles import sample_digraph
+
+    path = write_graph(tmp_path, "d.json", sample_digraph(random.Random(seed), n, p))
+    out = tmp_path / "trace.csv"
+    argv = ["improve", path, "--r", str(r), "--gamma", "1/20", "--z", str(z),
+            "--seed-policy", policy, "--out", str(out)]
+    if budget is not None:
+        argv += ["--budget-nodes", str(budget)]
+    assert main(argv) == code
+    assert capsys.readouterr().out == f"final coverage {stdout}\n"
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_pack_digraph_pattern(tmp_path):
     t32 = tmp_path / "t32.json"
     assert main(["gen", "tr-power", "--r", "3", "--t", "2",
