@@ -9,13 +9,12 @@ pattern-path/absorbing-set machinery with an absorb-then-pack pipeline.
 
 from .graphs import (
     Digraph,
-    DominantDegreeView,
     Graph,
     GraphFormatError,
     PatternGraph,
     blow_up,
     degree_sequence,
-    dominant_degree_sequence,
+    dominant_rows,
     graph_from_json,
     graph_to_json,
     load_graph,
@@ -68,12 +67,10 @@ from .degseq import (
 from .exchange import (
     BlowupResult,
     ConsistentCopy,
-    ExpandResult,
     IndexBijection,
     TraceRow,
     blowup_iterate,
     convert_to_blowup_packing,
-    expand_coverage,
     extend_mixed,
     greedy_transitive,
     index_bijection,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import absorbing, constructions, degseq, exchange, packing
-from .graphs import Digraph, Graph, graph_to_json, load_graph
+from .graphs import Digraph, Graph, degree_sequence, graph_to_json, load_graph
 from .util import split_seed
 
 EXIT_OK = 0
@@ -464,7 +464,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> dict:
         g = _sample(rng, kind, n, p_eff)
         attempts += 1
         if thresholds is None or (
-            degseq.first_violation(degseq.sorted_degrees(g), thresholds) is None
+            degseq.first_violation(degree_sequence(g), thresholds) is None
         ):
             break
     budget = packing.SearchBudget(spec.budget_nodes)

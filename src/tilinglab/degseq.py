@@ -24,7 +24,7 @@ from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import lt
 
-from .graphs import Digraph, Graph
+from .graphs import Digraph, Graph, degree_sequence
 from .util import as_fraction
 
 
@@ -91,14 +91,6 @@ class ConditionReport:
             "slack_min": None if sm is None else str(sm),
             "detail": self.detail,
         }
-
-
-def sorted_degrees(g: Graph | Digraph) -> list[int]:
-    """d_1 <= ... <= d_n read off the rows: the degrees of a graph, the
-    dominant degrees max(d+, d-) of a digraph."""
-    if isinstance(g, Digraph):
-        return sorted(map(max, map(int.bit_count, g.out), map(int.bit_count, g.inn)))
-    return sorted(map(int.bit_count, g.adj))
 
 
 def first_violation(seq: Sequence[int], t: Sequence[int]) -> int | None:
@@ -242,7 +234,7 @@ def check_baseline(g: Graph | Digraph, name: str, r: int, gamma=0) -> ConditionR
     gamma = as_fraction(gamma)
     if vector is None:
         return _ore(g, r)
-    return _report(name, sorted_degrees(g), r, gamma, *vector(g.n, r, gamma))
+    return _report(name, degree_sequence(g), r, gamma, *vector(g.n, r, gamma))
 
 
 def check_baselines(g: Graph, r: int, gamma=0) -> dict[str, ConditionReport]:

@@ -13,12 +13,16 @@ is returned:
 * an upgrade step that turns a T_r copy into T_{r+1} by attaching an
   uncovered vertex that dominates (or is dominated by) the whole copy.
 
-`expand_coverage` chains seed -> exchanges-to-fixpoint -> upgrades and
-reports a coverage trace; `blowup_iterate` alternates that loop with
-blowing the host up by r and converting the mixed packing back to a pure
-T_r-packing, which never lowers the covered proportion.  Both report the
-coverage they reach; neither tests it against the paper's asymptotic gain,
-whose hypotheses do not bind at desk-scale orders.
+Every mechanism reads the dominant direction off `graphs.dominant_rows`,
+the one place the tie rule is decided.
+
+`blowup_iterate` is the one expansion entry point: a seed packing, then
+rounds of exchanges-to-fixpoint and upgrades with a coverage trace, each
+round after the first on the host blown up by r, the mixed packing
+converted back to a pure T_r-packing, which never lowers the covered
+proportion.  It reports the coverage it reaches, and does not test it
+against the paper's asymptotic gain, whose hypotheses do not bind at
+desk-scale orders.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import blowup_tournament_packing, transitive_pattern
-from .graphs import Digraph, bits, blow_up, dominant_degree_sequence, dominant_view
+from .graphs import Digraph, bits, blow_up, dominant_rows
 from .packing import (
     Packing,
     SearchBudget,
@@ -53,18 +57,16 @@ class ConsistentCopy:
     threshold: Fraction
 
     def verify(self, d: Digraph) -> bool:
-        k = len(self.vertices)
-        if not 0 <= self.turning_point <= k:
+        if not 0 <= self.turning_point <= len(self.vertices):
             return False
-        for a in range(k):
-            for b in range(a + 1, k):
-                if not d.has_arc(self.vertices[a], self.vertices[b]):
-                    return False
-        for idx, v in enumerate(self.vertices, start=1):
-            if idx <= self.turning_point:
-                if Fraction(d.out_degree(v)) < self.threshold:
-                    return False
-            elif Fraction(d.in_degree(v)) < self.threshold:
+        later = 0  # the vertices after v
+        for v in reversed(self.vertices):
+            if d.out[v] & later != later:
+                return False
+            later |= 1 << v
+        for idx, v in enumerate(self.vertices):
+            row = d.out[v] if idx < self.turning_point else d.inn[v]
+            if row.bit_count() < self.threshold:
                 return False
         return True
 
@@ -86,14 +88,15 @@ def greedy_transitive(
     n = d.n
     if threshold is None:
         threshold = Fraction((r - 1) * n, r)
-    _, views = dominant_degree_sequence(d)
+    rows = dominant_rows(d)
+    deg = [row.bit_count() for row in rows]
 
     def pick(mask: int) -> int | None:
         best = None
         for v in bits(mask):
-            if Fraction(views[v].dominant) < threshold:
+            if deg[v] < threshold:
                 continue
-            if best is None or views[v].dominant > views[best].dominant:
+            if best is None or deg[v] > deg[best]:
                 best = v
         return best
 
@@ -101,7 +104,8 @@ def greedy_transitive(
     if start is None:
         return None
     order = [start]
-    s = 1 if views[start].orientation == "OUT" else 0
+    # a vertex whose dominant row is its out-row joins the out-run
+    s = 1 if rows[start] == d.out[start] else 0
     while len(order) < r:
         common = d.full_mask()
         for idx, v in enumerate(order, start=1):
@@ -110,7 +114,7 @@ def greedy_transitive(
         if nxt is None:
             return None
         order.insert(s, nxt)
-        if views[nxt].orientation == "OUT":
+        if rows[nxt] == d.out[nxt]:
             s += 1
     copy = ConsistentCopy(tuple(order), s, threshold)
     assert copy.verify(d), "greedy construction produced an invalid copy"
@@ -137,12 +141,11 @@ class IndexBijection:
 
 
 def index_bijection(d: Digraph) -> IndexBijection:
-    seq, views = dominant_degree_sequence(d)
-    order = sorted(range(d.n), key=lambda v: (views[v].dominant, v))
+    deg = [row.bit_count() for row in dominant_rows(d)]
+    order = sorted(range(d.n), key=lambda v: (deg[v], v))
     rank = [0] * d.n
     for i, v in enumerate(order, start=1):
         rank[v] = i
-        assert views[v].dominant == seq[i - 1]
     return IndexBijection(tuple(order), tuple(rank))
 
 
@@ -166,15 +169,18 @@ def swap_improve(
     at an end.
     """
     _require_tournament_packing(d, m, r)
-    swapped = _swap_step(d, m, I)
+    swapped = _swap_step(d, m, I, dominant_rows(d))
     if swapped is not None:
         check = verify_parts(d, swapped)
         assert check.ok, check.reason
     return swapped
 
 
-def _swap_step(d: Digraph, m: Packing, I: IndexBijection) -> Packing | None:
-    """`swap_improve` on a packing already checked, without its checks.
+def _swap_step(
+    d: Digraph, m: Packing, I: IndexBijection, rows: list[int]
+) -> Packing | None:
+    """`swap_improve` on a packing already checked, without its checks;
+    ``rows`` are the host's `dominant_rows`.
 
     Only the swapped part is checked: it spans its pattern and its incoming
     vertex was uncovered, so a valid packing stays valid.
@@ -183,16 +189,14 @@ def _swap_step(d: Digraph, m: Packing, I: IndexBijection) -> Packing | None:
     uncovered = sorted(
         (v for v in range(d.n) if not covered >> v & 1), key=lambda v: I[v]
     )
+    pmasks = [sum(1 << u for u in part) for part in m.parts]
     for x in uncovered:
-        xmask = dominant_view(d, x).dominant_mask(d)
+        xmask = rows[x]
         for pi, part in enumerate(m.parts):
             for y in part:
                 if I[y] <= I[x]:
                     continue
-                rest_mask = 0
-                for u in part:
-                    if u != y:
-                        rest_mask |= 1 << u
+                rest_mask = pmasks[pi] ^ 1 << y
                 if xmask & rest_mask != rest_mask:
                     continue
                 new_part = tuple(sorted([u for u in part if u != y] + [x]))
@@ -214,10 +218,11 @@ def swap_to_fixpoint(d: Digraph, r: int, m: Packing) -> tuple[Packing, int]:
     bounded integer sum under `index_bijection`.
     """
     I = index_bijection(d)
+    rows = dominant_rows(d)
     _require_tournament_packing(d, m, r)
     steps = 0
     while True:
-        nxt = _swap_step(d, m, I)
+        nxt = _swap_step(d, m, I, rows)
         if nxt is None:
             if steps:
                 check = verify_parts(d, m)
@@ -233,52 +238,32 @@ def extend_mixed(d: Digraph, r: int, m: Packing, gamma) -> Packing | None:
 
     A vertex qualifies when its dominant degree into the covered set reaches
     (r-1)|V(m)|/r + gamma*n.  It is attached to the first copy it fully
-    dominates or is fully dominated by (dominant direction tried first).
-    Repeats until no upgrade applies; None if no upgrade ever applied.
+    dominates or is fully dominated by.  Repeats until no upgrade applies;
+    None if no upgrade ever applied.
     """
     gamma = as_fraction(gamma)
-    _, views = dominant_degree_sequence(d)
-    r_pat = transitive_pattern(r)
+    rows = dominant_rows(d)
     r1_pat = transitive_pattern(r + 1)
     parts = list(m.parts)
     patterns = list(m.patterns)
+    pmasks = [sum(1 << u for u in part) for part in parts]
+    covered = m.covered_mask()
     upgrades = 0
-    progress = True
-    while progress:
-        progress = False
-        covered = 0
-        for part in parts:
-            for u in part:
-                covered |= 1 << u
-        cov_count = covered.bit_count()
-        threshold = Fraction((r - 1) * cov_count, r) + gamma * d.n
-        for x in range(d.n):
-            if covered >> x & 1:
+    while True:  # an upgrade grows the covered set: rescan from vertex 0
+        threshold = Fraction((r - 1) * covered.bit_count(), r) + gamma * d.n
+        for x in bits(d.full_mask() & ~covered):
+            if (rows[x] & covered).bit_count() < threshold:
                 continue
-            view = views[x]
-            if Fraction(view.dominant_degree_in(d, covered)) < threshold:
-                continue
-            masks = (
-                (d.out[x], d.inn[x])
-                if view.orientation == "OUT"
-                else (d.inn[x], d.out[x])
-            )
-            done = False
-            for pi, part in enumerate(parts):
-                if len(part) != r:
-                    continue  # already upgraded
-                pmask = 0
-                for u in part:
-                    pmask |= 1 << u
-                if masks[0] & pmask == pmask or masks[1] & pmask == pmask:
-                    parts[pi] = tuple(sorted(part + (x,)))
-                    patterns[pi] = r1_pat
-                    upgrades += 1
-                    progress = True
-                    done = True
-                    break
-            if done:
+            pi = next((pi for pi, pmask in enumerate(pmasks) if len(parts[pi]) == r
+                       and (d.out[x] & pmask == pmask or d.inn[x] & pmask == pmask)), None)
+            if pi is not None:
                 break
+        else:
+            break
+        parts[pi] = tuple(sorted(parts[pi] + (x,)))
+        patterns[pi] = r1_pat
+        covered |= 1 << x
+        upgrades += 1
     if upgrades == 0:
         return None
     out = Packing(m.n, tuple(parts), tuple(patterns))
@@ -306,70 +291,6 @@ def trace_to_csv(rows: list[TraceRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class ExpandResult:
-    packing: Packing
-    trace: list[TraceRow]
-    seed_coverage: int
-    final_coverage: int
-    seed_optimal: bool | None
-
-
-def _swap_and_extend(
-    d: Digraph, r: int, gamma, m: Packing, rnd: int, phase: str, trace: list[TraceRow]
-) -> Packing:
-    """One expansion round from the seed ``m``: exchanges to a fixpoint,
-    then upgrades.  Appends the seed row (labelled ``phase``) and one row
-    per step to ``trace``, and returns the expanded packing."""
-    trace.append(TraceRow(rnd, phase, m.coverage(), d.n))
-    m, steps = swap_to_fixpoint(d, r, m)
-    trace.append(TraceRow(rnd, f"swap[{steps}]", m.coverage(), d.n))
-    extended = extend_mixed(d, r, m, gamma)
-    if extended is not None:
-        m = extended
-    trace.append(TraceRow(rnd, "extend", m.coverage(), d.n))
-    return m
-
-
-def expand_coverage(
-    d: Digraph,
-    r: int,
-    gamma,
-    budget: SearchBudget | None = None,
-    seed_policy: str = "auto",
-) -> ExpandResult:
-    """Seed packing -> exchange fixpoint -> upgrades, with coverage trace.
-
-    The seed is an exact maximum packing for small hosts ("auto" with
-    n <= 15, or "max") and a greedy maximal packing otherwise.
-    ``seed_optimal`` is None for a greedy seed, and False when the budget
-    cut the exact seed search short.  The trace is nondecreasing: no phase
-    ever loses coverage.
-    """
-    gamma = as_fraction(gamma)
-    seed_optimal: bool | None = None
-    if seed_policy == "max" or (seed_policy == "auto" and d.n <= 15):
-        res = max_packing(d, transitive_pattern(r), budget)
-        m = res.packing
-        seed_optimal = res.optimal
-        phase = "seed:max"
-    elif seed_policy in ("auto", "greedy"):
-        m = greedy_packing(d, transitive_pattern(r))
-        phase = "seed:greedy"
-    else:
-        raise ValueError(f"unknown seed policy {seed_policy!r}")
-    seed_cov = m.coverage()
-    trace: list[TraceRow] = []
-    m = _swap_and_extend(d, r, gamma, m, 0, phase, trace)
-    return ExpandResult(
-        packing=m,
-        trace=trace,
-        seed_coverage=seed_cov,
-        final_coverage=m.coverage(),
-        seed_optimal=seed_optimal,
-    )
-
-
 def convert_to_blowup_packing(
     d: Digraph, m: Packing, r: int
 ) -> tuple[Digraph, Packing]:
@@ -377,26 +298,25 @@ def convert_to_blowup_packing(
     T_r-packing covering exactly r times as many vertices.
 
     Each part's clone blocks span the corresponding blown-up tournament,
-    which carries an explicit perfect T_r-packing.
+    T_r(r) or T_{r+1}(r), which carries an explicit perfect T_r-packing;
+    the two are built once per call, keyed by the order of the part.
     """
     blown = blow_up(d, r)
-    pattern = transitive_pattern(r)
+    abstract = {
+        r: blowup_tournament_packing(r, r, "r")[1].parts,
+        r + 1: blowup_tournament_packing(r, r, "r+1")[1].parts,
+    }
     parts: list[list[int]] = []
     for part in m.parts:
         k = len(part)
-        if k not in (r, r + 1):
+        if k not in abstract:
             raise ValueError(f"part of order {k} cannot be converted")
         order = transitive_order(d, part)
         if order is None:
             raise ValueError(f"part {part} does not span a transitive tournament")
-        _, abstract = blowup_tournament_packing(r, r, "r" if k == r else "r+1")
-        for apart in abstract.parts:
-            mapped = []
-            for a in apart:
-                orig, slot = divmod(a, r)
-                mapped.append(order[orig] * r + slot)
-            parts.append(mapped)
-    packing = Packing.uniform(blown.n, parts, pattern)
+        for apart in abstract[k]:
+            parts.append([order[a // r] * r + a % r for a in apart])
+    packing = Packing.uniform(blown.n, parts, transitive_pattern(r))
     check = verify_parts(blown, packing)
     assert check.ok, check.reason
     assert packing.coverage() == m.coverage() * r
@@ -405,8 +325,9 @@ def convert_to_blowup_packing(
 
 @dataclass
 class BlowupResult:
-    """The last host and packing, with round 0's ``seed_optimal``: False
-    when the budget cut its exact seed search short."""
+    """The last host and packing, with round 0's ``seed_optimal``: None for
+    a greedy seed, and False when the budget cut its exact seed search
+    short."""
 
     digraph: Digraph
     packing: Packing
@@ -423,22 +344,43 @@ def blowup_iterate(
     budget: SearchBudget | None = None,
     seed_policy: str = "auto",
 ) -> BlowupResult:
-    """Alternate expansion rounds with blow-ups, z times or until the
-    packing is perfect.
+    """Seed packing, then expansion rounds alternated with blow-ups, z
+    blow-ups or until the packing is perfect.
 
-    The covered proportion never decreases: expansion phases only add
-    coverage and the blow-up conversion preserves the proportion exactly.
+    The seed is an exact maximum packing for small hosts ("auto" with
+    n <= 15, or "max") and a greedy maximal packing otherwise.  Every round
+    traces its starting packing, runs exchanges to a fixpoint, then
+    upgrades; each round after the first starts from the last packing
+    converted onto the host blown up by r.  The covered proportion never
+    decreases: expansion phases only add coverage and the blow-up
+    conversion preserves the proportion exactly.
     """
     if z < 0:
         raise ValueError("z >= 0 required")
-    res = expand_coverage(d, r, gamma, budget=budget, seed_policy=seed_policy)
-    host, m, trace = d, res.packing, res.trace
-    proportions = [Fraction(m.coverage(), host.n)]
-    for rnd in range(1, z + 1):
-        if m.coverage() == host.n:
+    gamma = as_fraction(gamma)
+    seed_optimal: bool | None = None
+    if seed_policy == "max" or (seed_policy == "auto" and d.n <= 15):
+        res = max_packing(d, transitive_pattern(r), budget)
+        m, seed_optimal, phase = res.packing, res.optimal, "seed:max"
+    elif seed_policy in ("auto", "greedy"):
+        m, phase = greedy_packing(d, transitive_pattern(r)), "seed:greedy"
+    else:
+        raise ValueError(f"unknown seed policy {seed_policy!r}")
+    host = d
+    proportions: list[Fraction] = []
+    trace: list[TraceRow] = []
+    for rnd in range(z + 1):
+        trace.append(TraceRow(rnd, phase, m.coverage(), host.n))
+        m, steps = swap_to_fixpoint(host, r, m)
+        trace.append(TraceRow(rnd, f"swap[{steps}]", m.coverage(), host.n))
+        extended = extend_mixed(host, r, m, gamma)
+        if extended is not None:
+            m = extended
+        trace.append(TraceRow(rnd, "extend", m.coverage(), host.n))
+        proportions.append(Fraction(m.coverage(), host.n))
+        if rnd == z or m.coverage() == host.n:
             break
         host, m = convert_to_blowup_packing(host, m, r)
-        trace.append(TraceRow(rnd, "blowup", m.coverage(), host.n))
-        m = _swap_and_extend(host, r, gamma, m, rnd, "seed:given", trace)
-        proportions.append(Fraction(m.coverage(), host.n))
-    return BlowupResult(host, m, proportions, trace, res.seed_optimal)
+        trace.append(TraceRow(rnd + 1, "blowup", m.coverage(), host.n))
+        phase = "seed:given"
+    return BlowupResult(host, m, proportions, trace, seed_optimal)

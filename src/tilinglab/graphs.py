@@ -228,48 +228,23 @@ class Digraph(_GraphBase):
 _KINDS = {cls.kind: cls for cls in (Graph, Digraph)}
 
 
-@dataclass(frozen=True)
-class DominantDegreeView:
-    """Per-vertex dominant degree record.
+def dominant_rows(d: Digraph) -> list[int]:
+    """Each vertex's adjacency row in its dominant direction: the out-row
+    when d+(x) >= d-(x) (a tie counts as sent-out arcs), else the in-row.
 
-    ``orientation`` is "OUT" whenever out-degree >= in-degree (ties count as
-    sent-out edges), else "IN"; ``dominant`` always equals the larger count.
-    Downstream code reads the orientation here instead of re-deciding ties.
+    Its bit count is the dominant degree d*(x) = max(d+(x), d-(x)).  This is
+    the one place the tie rule is decided; callers read the direction off
+    the row instead of deciding it again.
     """
-
-    vertex: int
-    d_plus: int
-    d_minus: int
-    dominant: int
-    orientation: str  # "OUT" | "IN"
-
-    def dominant_mask(self, d: Digraph) -> int:
-        """Neighbourhood mask in the dominant direction."""
-        return d.out[self.vertex] if self.orientation == "OUT" else d.inn[self.vertex]
-
-    def dominant_degree_in(self, d: Digraph, mask: int) -> int:
-        """d*(x, Y) for Y given as a mask, per the tie rule."""
-        return (self.dominant_mask(d) & mask).bit_count()
+    return [o if o.bit_count() >= i.bit_count() else i for o, i in zip(d.out, d.inn)]
 
 
-def dominant_view(d: Digraph, v: int) -> DominantDegreeView:
-    dp, dm = d.out_degree(v), d.in_degree(v)
-    if dp >= dm:
-        return DominantDegreeView(v, dp, dm, dp, "OUT")
-    return DominantDegreeView(v, dp, dm, dm, "IN")
-
-
-def degree_sequence(g: Graph) -> list[int]:
-    """Degrees sorted ascending (the usual d_1 <= ... <= d_n convention)."""
-    return sorted(g.degree(v) for v in range(g.n))
-
-
-def dominant_degree_sequence(
-    d: Digraph,
-) -> tuple[list[int], list[DominantDegreeView]]:
-    """Sorted dominant degrees plus the per-vertex views (indexed by vertex)."""
-    views = [dominant_view(d, v) for v in range(d.n)]
-    return sorted(view.dominant for view in views), views
+def degree_sequence(g: Graph | Digraph) -> list[int]:
+    """d_1 <= ... <= d_n read off the rows: the degrees of a graph, the
+    dominant degrees max(d+, d-) of a digraph."""
+    if isinstance(g, Digraph):
+        return sorted(map(max, map(int.bit_count, g.out), map(int.bit_count, g.inn)))
+    return sorted(map(int.bit_count, g.adj))
 
 
 def blow_up(g: Graph | Digraph, t: int) -> Graph | Digraph:

@@ -391,12 +391,14 @@ def _transitive_copies(
     depth-first order over ascending vertex ids, pruning any partial set
     that has already lost orderability.  One loop runs the whole search:
     ``cand`` holds the candidates left at the current level (the vertices of
-    ``within`` above the last vertex of ``current``), and ``stack`` holds
-    those left at each level above it."""
+    ``within`` above the last vertex of ``current`` and joined by an arc to
+    every vertex of it, as no other can be ordered with it), and ``stack``
+    holds those left at each level above it."""
+    out, inn = d.out, d.inn
     if through is None:
         current, cand = [], within
     else:
-        current, cand = [through], within & ~(1 << through)
+        current, cand = [through], within & (out[through] | inn[through])
         if r == 1:
             yield (through,)
             return
@@ -405,10 +407,12 @@ def _transitive_copies(
         if cand:
             low = cand & -cand
             cand ^= low
-            current.append(low.bit_length() - 1)
+            v = low.bit_length() - 1
+            current.append(v)
             if transitive_order(d, current) is not None:
                 if len(current) < r:
-                    stack.append(cand)  # the level below tries the same candidates
+                    stack.append(cand)
+                    cand &= out[v] | inn[v]  # the level below: the same, joined to v
                     continue
                 yield tuple(sorted(current))
             current.pop()

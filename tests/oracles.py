@@ -105,6 +105,14 @@ def sample_tournament(rng: random.Random, n: int) -> Digraph:
     return Digraph(n, arcs)
 
 
+def reference_degree_sequence(g) -> list[int]:
+    """d_1 <= ... <= d_n by the per-vertex degree queries: the degrees of a
+    graph, max(d+, d-) of a digraph."""
+    if isinstance(g, Digraph):
+        return sorted(max(g.out_degree(v), g.in_degree(v)) for v in range(g.n))
+    return sorted(g.degree(v) for v in range(g.n))
+
+
 def raw_pairs(g) -> frozenset:
     """The edge set of a graph or the arc set of a digraph."""
     return g.arcs if isinstance(g, Digraph) else g.edges

@@ -27,7 +27,7 @@ from tilinglab.degseq import (
     check_margin_sequence,
 )
 from tilinglab.exchange import (
-    expand_coverage,
+    blowup_iterate,
     index_bijection,
     swap_improve,
 )
@@ -36,7 +36,6 @@ from tilinglab.graphs import (
     Graph,
     blow_up,
     degree_sequence,
-    dominant_degree_sequence,
     symmetrize,
 )
 from tilinglab.packing import (
@@ -249,8 +248,8 @@ def test_criterion_6_blowup_scaling_identity():
         n = rng.randint(2, 30)
         t = rng.randint(1, 5)
         d = _digraph(split_seed(606, trial, 1), n, rng.uniform(0.1, 0.9))
-        base, _ = dominant_degree_sequence(d)
-        blown, _ = dominant_degree_sequence(blow_up(d, t))
+        base = degree_sequence(d)
+        blown = degree_sequence(blow_up(d, t))
         expect = [t * base[(j - 1) // t] for j in range(1, n * t + 1)]
         assert blown == expect, f"trial {trial}: n={n} t={t}"
         checked += 1
@@ -268,7 +267,7 @@ def test_criterion_7_greedy_transitive_guarantee():
         d = _sample_until(
             split_seed(707, trial),
             lambda s: symmetrize(_gnp(s, 30, 0.78)),
-            lambda d: dominant_degree_sequence(d)[0][9] >= 20,
+            lambda d: degree_sequence(d)[9] >= 20,
         )
         cc = greedy_transitive(d, 3)
         assert cc is not None, f"trial {trial}"
@@ -304,14 +303,15 @@ def test_criterion_8_exchange_engine():
     for trial in range(100):
         rng = random.Random(split_seed(809, trial))
         d = sample_tournament(rng, rng.randint(6, 12))
-        res = expand_coverage(d, 3, Fraction(1, 20))
+        res = blowup_iterate(d, 3, 0, Fraction(1, 20))
         covs = [row.covered for row in res.trace]
         assert covs == sorted(covs)
         traces_ok += 1
 
     d24 = upgrade_instance()
-    res = expand_coverage(d24, 3, Fraction(1, 12), seed_policy="greedy")
-    gain_ok = res.final_coverage > res.seed_coverage
+    res = blowup_iterate(d24, 3, 0, Fraction(1, 12), seed_policy="greedy")
+    seed_coverage, final_coverage = res.trace[0].covered, res.packing.coverage()
+    gain_ok = final_coverage > seed_coverage
     assert verify_parts(d24, res.packing).ok
 
     ok = instances == 1000 and traces_ok == 100 and gain_ok
@@ -320,7 +320,7 @@ def test_criterion_8_exchange_engine():
         ok,
         f"{instances} fuzz instances ({moves} verified exchange moves), "
         f"{traces_ok} nondecreasing traces, upgrade instance "
-        f"{res.seed_coverage}->{res.final_coverage}",
+        f"{seed_coverage}->{final_coverage}",
     )
     assert ok
 

@@ -322,10 +322,9 @@ def fraction_posa_fields(seq):
 def test_integer_checks_match_fraction_reference():
     # the indexed and Posa checks loop and compare in integers; a plain
     # Fraction re-scan must give the same reports, negative gamma included
-    from oracles import sample_digraph
+    from oracles import reference_degree_sequence, sample_digraph
 
     from tilinglab.degseq import check_baseline
-    from tilinglab.graphs import dominant_degree_sequence
 
     rng = random.Random("integer-degseq")
     for _ in range(600):
@@ -335,7 +334,7 @@ def test_integer_checks_match_fraction_reference():
         d = sample_digraph(rng, n, rng.random())
         for rep, seq in (
             (check_margin_sequence(g, r, gamma), degree_sequence(g)),
-            (check_dominant_margin(d, r, gamma), dominant_degree_sequence(d)[0]),
+            (check_dominant_margin(d, r, gamma), reference_degree_sequence(d)),
         ):
             first_bad, slacks = fraction_indexed_fields(seq, r, gamma)
             assert (rep.first_violating_index, rep.slack_profile) == (first_bad, slacks)
@@ -419,11 +418,10 @@ def test_threshold_vectors_match_fraction_reference():
     # every name but ore decides by its integer vector: the first index with
     # d_i < t_i must be the Fraction re-scan's, and the report's; every
     # report field must be the Fraction reference's
-    from oracles import sample_digraph
+    from oracles import reference_degree_sequence, sample_digraph
 
     from tilinglab import degseq
-    from tilinglab.degseq import check_baseline, first_violation, sorted_degrees
-    from tilinglab.graphs import dominant_degree_sequence
+    from tilinglab.degseq import check_baseline, first_violation
 
     vectors = {name: vector for name, (_, vector) in degseq._CONDITIONS.items() if vector}
     assert set(vectors) == set(degseq._CONDITIONS) - {"ore"}
@@ -434,8 +432,8 @@ def test_threshold_vectors_match_fraction_reference():
         gamma = Fraction(rng.randint(-6, 6), rng.randint(1, 40))
         g = sample_gnp(rng, n, rng.random())
         d = sample_digraph(rng, n, rng.random())
-        seqs = {Graph: degree_sequence(g), Digraph: dominant_degree_sequence(d)[0]}
-        assert sorted_degrees(g) == seqs[Graph] and sorted_degrees(d) == seqs[Digraph]
+        seqs = {Graph: reference_degree_sequence(g), Digraph: reference_degree_sequence(d)}
+        assert degree_sequence(g) == seqs[Graph] and degree_sequence(d) == seqs[Digraph]
         for name, vector in vectors.items():
             host_kind = degseq._CONDITIONS[name][0]
             host, seq = (g if host_kind is Graph else d), seqs[host_kind]

@@ -12,7 +12,6 @@ from tilinglab.degseq import check_dominant_margin
 from tilinglab.exchange import (
     blowup_iterate,
     convert_to_blowup_packing,
-    expand_coverage,
     extend_mixed,
     greedy_transitive,
     index_bijection,
@@ -20,7 +19,7 @@ from tilinglab.exchange import (
     swap_to_fixpoint,
     trace_to_csv,
 )
-from tilinglab.graphs import Digraph, dominant_degree_sequence, symmetrize
+from tilinglab.graphs import Digraph, degree_sequence, dominant_rows, symmetrize
 from tilinglab.packing import (
     Packing,
     greedy_packing,
@@ -29,7 +28,7 @@ from tilinglab.packing import (
     verify_parts,
 )
 
-from oracles import sample_gnp, sample_tournament
+from oracles import sample_digraph, sample_gnp, sample_tournament
 
 
 def swap_instance():
@@ -71,7 +70,7 @@ def test_greedy_transitive_guarantee():
     while done < 40:
         g = sample_gnp(rng, 30, 0.78)
         d = symmetrize(g)
-        seq, _ = dominant_degree_sequence(d)
+        seq = degree_sequence(d)
         if seq[9] < 20:  # hypothesis: the ceil(n/r)-th smallest reaches (1-1/r)n
             continue
         cc = greedy_transitive(d, 3)
@@ -89,9 +88,9 @@ def test_greedy_transitive_can_fail_without_hypothesis():
 def test_index_bijection_laws():
     d = Digraph(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
     I = index_bijection(d)
-    seq, views = dominant_degree_sequence(d)
-    for v in range(4):
-        assert seq[I[v] - 1] == views[v].dominant
+    seq = degree_sequence(d)
+    for v, row in enumerate(dominant_rows(d)):
+        assert seq[I[v] - 1] == row.bit_count()
     # regular digraph: identity by the tie rule
     cyc = Digraph(5, [(i, (i + 1) % 5) for i in range(5)])
     I = index_bijection(cyc)
@@ -109,11 +108,11 @@ def test_index_bijection_laws():
             ],
         )
         I = index_bijection(d)
-        _, views = dominant_degree_sequence(d)
+        deg = [row.bit_count() for row in dominant_rows(d)]
         for x in range(8):
             for y in range(8):
                 if I[x] < I[y]:
-                    assert views[x].dominant <= views[y].dominant
+                    assert deg[x] <= deg[y]
 
 
 def test_swap_instance_exact_behaviour():
@@ -133,8 +132,7 @@ def test_swap_instance_exact_behaviour():
     for x in range(6):
         if x in covered:
             continue
-        _, views = dominant_degree_sequence(d)
-        xmask = views[x].dominant_mask(d)
+        xmask = dominant_rows(d)[x]
         for part in m.parts:
             for y in part:
                 if I[y] <= I[x]:
@@ -208,8 +206,8 @@ def test_extend_on_dense_tournaments():
 
 
 def test_expand_on_complete_symmetric():
-    res = expand_coverage(symmetrize(complete_graph(9)), 3, Fraction(1, 12))
-    assert res.final_coverage == 9
+    res = blowup_iterate(symmetrize(complete_graph(9)), 3, 0, Fraction(1, 12))
+    assert res.packing.coverage() == 9
     assert res.trace[0].covered == 9
 
 
@@ -217,7 +215,7 @@ def test_expand_trace_nondecreasing():
     rng = random.Random(91)
     for _ in range(25):
         d = sample_tournament(rng, rng.randint(6, 12))
-        res = expand_coverage(d, 3, Fraction(1, 20))
+        res = blowup_iterate(d, 3, 0, Fraction(1, 20))
         covs = [row.covered for row in res.trace]
         assert covs == sorted(covs)
         assert verify_parts(d, res.packing).ok
@@ -228,15 +226,15 @@ def test_upgrade_instance_end_to_end():
     assert check_dominant_margin(d, 3, Fraction(1, 12)).satisfied
     seed = greedy_packing(d, transitive_pattern(3))
     assert seed.coverage() == 21
-    res = expand_coverage(d, 3, Fraction(1, 12), seed_policy="greedy")
-    assert res.seed_coverage == 21
-    assert res.final_coverage > res.seed_coverage
-    assert res.final_coverage == 24
+    res = blowup_iterate(d, 3, 0, Fraction(1, 12), seed_policy="greedy")
+    assert res.trace[0].covered == 21
+    assert res.packing.coverage() > res.trace[0].covered
+    assert res.packing.coverage() == 24
     assert verify_parts(d, res.packing).ok
 
 
 def test_trace_csv_format():
-    res = expand_coverage(symmetrize(complete_graph(6)), 3, 0)
+    res = blowup_iterate(symmetrize(complete_graph(6)), 3, 0, 0)
     text = trace_to_csv(res.trace)
     lines = text.strip().split("\n")
     assert lines[0] == "round,phase,covered,n,proportion"
@@ -265,12 +263,17 @@ def test_convert_preserves_coverage_ratio():
 
 
 def test_blowup_iterate_z0_equals_expand():
+    # z = 0 runs round 0 alone: the same rows as round 0 of a longer run
+    # (five of these six hosts run blow-up rounds at z = 2)
     rng = random.Random(3)
-    d = sample_tournament(rng, 9)
-    a = blowup_iterate(d, 3, 0, Fraction(1, 20))
-    b = expand_coverage(d, 3, Fraction(1, 20))
-    assert a.packing.coverage() == b.final_coverage
-    assert a.digraph.n == d.n
+    for _ in range(6):
+        d = sample_digraph(rng, 11, 0.45)
+        a = blowup_iterate(d, 3, 0, Fraction(1, 20))
+        b = blowup_iterate(d, 3, 2, Fraction(1, 20))
+        assert a.trace == [row for row in b.trace if row.round == 0]
+        assert a.proportions == b.proportions[:1]
+        assert a.packing.coverage() == a.trace[-1].covered
+        assert a.digraph is d
 
 
 def test_blowup_iterate_proportions_nondecreasing():
@@ -287,6 +290,6 @@ def test_expand_budget_exhaustion_flagged():
     from tilinglab.packing import SearchBudget
 
     d = symmetrize(complete_graph(9))
-    res = expand_coverage(d, 3, 0, budget=SearchBudget(1), seed_policy="max")
+    res = blowup_iterate(d, 3, 0, 0, budget=SearchBudget(1), seed_policy="max")
     assert res.seed_optimal is False
     assert verify_parts(d, res.packing).ok

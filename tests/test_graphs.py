@@ -11,7 +11,7 @@ from tilinglab.graphs import (
     PatternGraph,
     blow_up,
     degree_sequence,
-    dominant_degree_sequence,
+    dominant_rows,
     format_edge_list,
     graph_from_json,
     graph_to_json,
@@ -60,37 +60,45 @@ def test_degree_sequence_examples():
 
 
 def test_dominant_degree_examples():
-    seq, views = dominant_degree_sequence(Digraph(2, [(0, 1)]))
-    assert seq == [1, 1]
-    assert views[0].orientation == "OUT" and views[1].orientation == "IN"
+    d = Digraph(2, [(0, 1)])
+    assert degree_sequence(d) == [1, 1]
+    rows = dominant_rows(d)
+    assert rows[0] == d.out[0] and rows[1] == d.inn[1] != d.out[1]
 
-    _, views = dominant_degree_sequence(transitive_tournament(3))
-    assert views[0].d_plus == 2 and views[0].d_minus == 0
-    assert views[0].dominant == 2
+    t3 = transitive_tournament(3)
+    assert t3.out[0].bit_count() == 2 and t3.inn[0].bit_count() == 0
+    assert dominant_rows(t3)[0] == t3.out[0] and t3.out[0].bit_count() == 2
 
-    seq, views = dominant_degree_sequence(symmetrize(complete_graph(3)))
-    assert seq == [2, 2, 2]
-    assert all(v.orientation == "OUT" for v in views)  # ties resolve OUT
+    k3 = symmetrize(complete_graph(3))
+    assert degree_sequence(k3) == [2, 2, 2]
+    assert dominant_rows(k3) == list(k3.out)  # ties resolve OUT
+
+    # a tie between different rows: vertex 0 sends one arc and receives one
+    c3 = Digraph(3, [(0, 1), (1, 2), (2, 0)])
+    assert dominant_rows(c3) == list(c3.out) != list(c3.inn)
 
 
-def test_dominant_view_invariant():
+def test_dominant_rows_invariant():
     rng = random.Random(4)
     for _ in range(30):
         d = sample_digraph(rng, rng.randint(2, 12), rng.random())
-        _, views = dominant_degree_sequence(d)
-        for view in views:
-            if view.orientation == "OUT":
-                assert view.dominant == view.d_plus
-            else:
-                assert view.d_minus > view.d_plus
+        rows = dominant_rows(d)
+        assert sorted(row.bit_count() for row in rows) == degree_sequence(d)
+        for v, row in enumerate(rows):
+            d_plus, d_minus = d.out_degree(v), d.in_degree(v)
+            assert row.bit_count() == max(d_plus, d_minus)
+            if d_plus >= d_minus:  # OUT, ties included
+                assert row == d.out[v]
+            else:  # IN only when d- > d+
+                assert row == d.inn[v]
 
 
 def test_blow_up_examples():
     assert blow_up(complete_graph(2), 2) == complete_multipartite(2, 2)
     d = Digraph(2, [(0, 1), (1, 0), (0, 1)])  # d* sequence [1, 1]
     d = Digraph(3, [(0, 1), (1, 2), (0, 2), (2, 1)])
-    seq, _ = dominant_degree_sequence(d)
-    blown, _ = dominant_degree_sequence(blow_up(d, 3))
+    seq = degree_sequence(d)
+    blown = degree_sequence(blow_up(d, 3))
     assert blown == sorted(3 * seq[(j - 1) // 3] for j in range(1, 10))
     g = sample_gnp(random.Random(1), 7, 0.5)
     assert blow_up(g, 1) == g
@@ -105,8 +113,8 @@ def test_blow_up_scaling_identity(t):
         blown = degree_sequence(blow_up(g, t))
         assert blown == [t * base[(j - 1) // t] for j in range(1, g.n * t + 1)]
         d = sample_digraph(rng, rng.randint(2, 30), rng.random())
-        dbase, _ = dominant_degree_sequence(d)
-        dblown, _ = dominant_degree_sequence(blow_up(d, t))
+        dbase = degree_sequence(d)
+        dblown = degree_sequence(blow_up(d, t))
         assert dblown == [t * dbase[(j - 1) // t] for j in range(1, d.n * t + 1)]
 
 
@@ -124,8 +132,7 @@ def test_symmetrize():
     rng = random.Random(9)
     for _ in range(20):
         g = sample_gnp(rng, rng.randint(1, 20), rng.random())
-        seq, _ = dominant_degree_sequence(symmetrize(g))
-        assert seq == degree_sequence(g)
+        assert degree_sequence(symmetrize(g)) == degree_sequence(g)
 
 
 def test_json_round_trip():
