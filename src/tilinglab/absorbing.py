@@ -25,18 +25,21 @@ packing at build time.
 `pipeline` chains family construction, an almost-perfect packing of the
 rest of the host (greedy plus the exchange engine where the pattern is a
 clique or transitive tournament), and final absorption of the leftover.
-The rest of the host is the one induced subgraph: the exchange ranks
-vertices by their degrees inside it.
+The rest is packed within its vertex mask, like every subset question:
+the exchange runs on the host's rows cut down to the mask, so it ranks
+the vertices of the rest by their degrees inside it, with no induced copy
+and no id map.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .constructions import clique_pattern, pattern_power, transitive_pattern
-from .graphs import Digraph, Graph, PatternGraph, bits, check_vertex, symmetrize
+from .graphs import Digraph, Graph, PatternGraph, bits, check_vertex
 from .packing import (
     BudgetExhausted,
     Packing,
@@ -44,7 +47,6 @@ from .packing import (
     VerifyResult,
     completion_mask,
     enumerate_copies,
-    greedy_packing,
     greedy_parts,
     is_perfect_packing,
     perfect_parts_within,
@@ -177,19 +179,38 @@ def auxiliary_graph(
     """Graph on the host's vertices joining pairs with many length-1 paths.
 
     xy is an edge exactly when at least beta_count connector sets link x
-    and y.  Materialised explicitly so connecting-path search is a plain
-    path search plus lifting.
+    and y (the sets `length1_connectors` yields).  For each x one pass over
+    the copies through it finds them: each copy, less x, is a block X, and
+    the completion mask of X holds every later y for which X+{y} spans the
+    pattern too.  The pass stops once every later y has its beta_count
+    blocks, or after n copies: copies come in lexicographic order, so on a
+    dense host a y inside the early blocks waits long for one that avoids
+    it, and each pair still open then takes its own connector search.
+    Materialised explicitly so connecting-path search is a plain path
+    search plus lifting.
     """
     if beta_count < 1:
         raise ValueError("beta_count >= 1 required")
     edges = []
     for x in range(host.n):
-        for y in range(x + 1, host.n):
-            hits = 0
-            for _ in length1_connectors(host, pattern, x, y, cap=beta_count):
-                hits += 1
-            if hits >= beta_count:
-                edges.append((x, y))
+        pending = host.full_mask() >> x + 1 << x + 1  # the relation is symmetric
+        hits = [0] * host.n
+        copies = enumerate_copies(host, pattern, through=x)
+        # no copy is yielded twice, so no block is counted twice
+        for verts in itertools.islice(copies, host.n):
+            block = tuple(v for v in verts if v != x)
+            for y in bits(completion_mask(host, pattern, block) & pending):
+                hits[y] += 1
+                if hits[y] == beta_count:
+                    pending ^= 1 << y
+                    edges.append((x, y))
+            if not pending:
+                break
+        if pending and next(copies, None) is not None:
+            for y in bits(pending):
+                found = sum(1 for _ in length1_connectors(host, pattern, x, y, cap=beta_count))
+                if found == beta_count:
+                    edges.append((x, y))
     return Graph(host.n, edges)
 
 
@@ -740,32 +761,43 @@ class PipelineResult:
     diagnostics: dict
 
 
-def _almost_pack(host: Graph | Digraph, pattern: PatternGraph) -> Packing:
-    """Greedy packing improved by the exchange engine where it applies.
+def _almost_pack(host: Graph | Digraph, pattern: PatternGraph, within: int) -> Packing:
+    """Greedy packing of host[within] improved by the exchange engine where
+    it applies, for a mask ``within`` of host vertices.
 
     Clique patterns run the exchange on the symmetrized host (a clique is
     exactly a transitive copy there); transitive tournament patterns run
-    it directly.  After each exchange run a greedy pass over the uncovered
-    vertices adds parts, until a pass adds none.  Other patterns keep the
-    greedy result, which one pass leaves inextensible.
+    it directly.  Either way the exchange sees the host's rows cut down to
+    ``within``, and empty rows outside it, so it ranks the vertices of
+    ``within`` by their degrees inside it.  While vertices of ``within``
+    stay uncovered, an exchange run is followed by a greedy pass over them,
+    until a pass adds no part.  With none uncovered no exchange runs: it
+    could only swap in a vertex outside ``within``, which an empty row
+    keeps out of every copy but the one vertex of a pattern of order 1.
+    Other patterns keep the greedy result, which one pass leaves
+    inextensible.
     """
     from .exchange import swap_to_fixpoint
 
-    m = greedy_packing(host, pattern)
+    parts = greedy_parts(host, pattern, within)
     if pattern.transitive_order:
-        dhost = host
+        out, inn = host.out, host.inn
     elif pattern.clique_order and isinstance(host, Graph):
-        dhost = symmetrize(host)
+        out = inn = host.adj
     else:
-        return m
+        return Packing.uniform(host.n, parts, pattern)
+
+    def cut(rows: tuple[int, ...]) -> list[int]:
+        return [row & within if within >> v & 1 else 0 for v, row in enumerate(rows)]
+
+    dhost = Digraph._from_rows(host.n, cut(out), cut(inn))
     r = pattern.order
     tr = transitive_pattern(r)
-    work = Packing.uniform(host.n, m.parts, tr)
-    added = True
-    while added:
+    work = Packing.uniform(host.n, parts, tr)
+    while parts and within & ~work.covered_mask():
         work, _ = swap_to_fixpoint(dhost, r, work)
-        added = greedy_parts(dhost, tr, host.full_mask() & ~work.covered_mask())
-        work = Packing.uniform(host.n, list(work.parts) + added, tr)
+        parts = greedy_parts(dhost, tr, within & ~work.covered_mask())
+        work = Packing.uniform(host.n, list(work.parts) + parts, tr)
     return Packing.uniform(host.n, work.parts, pattern)
 
 
@@ -804,20 +836,16 @@ def pipeline(
         return PipelineResult(False, None, "absorbing-family", diag)
     diag["family_size"] = len(fam.M)
     diag["gadgets"] = fam.capacity()
-    rest = sorted(set(range(host.n)) - fam.M)
-    sub, mapping = host.induced(rest)
-    almost = _almost_pack(sub, pattern)
-    global_parts = [tuple(mapping[v] for v in part) for part in almost.parts]  # ids keep order
-    covered = {v for part in global_parts for v in part}
-    leftover = sorted(set(rest) - covered)
-    diag["almost_covered"] = len(covered)
+    rest = host.full_mask() & ~_mask(fam.M)
+    almost = _almost_pack(host, pattern, rest)
+    covered = almost.covered_mask()
+    leftover = list(bits(rest & ~covered))
+    diag["almost_covered"] = covered.bit_count()
     diag["leftover"] = len(leftover)
     absorbed = absorb(host, pattern, fam, leftover, diagnostics=diag)
     if absorbed is None:
         return PipelineResult(False, None, "absorb", diag)
-    full = Packing.uniform(
-        host.n, global_parts + list(absorbed.parts), pattern
-    )
+    full = Packing.uniform(host.n, almost.parts + absorbed.parts, pattern)
     check = is_perfect_packing(host, full)
     assert check.ok, check.reason
     return PipelineResult(True, full, None, diag)

@@ -169,29 +169,34 @@ def swap_improve(
     at an end.
     """
     _require_tournament_packing(d, m, r)
-    swapped = _swap_step(d, m, I, dominant_rows(d))
+    swapped = _swap_step(d, r, m, I, dominant_rows(d), _part_masks(m))
     if swapped is not None:
         check = verify_parts(d, swapped)
         assert check.ok, check.reason
     return swapped
 
 
+def _part_masks(m: Packing) -> list[int]:
+    return [sum(1 << u for u in part) for part in m.parts]
+
+
 def _swap_step(
-    d: Digraph, m: Packing, I: IndexBijection, rows: list[int]
+    d: Digraph, r: int, m: Packing, I: IndexBijection, rows: list[int], pmasks: list[int]
 ) -> Packing | None:
     """`swap_improve` on a packing already checked, without its checks;
-    ``rows`` are the host's `dominant_rows`.
+    ``rows`` are the host's `dominant_rows` and ``pmasks`` the vertex masks
+    of ``m``'s parts, of which the swapped part's is updated in place.
 
-    Only the swapped part is checked: it spans its pattern and its incoming
-    vertex was uncovered, so a valid packing stays valid.
+    An uncovered x is tried only when its dominant row holds at least r-1
+    vertices: with fewer it dominates the rest of no copy.  Only the
+    swapped part is checked: it spans its pattern and its incoming vertex
+    was uncovered, so a valid packing stays valid.
     """
     covered = m.covered_mask()
-    uncovered = sorted(
-        (v for v in range(d.n) if not covered >> v & 1), key=lambda v: I[v]
-    )
-    pmasks = [sum(1 << u for u in part) for part in m.parts]
-    for x in uncovered:
+    for x in I.order:
         xmask = rows[x]
+        if covered >> x & 1 or xmask.bit_count() < r - 1:
+            continue
         for pi, part in enumerate(m.parts):
             for y in part:
                 if I[y] <= I[x]:
@@ -202,6 +207,7 @@ def _swap_step(
                 new_part = tuple(sorted([u for u in part if u != y] + [x]))
                 parts = list(m.parts)
                 parts[pi] = new_part
+                pmasks[pi] = rest_mask | 1 << x
                 assert not covered >> x & 1
                 assert spans_pattern(d, new_part, m.patterns[pi]) is not None, new_part
                 return Packing(m.n, tuple(parts), m.patterns)
@@ -214,15 +220,17 @@ def swap_to_fixpoint(d: Digraph, r: int, m: Packing) -> tuple[Packing, int]:
     The input packing is checked in full once, as swap_improve checks it;
     each step checks only the part it swaps, which keeps the packing valid,
     and a packing that any step changed is verified in full once more before
-    it is returned.  Terminates because each move strictly increases a
-    bounded integer sum under `index_bijection`.
+    it is returned.  The part masks are built once and each step updates
+    only the mask of the part it swaps.  Terminates because each move
+    strictly increases a bounded integer sum under `index_bijection`.
     """
     I = index_bijection(d)
     rows = dominant_rows(d)
     _require_tournament_packing(d, m, r)
+    pmasks = _part_masks(m)
     steps = 0
     while True:
-        nxt = _swap_step(d, m, I, rows)
+        nxt = _swap_step(d, r, m, I, rows, pmasks)
         if nxt is None:
             if steps:
                 check = verify_parts(d, m)
@@ -246,7 +254,7 @@ def extend_mixed(d: Digraph, r: int, m: Packing, gamma) -> Packing | None:
     r1_pat = transitive_pattern(r + 1)
     parts = list(m.parts)
     patterns = list(m.patterns)
-    pmasks = [sum(1 << u for u in part) for part in parts]
+    pmasks = _part_masks(m)
     covered = m.covered_mask()
     upgrades = 0
     while True:  # an upgrade grows the covered set: rescan from vertex 0

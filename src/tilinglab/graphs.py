@@ -12,7 +12,10 @@ that fails it goes through the full checks (``check_vertex`` on either end,
 then the loop test), which raise the error naming what is wrong, or let
 the pair through when its ends are int subclasses.  Graphs the package
 derives from another graph's rows (``induced``, ``symmetrize``, ``blow_up``,
-the experiment sampler) are built from rows directly and check no pair.
+the experiment sampler, the rows the pipeline cuts down to a vertex mask)
+are built from rows directly and check no pair.  No library path builds an
+induced copy: every subset question runs on the host within a vertex mask,
+and ``induced`` serves the tests' reference oracles and direct callers.
 
 All types are immutable after construction and safe to share between
 threads.  "X spans a copy of H" means subgraph containment throughout the

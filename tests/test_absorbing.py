@@ -11,6 +11,7 @@ from tilinglab.absorbing import (
     FamilyConstructionError,
     HPath,
     _almost_pack,
+    _mask,
     absorb,
     auxiliary_graph,
     build_absorbing_family,
@@ -36,10 +37,11 @@ from tilinglab.constructions import (
     transitive_pattern,
 )
 from tilinglab.degseq import check_margin_sequence
-from tilinglab.graphs import Digraph, Graph, symmetrize
+from tilinglab.graphs import Digraph, Graph, bits, symmetrize
 from tilinglab.packing import (
+    Packing,
     find_perfect_packing,
-    greedy_packing,
+    greedy_parts,
     is_perfect_packing,
     perfect_parts_within,
 )
@@ -578,18 +580,40 @@ def test_perfect_on_subset_one_part_matches_search():
     ("K3", 15, 0.5), ("K3", 21, 0.35), ("T3", 12, 0.5), ("T3", 15, 0.35), ("K2,2", 16, 0.5),
 ])
 def test_almost_pack_matches_induced_regreedy(name, n, p):
-    """The greedy rounds over the uncovered vertices give the parts of the
-    greedy rounds on an induced copy of them, mapped back; some hosts gain
-    parts in a round after the exchanges."""
+    """`_almost_pack` within a vertex mask gives the parts that the greedy
+    rounds and exchanges give on an induced copy of the mask, mapped back:
+    for the full mask, random masks (one of a size the pattern order does
+    not divide) and the complement of a random gadget-sized set.  Some
+    hosts gain parts in a round after the exchanges."""
     pattern = pattern_from_name(name)
+    h = pattern.order
     rng = random.Random(f"almost:{name}:{n}")
     gained = 0
     for _ in range(30):
         host = sample_digraph(rng, n, p) if pattern.is_digraph else sample_gnp(rng, n, p)
-        got = _almost_pack(host, pattern)
-        assert got == reference_almost_pack(host, pattern)
-        gained += len(got.parts) > len(greedy_packing(host, pattern).parts)
+        full = host.full_mask()
+        sizes = (h * rng.randrange(1, n // h + 1), h * rng.randrange(n // h) + 1)
+        masks = [full, *(_mask(rng.sample(range(n), size)) for size in sizes),
+                 full & ~_mask(rng.sample(range(n), h - 1))]
+        for mask in masks:
+            sub, mapping = host.induced(bits(mask))
+            want = reference_almost_pack(sub, pattern)
+            got = _almost_pack(host, pattern, mask)
+            assert got == Packing.uniform(
+                host.n, [[mapping[v] for v in part] for part in want.parts], pattern)
+            gained += len(got.parts) > len(greedy_parts(host, pattern, mask))
     assert gained or not (pattern.clique_order or pattern.transitive_order)
+
+
+@pytest.mark.parametrize("name", ["K1", "T1"])
+def test_almost_pack_at_order_one_stays_in_its_mask(name):
+    # every vertex of the mask is a copy, and no vertex outside the mask,
+    # though of lower rank, is exchanged in
+    pattern = pattern_from_name(name)
+    rng = random.Random(f"almost:{name}")
+    host = sample_digraph(rng, 9, 0.5) if pattern.is_digraph else sample_gnp(rng, 9, 0.5)
+    mask = 0b101101010
+    assert _almost_pack(host, pattern, mask).parts == tuple((v,) for v in bits(mask))
 
 
 @pytest.mark.parametrize(
@@ -642,3 +666,23 @@ def test_pipeline_output_is_pinned(name, n, p, seed, max_gadgets, success, stage
     parts = None if res.packing is None else [list(part) for part in res.packing.parts]
     blob = json.dumps([parts, res.diagnostics], sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+@pytest.mark.parametrize("name, n, p", [("K3", 10, 0.6), ("K2,2", 9, 0.7), ("T3", 9, 0.55)])
+def test_auxiliary_graph_matches_per_pair_definition(name, n, p):
+    """The one pass per vertex joins exactly the pairs linked by at least
+    beta_count sets of `length1_connectors`, for beta_count 1 to 3."""
+    pattern = pattern_from_name(name)
+    rng = random.Random(f"aux:{name}")
+    thinned = 0
+    for _ in range(4):
+        host = sample_digraph(rng, n, p) if pattern.is_digraph else sample_gnp(rng, n, p)
+        counts = []
+        for beta in (1, 2, 3):
+            aux = auxiliary_graph(host, pattern, beta)
+            want = {(x, y) for x in range(n) for y in range(x + 1, n)
+                    if len(list(length1_connectors(host, pattern, x, y, cap=beta))) >= beta}
+            assert aux.edges == want
+            counts.append(aux.edge_count())
+        thinned += counts[0] > counts[-1]
+    assert thinned  # some pairs are linked by fewer than three sets

@@ -179,6 +179,48 @@ def test_swap_fuzz_invariants():
         assert swap_to_fixpoint(d, 3, start) == (m, steps)
 
 
+@pytest.mark.parametrize("r, n, p", [(2, 12, 0.3), (3, 15, 0.5), (3, 18, 0.35), (4, 16, 0.7)])
+def test_swap_to_fixpoint_ignores_empty_rows(r, n, p):
+    """Vertices with fewer than r-1 dominant neighbours are never tried as
+    incoming vertices, which changes nothing: a host with some rows emptied
+    gives, ids mapped, the packing and step count of its induced copy on
+    the other vertices, and with isolated vertices added the same holds."""
+    rng = random.Random(f"empty-rows:{r}:{n}")
+    tr = transitive_pattern(r)
+    steps_seen = 0
+    for _ in range(25):
+        d = sample_digraph(rng, n, p)
+        kept = sorted(rng.sample(range(n), rng.randrange(r, n + 1)))
+        within = sum(1 << v for v in kept)
+        cut = [[row & within if within >> v & 1 else 0 for v, row in enumerate(rows)]
+               for rows in (d.out, d.inn)]
+        sub, mapping = d.induced(kept)
+        # the same arcs spread over more vertices, the new ones isolated
+        ids = sorted(rng.sample(range(n + 5), n))
+        spread = Digraph(n + 5, [(ids[u], ids[v]) for u, v in d.arcs])
+        for host, big, to_big in ((sub, Digraph._from_rows(n, *cut), mapping),
+                                  (d, spread, ids)):
+            m = greedy_packing(host, tr)
+            got, steps = swap_to_fixpoint(
+                big, r, Packing.uniform(big.n, [[to_big[v] for v in part] for part in m.parts], tr))
+            want, want_steps = swap_to_fixpoint(host, r, m)
+            assert steps == want_steps
+            assert got == Packing.uniform(
+                big.n, [[to_big[v] for v in part] for part in want.parts], tr)
+            steps_seen += steps
+    assert steps_seen
+
+
+def test_swap_at_order_one_takes_an_isolated_vertex():
+    # T1 spans any vertex, so an uncovered vertex of lower rank than a
+    # covered one swaps in even when its dominant row is empty
+    d = Digraph(3, [(1, 2)])
+    I = index_bijection(d)
+    assert I[0] < I[1] < I[2] and not dominant_rows(d)[0]
+    m = Packing.uniform(3, [(2,)], transitive_pattern(1))
+    assert swap_to_fixpoint(d, 1, m) == (Packing.uniform(3, [(0,)], transitive_pattern(1)), 1)
+
+
 def test_extend_examples():
     t4 = transitive_tournament(4)
     m = Packing.uniform(4, [(0, 1, 2)], transitive_pattern(3))
