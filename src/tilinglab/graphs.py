@@ -1,9 +1,9 @@
 """Core graph and digraph types with bitset adjacency.
 
 Vertices are dense integers 0..n-1.  Adjacency is stored as one Python int
-bitmask per vertex, so neighbourhood intersections (the inner loop of every
-copy-enumeration routine in this package) are single big-int ANDs.  The rows
-are the only stored adjacency; edge and arc sets are read off them.
+bitmask per vertex, so neighbourhood intersections (the inner loop of copy
+enumeration) are single big-int ANDs.  The rows are the only stored
+adjacency; edge and arc sets are read off them.
 
 The constructors ``Graph(n, edges)`` and ``Digraph(n, arcs)`` validate every
 pair, since their pairs come from outside the package.  Each pair gets one
@@ -11,11 +11,10 @@ inline test: both ends plain ints in 0..n-1, and distinct.  Only a pair
 that fails it goes through the full checks (``check_vertex`` on either end,
 then the loop test), which raise the error naming what is wrong, or let
 the pair through when its ends are int subclasses.  Graphs the package
-derives from another graph's rows (``induced``, ``symmetrize``, ``blow_up``,
-the experiment sampler, the rows the pipeline cuts down to a vertex mask)
-are built from rows directly and check no pair.  No library path builds an
-induced copy: every subset question runs on the host within a vertex mask,
-and ``induced`` serves the tests' reference oracles and direct callers.
+derives from another graph's rows (``symmetrize``, ``blow_up``, the
+experiment sampler, rows cut down to a vertex mask) are built from rows
+directly and check no pair.  No library path builds an induced copy:
+``induced`` serves the tests' oracles and direct callers.
 
 All types are immutable after construction and safe to share between
 threads.  "X spans a copy of H" means subgraph containment throughout the
