@@ -33,7 +33,6 @@ and no id map.
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -179,38 +178,19 @@ def auxiliary_graph(
     """Graph on the host's vertices joining pairs with many length-1 paths.
 
     xy is an edge exactly when at least beta_count connector sets link x
-    and y (the sets `length1_connectors` yields).  For each x one pass over
-    the copies through it finds them: each copy, less x, is a block X, and
-    the completion mask of X holds every later y for which X+{y} spans the
-    pattern too.  The pass stops once every later y has its beta_count
-    blocks, or after n copies: copies come in lexicographic order, so on a
-    dense host a y inside the early blocks waits long for one that avoids
-    it, and each pair still open then takes its own connector search.
-    Materialised explicitly so connecting-path search is a plain path
-    search plus lifting.
+    and y.  Materialised explicitly so connecting-path search is a plain
+    path search plus lifting.
     """
     if beta_count < 1:
         raise ValueError("beta_count >= 1 required")
     edges = []
     for x in range(host.n):
-        pending = host.full_mask() >> x + 1 << x + 1  # the relation is symmetric
-        hits = [0] * host.n
-        copies = enumerate_copies(host, pattern, through=x)
-        # no copy is yielded twice, so no block is counted twice
-        for verts in itertools.islice(copies, host.n):
-            block = tuple(v for v in verts if v != x)
-            for y in bits(completion_mask(host, pattern, block) & pending):
-                hits[y] += 1
-                if hits[y] == beta_count:
-                    pending ^= 1 << y
-                    edges.append((x, y))
-            if not pending:
-                break
-        if pending and next(copies, None) is not None:
-            for y in bits(pending):
-                found = sum(1 for _ in length1_connectors(host, pattern, x, y, cap=beta_count))
-                if found == beta_count:
-                    edges.append((x, y))
+        for y in range(x + 1, host.n):
+            hits = 0
+            for _ in length1_connectors(host, pattern, x, y, cap=beta_count):
+                hits += 1
+            if hits >= beta_count:
+                edges.append((x, y))
     return Graph(host.n, edges)
 
 

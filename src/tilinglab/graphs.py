@@ -1,9 +1,9 @@
 """Core graph and digraph types with bitset adjacency.
 
 Vertices are dense integers 0..n-1.  Adjacency is stored as one Python int
-bitmask per vertex, so neighbourhood intersections (the inner loop of copy
-enumeration) are single big-int ANDs.  The rows are the only stored
-adjacency; edge and arc sets are read off them.
+bitmask per vertex, so neighbourhood intersections (the inner loop of every
+copy-enumeration routine in this package) are single big-int ANDs.  The rows
+are the only stored adjacency; edge and arc sets are read off them.
 
 The constructors ``Graph(n, edges)`` and ``Digraph(n, arcs)`` validate every
 pair, since their pairs come from outside the package.  Each pair gets one

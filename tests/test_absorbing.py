@@ -666,23 +666,3 @@ def test_pipeline_output_is_pinned(name, n, p, seed, max_gadgets, success, stage
     parts = None if res.packing is None else [list(part) for part in res.packing.parts]
     blob = json.dumps([parts, res.diagnostics], sort_keys=True).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
-
-
-@pytest.mark.parametrize("name, n, p", [("K3", 10, 0.6), ("K2,2", 9, 0.7), ("T3", 9, 0.55)])
-def test_auxiliary_graph_matches_per_pair_definition(name, n, p):
-    """The one pass per vertex joins exactly the pairs linked by at least
-    beta_count sets of `length1_connectors`, for beta_count 1 to 3."""
-    pattern = pattern_from_name(name)
-    rng = random.Random(f"aux:{name}")
-    thinned = 0
-    for _ in range(4):
-        host = sample_digraph(rng, n, p) if pattern.is_digraph else sample_gnp(rng, n, p)
-        counts = []
-        for beta in (1, 2, 3):
-            aux = auxiliary_graph(host, pattern, beta)
-            want = {(x, y) for x in range(n) for y in range(x + 1, n)
-                    if len(list(length1_connectors(host, pattern, x, y, cap=beta))) >= beta}
-            assert aux.edges == want
-            counts.append(aux.edge_count())
-        thinned += counts[0] > counts[-1]
-    assert thinned  # some pairs are linked by fewer than three sets
