@@ -20,7 +20,9 @@ search of the host within the subset's vertex mask
 (`packing.perfect_parts_within`).  The family keeps a multiple
 of |pattern| many gadgets so that the idle part of the family always has
 the right divisibility, and the union is solver-checked for a perfect
-packing at build time.
+packing at build time.  The union, the absorbing set M, is a vertex mask
+(`AbsorbingFamily.M`), and `absorb` checks the leftover W against it and
+verifies its packing within M ∪ W as masks too.
 
 `pipeline` chains family construction, an almost-perfect packing of the
 rest of the host (greedy plus the exchange engine where the pattern is a
@@ -35,10 +37,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .constructions import clique_pattern, pattern_power, transitive_pattern
-from .graphs import Digraph, Graph, PatternGraph, bits, check_vertex
+from .exchange import swap_to_fixpoint
+from .graphs import Digraph, Graph, PatternGraph, bits, check_vertex, mask
 from .packing import (
     BudgetExhausted,
     Packing,
@@ -451,13 +454,6 @@ _PAIR_THRESHOLD = 1
 _IDLE_BUDGET = 2_000_000
 
 
-def _mask(verts: Iterable[int]) -> int:
-    m = 0
-    for v in verts:
-        m |= 1 << v
-    return m
-
-
 def _absorbed(
     host: Graph | Digraph, pattern: PatternGraph, verts: tuple[int, ...], among: int
 ) -> int:
@@ -465,7 +461,7 @@ def _absorbed(
     host[verts + (w,)] packs perfectly.  When ``verts`` misses one vertex of
     a single copy this is one completion mask; otherwise each such w takes
     one exact search of the host within ``verts`` and w."""
-    vmask = _mask(verts)
+    vmask = mask(verts)
     among &= ~vmask
     if not among:
         return 0
@@ -487,8 +483,8 @@ def is_absorbing_for(
     """Accept iff host[S] and host[S ∪ Q] both have perfect packings."""
     for v in [*S, *Q]:
         check_vertex(v, host.n)
-    s = _mask(S)
-    q = _mask(Q)
+    s = mask(S)
+    q = mask(Q)
     if s & q:
         raise ValueError(f"S and Q intersect: {list(bits(s & q))}")
     if perfect_parts_within(host, pattern, s, None) is None:
@@ -508,7 +504,7 @@ class AbsorbingGadget:
 
 @dataclass(frozen=True)
 class AbsorbingFamily:
-    """Disjoint gadget sets whose union is the absorbing set M.
+    """Disjoint gadget sets whose union is the absorbing set M, a vertex mask.
 
     Each gadget has t*h-1 vertices, so a gadget plus one absorbed vertex
     packs perfectly; the gadget count is a multiple of h so the idle part
@@ -521,15 +517,16 @@ class AbsorbingFamily:
     seed: int
 
     @property
-    def M(self) -> frozenset[int]:
-        return frozenset(v for g in self.gadgets for v in g.verts)
+    def M(self) -> int:
+        """The absorbing set M, the union of the gadgets, as a vertex mask."""
+        return mask(v for g in self.gadgets for v in g.verts)
 
     def capacity(self) -> int:
         return len(self.gadgets)
 
     def to_json_obj(self) -> dict:
         return {
-            "M": sorted(self.M),
+            "M": list(bits(self.M)),
             "gadgets": [
                 {"verts": list(g.verts), "pairs_checked": g.pairs_checked}
                 for g in self.gadgets
@@ -537,6 +534,20 @@ class AbsorbingFamily:
             "params": dict(self.params),
             "seed": self.seed,
         }
+
+    @staticmethod
+    def from_json_obj(obj: dict) -> "AbsorbingFamily":
+        """The family of a `to_json_obj` object, whose "M" is not read.  A
+        missing key or a value of the wrong type is a ValueError; the
+        vertices are checked where the family is used."""
+        try:
+            gadgets = tuple(
+                AbsorbingGadget(tuple(g["verts"]), int(g["pairs_checked"]))
+                for g in obj["gadgets"]
+            )
+            return AbsorbingFamily(gadgets, obj.get("params", {}), obj.get("seed", 0))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"bad family file: {exc}") from exc
 
 
 def _check_family_counts(t: int, sample_size: int, max_gadgets: int | None) -> None:
@@ -586,7 +597,7 @@ def build_absorbing_family(
         tuple(sorted(random.Random(split_seed(rng_seed, 2, j)).sample(range(n), 2)))
         for j in range(_PAIR_SAMPLES)
     ))
-    endpoints = sum(1 << v for v in set().union(*pairs))
+    endpoints = mask(v for pair in pairs for v in pair)
 
     gadgets: list[AbsorbingGadget] = []
     used_mask = 0
@@ -597,7 +608,7 @@ def build_absorbing_family(
         rng = random.Random(split_seed(rng_seed, 1, i))
         cand = tuple(sorted(rng.sample(range(n), gsize)))
         examined += 1
-        cmask = _mask(cand)
+        cmask = mask(cand)
         if cmask & used_mask:
             continue
         fits = _absorbed(host, pattern, cand, endpoints)
@@ -612,7 +623,7 @@ def build_absorbing_family(
             f"too few gadgets survive: examined {examined} candidates, "
             f"needed {h} disjoint gadgets with pair coverage >= {_PAIR_THRESHOLD}"
         )
-    m_mask = _mask(v for g in gadgets for v in g.verts)
+    m_mask = mask(v for g in gadgets for v in g.verts)
     try:
         idle = perfect_parts_within(host, pattern, m_mask, SearchBudget(_IDLE_BUDGET))
     except BudgetExhausted as exc:
@@ -634,7 +645,8 @@ def absorb(
     W: Sequence[int],
     diagnostics: dict | None = None,
 ) -> Packing | None:
-    """Perfect packing of host[M ∪ W], or None with a diagnostic.
+    """Perfect packing of host[M ∪ W], for M the vertex mask ``fam.M``, or
+    None with a diagnostic.
 
     Every vertex of W is assigned to its own unused gadget after an exact
     solver check; the idle gadgets are then packed jointly.  Capacity is
@@ -651,12 +663,12 @@ def absorb(
     if len(w) != len(list(W)):
         raise ValueError("W has repeated vertices")
     m = fam.M
-    if len(m) != len(gadget_verts):
-        shared = sorted(v for v in m if gadget_verts.count(v) > 1)
+    if m.bit_count() != len(gadget_verts):
+        shared = [v for v in bits(m) if gadget_verts.count(v) > 1]
         raise ValueError(f"gadgets share vertices {shared}")
-    overlap = m & set(w)
-    if overlap:
-        raise ValueError(f"W intersects M: {sorted(overlap)}")
+    wmask = mask(w)
+    if m & wmask:
+        raise ValueError(f"W intersects M: {list(bits(m & wmask))}")
     h = pattern.order
     for gi, gadget in enumerate(fam.gadgets):
         if (len(gadget.verts) + 1) % h:
@@ -673,7 +685,6 @@ def absorb(
         return None
 
     # which gadgets can take each vertex, verified exactly by the solver
-    wmask = _mask(w)
     fits = [_absorbed(host, pattern, g.verts, wmask) for g in fam.gadgets]
     options = [[gi for gi, f in enumerate(fits) if f >> v & 1] for v in w]
     for v, gis in zip(w, options):
@@ -687,7 +698,7 @@ def absorb(
     # diagnostic, not a nonexistence proof
     max_attempts = 500
     attempts = 0
-    gmasks = [_mask(g.verts) for g in fam.gadgets]
+    gmasks = [mask(g.verts) for g in fam.gadgets]
     chosen: list[int] = []
     levels = [iter(options[0])] if w else []
     idle = None
@@ -724,7 +735,7 @@ def absorb(
         for part in perfect_parts_within(host, pattern, gmasks[gi] | 1 << v, None)
     ]
     packing = Packing.uniform(host.n, parts + idle, pattern)
-    check = is_perfect_packing(host, packing, universe=m | set(w))
+    check = is_perfect_packing(host, packing, universe=m | wmask)
     assert check.ok, check.reason
     notes["used_gadgets"] = len(w)
     return packing
@@ -757,8 +768,6 @@ def _almost_pack(host: Graph | Digraph, pattern: PatternGraph, within: int) -> P
     Other patterns keep the greedy result, which one pass leaves
     inextensible.
     """
-    from .exchange import swap_to_fixpoint
-
     parts = greedy_parts(host, pattern, within)
     if pattern.transitive_order:
         out, inn = host.out, host.inn
@@ -814,9 +823,10 @@ def pipeline(
     except FamilyConstructionError as exc:
         diag["reason"] = str(exc)
         return PipelineResult(False, None, "absorbing-family", diag)
-    diag["family_size"] = len(fam.M)
+    m = fam.M
+    diag["family_size"] = m.bit_count()
     diag["gadgets"] = fam.capacity()
-    rest = host.full_mask() & ~_mask(fam.M)
+    rest = host.full_mask() & ~m
     almost = _almost_pack(host, pattern, rest)
     covered = almost.covered_mask()
     leftover = list(bits(rest & ~covered))

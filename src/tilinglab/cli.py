@@ -251,22 +251,10 @@ def cmd_absorbfam(args) -> int:
     return EXIT_OK
 
 
-def _family_from_json(obj: dict) -> absorbing.AbsorbingFamily:
-    gadgets = tuple(
-        absorbing.AbsorbingGadget(tuple(g["verts"]), int(g["pairs_checked"]))
-        for g in obj["gadgets"]
-    )
-    return absorbing.AbsorbingFamily(gadgets, obj.get("params", {}), obj.get("seed", 0))
-
-
 def cmd_absorb(args) -> int:
     g, pat = _host_and_pattern(args)
-    try:
-        with open(args.family) as fh:
-            fam = _family_from_json(json.load(fh))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
-        print(f"input error: bad family file: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    with open(args.family) as fh:
+        fam = absorbing.AbsorbingFamily.from_json_obj(json.load(fh))
     diag: dict = {}
     result = absorbing.absorb(g, pat, fam, _int_list(args.w), diagnostics=diag)
     if result is None:
@@ -438,8 +426,13 @@ def _sample(rng: random.Random, kind: type, n: int, p: float) -> Graph | Digraph
     return Graph._from_rows(n, [adj >> s & mask for s in starts])
 
 
-def run_trial(spec: ExperimentSpec, trial: int) -> dict:
-    """One experiment trial; fully determined by (spec, trial)."""
+# the columns of an experiment row, in CSV order
+_FIELDS = ("trial", "n", "m", "attempts", "conditions", "verdict", "nodes", "violation")
+
+
+def run_trial(spec: ExperimentSpec, trial: int) -> tuple:
+    """One experiment trial's row, in `_FIELDS` order; fully determined by
+    (spec, trial)."""
     kind, _ = _SAMPLERS[spec.sampler]
     thresholds = spec._thresholds
     n = spec.n
@@ -447,16 +440,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> dict:
     attempts = 0 if spec._feasible else spec.max_attempts
     while True:
         if attempts >= spec.max_attempts:
-            return {
-                "trial": trial,
-                "n": n,
-                "m": "",
-                "attempts": attempts,
-                "conditions": "sampling-failed",
-                "verdict": "no-instance",
-                "nodes": 0,
-                "violation": "",
-            }
+            return (trial, n, "", attempts, "sampling-failed", "no-instance", 0, "")
         rng = random.Random(split_seed(spec.seed, trial, attempts))
         # density schedule: push p upward every 200 rejections, to at most
         # 0.98 unless p itself is higher
@@ -479,16 +463,7 @@ def run_trial(spec: ExperimentSpec, trial: int) -> dict:
     if verdict == "none" and thresholds is not None:
         # counterexample: dump the instance verbatim for triage
         violation = ";".join(f"{u}-{v}" for u, v in g.pairs())
-    return {
-        "trial": trial,
-        "n": n,
-        "m": g.edge_count(),
-        "attempts": attempts,
-        "conditions": conditions,
-        "verdict": verdict,
-        "nodes": budget.nodes,
-        "violation": violation,
-    }
+    return (trial, n, g.edge_count(), attempts, conditions, verdict, budget.nodes, violation)
 
 
 def experiment_csv(spec: "ExperimentSpec | dict", jobs: int = 1) -> str:
@@ -507,23 +482,17 @@ def experiment_csv(spec: "ExperimentSpec | dict", jobs: int = 1) -> str:
             rows = pool.starmap(run_trial, [(spec, t) for t in trials])
     else:
         rows = [run_trial(spec, t) for t in trials]
-    header = "trial,n,m,attempts,conditions,verdict,nodes,violation"
-    lines = [header]
-    for row in rows:
-        lines.append(
-            f"{row['trial']},{row['n']},{row['m']},{row['attempts']},"
-            f"{row['conditions']},{row['verdict']},{row['nodes']},"
-            f"{row['violation']}"
-        )
-    found = sum(1 for row in rows if row["verdict"] == "found")
-    none = sum(1 for row in rows if row["verdict"] == "none")
-    exhausted = sum(1 for row in rows if row["verdict"] == "exhausted")
-    attempts = sum(row["attempts"] for row in rows)
-    accepted = sum(1 for row in rows if row["conditions"] != "sampling-failed")
+    lines = [",".join(_FIELDS)]
+    lines.extend(",".join(map(str, row)) for row in rows)
+    column = dict(zip(_FIELDS, zip(*rows)))
+    verdicts = column["verdict"]
+    attempts = sum(column["attempts"])
+    accepted = len(rows) - column["conditions"].count("sampling-failed")
     accept = f"{accepted / attempts:.4f}"
     lines.append(
-        f"summary,trials={spec.trials},found={found},none={none},"
-        f"exhausted={exhausted},attempts={attempts},accept-rate={accept},"
+        f"summary,trials={spec.trials},found={verdicts.count('found')},"
+        f"none={verdicts.count('none')},exhausted={verdicts.count('exhausted')},"
+        f"attempts={attempts},accept-rate={accept},"
     )
     return "\n".join(lines) + "\n"
 
@@ -673,7 +642,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.7)
     p.add_argument("--pattern", required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--max-attempts", type=int, default=100_000)
+    p.add_argument("--max-attempts", type=int, default=ExperimentSpec.max_attempts)
     p.add_argument("--jobs", type=_positive_int, default=1)
     common(p, "--seed", "--budget-nodes", "--out")
     p.set_defaults(func=cmd_experiment, budget_nodes=ExperimentSpec.budget_nodes)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import blowup_tournament_packing, transitive_pattern
-from .graphs import Digraph, bits, blow_up, dominant_rows
+from .graphs import Digraph, bits, blow_up, dominant_rows, mask
 from .packing import (
     Packing,
     SearchBudget,
@@ -169,15 +169,11 @@ def swap_improve(
     at an end.
     """
     _require_tournament_packing(d, m, r)
-    swapped = _swap_step(d, r, m, I, dominant_rows(d), _part_masks(m))
+    swapped = _swap_step(d, r, m, I, dominant_rows(d), [mask(p) for p in m.parts])
     if swapped is not None:
         check = verify_parts(d, swapped)
         assert check.ok, check.reason
     return swapped
-
-
-def _part_masks(m: Packing) -> list[int]:
-    return [sum(1 << u for u in part) for part in m.parts]
 
 
 def _swap_step(
@@ -227,7 +223,7 @@ def swap_to_fixpoint(d: Digraph, r: int, m: Packing) -> tuple[Packing, int]:
     I = index_bijection(d)
     rows = dominant_rows(d)
     _require_tournament_packing(d, m, r)
-    pmasks = _part_masks(m)
+    pmasks = [mask(p) for p in m.parts]
     steps = 0
     while True:
         nxt = _swap_step(d, r, m, I, rows, pmasks)
@@ -254,7 +250,7 @@ def extend_mixed(d: Digraph, r: int, m: Packing, gamma) -> Packing | None:
     r1_pat = transitive_pattern(r + 1)
     parts = list(m.parts)
     patterns = list(m.patterns)
-    pmasks = _part_masks(m)
+    pmasks = [mask(p) for p in m.parts]
     covered = m.covered_mask()
     upgrades = 0
     while True:  # an upgrade grows the covered set: rescan from vertex 0

@@ -33,12 +33,21 @@ class GraphFormatError(ValueError):
     """Raised for malformed graph input (loops, bad endpoints, bad JSON)."""
 
 
-def _bits(mask: int) -> Iterator[int]:
+def bits(mask: int) -> Iterator[int]:
     """Iterate set bit positions of ``mask`` in increasing order."""
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def mask(verts: Iterable[int]) -> int:
+    """The bitmask of the vertices ``verts``, the inverse of `bits`; the one
+    place the package turns a vertex set into a mask."""
+    m = 0
+    for v in verts:
+        m |= 1 << v
+    return m
 
 
 def check_vertex(v: int, n: int) -> None:
@@ -95,7 +104,7 @@ class _GraphBase:
         rows = self._rows()[0]
         if self._symmetric:
             rows = [row >> u + 1 << u + 1 for u, row in enumerate(rows)]
-        return [(u, v) for u, row in enumerate(rows) for v in _bits(row)]
+        return [(u, v) for u, row in enumerate(rows) for v in bits(row)]
 
     def edge_count(self) -> int:
         count = sum(row.bit_count() for row in self._rows()[0])
@@ -180,7 +189,7 @@ class Graph(_GraphBase):
         return self.adj[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
-        return list(_bits(self.adj[v]))
+        return list(bits(self.adj[v]))
 
 
 class Digraph(_GraphBase):
@@ -261,7 +270,7 @@ def blow_up(g: Graph | Digraph, t: int) -> Graph | Digraph:
     block = (1 << t) - 1
 
     def spread(row: int) -> int:
-        return sum(block << v * t for v in _bits(row))
+        return sum(block << v * t for v in bits(row))
 
     return g._from_rows(
         g.n * t, *([spread(row) for row in rows for _ in range(t)] for rows in g._rows())
@@ -555,6 +564,3 @@ def load_graph(path: str) -> Graph | Digraph:
     if stripped.startswith("{"):
         return graph_from_json(text)
     return parse_edge_list(text)
-
-
-bits = _bits

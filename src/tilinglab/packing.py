@@ -8,9 +8,11 @@ The search starts from a vertex mask, so `perfect_parts_within` asks
 whether a vertex subset packs perfectly by searching the host within it,
 with no induced copy and no id map; `greedy_parts` is the greedy pass
 within a mask.
-The verifier keeps the covered vertices as one bitmask.  The search
-remembers the residuals it has finished, keyed by their counts in the
-host's twin classes, so residuals that a permutation of host twins maps
+A vertex set is a mask (`graphs.mask` builds one, `graphs.bits` reads one
+back), but for parts and copies, which are sorted tuples: the verifier
+takes its universe as a mask and keeps the covered vertices as one.  The
+search remembers the residuals it has finished, keyed by their counts in
+the host's twin classes, so residuals that a permutation of host twins maps
 onto each other are searched once; it finds the same packings, with the
 same verdicts, as a search without the memo (within a mask as well, where
 the host's classes may be finer than those of the induced subgraph).
@@ -33,7 +35,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .graphs import Digraph, Graph, PatternGraph, TwinClasses, arc_rows, bits, twin_partition
+from .graphs import (
+    Digraph, Graph, PatternGraph, TwinClasses, arc_rows, bits, mask, twin_partition
+)
 
 
 class BudgetExhausted(RuntimeError):
@@ -86,18 +90,11 @@ class Packing:
             pats.append(pat)
         return Packing(n, tuple(parts), tuple(pats))
 
-    def covered(self) -> frozenset[int]:
-        return frozenset(v for part in self.parts for v in part)
-
     def coverage(self) -> int:
         return sum(len(part) for part in self.parts)
 
     def covered_mask(self) -> int:
-        m = 0
-        for part in self.parts:
-            for v in part:
-                m |= 1 << v
-        return m
+        return mask(v for part in self.parts for v in part)
 
     def is_mixed(self) -> bool:
         return len({pat.name for pat in self.patterns}) > 1
@@ -135,20 +132,18 @@ def transitive_order(d: Digraph, verts: Sequence[int]) -> list[int] | None:
     complete.
     """
     remaining = list(verts)
-    mask = 0
-    for v in remaining:
-        mask |= 1 << v
+    left = mask(remaining)
     order = []
     while remaining:
         pick = None
         for u in remaining:
-            if d.out[u] & mask == mask ^ (1 << u):
+            if d.out[u] & left == left ^ (1 << u):
                 pick = u
                 break
         if pick is None:
             return None
         order.append(pick)
-        mask ^= 1 << pick
+        left ^= 1 << pick
         remaining.remove(pick)
     return order
 
@@ -293,14 +288,12 @@ def spans_pattern(
         if order is None:
             return None
         return {i: v for i, v in enumerate(order)}
-    mask = 0
-    for v in vs:
-        mask |= 1 << v
+    vmask = mask(vs)
     if pattern.clique_order:
-        return {i: v for i, v in enumerate(vs)} if _joined(host, vs, mask) else None
+        return {i: v for i, v in enumerate(vs)} if _joined(host, vs, vmask) else None
     tw = pattern.twin_classes()
     rows = arc_rows(host)
-    states = _twin_start(tw, mask)
+    states = _twin_start(tw, vmask)
     for v in vs:
         states = _twin_advance(tw, rows, states, v, -(2 << v))
         if not states:
@@ -461,19 +454,20 @@ def _search(
     host: Graph | Digraph,
     patterns: Sequence[PatternGraph],
     budget: SearchBudget | None,
-    mask: int,
-    coverable: list[int] | None = None,
+    residual: int,
+    coverable: list[int] | None,
 ) -> Iterator[tuple[tuple[tuple[int, ...], PatternGraph], ...]]:
-    """Depth-first search over residual vertex masks from ``mask``, yielding
-    each packing of host[mask], as (part, pattern) pairs, that covers more
-    vertices than any before it.  Every node ticks the budget, if any, and
-    branches on its lowest uncovered vertex v: every copy through v, pattern
-    by pattern, then, given ``coverable``, leaving v uncovered.  Without it
-    only a perfect packing counts; with it a node is pruned when its covered
-    count plus ``coverable[uncovered]`` cannot beat the incumbent, and so is
-    a popped choice point, with all its remaining branches.  The stack holds only
-    open choice points: a one-part look-ahead finds a node's last branch,
-    and the node is popped before the search descends into it.
+    """Depth-first search over residual vertex masks from ``residual``,
+    yielding each packing of host[residual], as (part, pattern) pairs, that
+    covers more vertices than any before it.  Every node ticks the budget,
+    if any, and branches on its lowest uncovered vertex v: every copy
+    through v, pattern by pattern, then, given ``coverable`` (not None),
+    leaving v uncovered.  Without it only a perfect packing counts; with it
+    a node is pruned when its covered count plus ``coverable[uncovered]``
+    cannot beat the incumbent, and so is a popped choice point, with all its
+    remaining branches.  The stack holds only open choice points: a one-part
+    look-ahead finds a node's last branch, and the node is popped before the
+    search descends into it.
 
     A node is also pruned when a finished residual with the same key (see
     `_residual_key`) had at least its covered count: a permutation of host
@@ -484,27 +478,28 @@ def _search(
     point; a search that never backtracks keeps no memo."""
     options = list(patterns) + ([] if coverable is None else [None])  # None skips v
     parts: list[tuple[tuple[int, ...], PatternGraph]] = []
-    stack = []  # (mask, covered, len(parts), option, its copies, its next part)
+    stack = []  # (residual, covered, len(parts), option, its copies, its next part)
     covered = 0
-    best = mask.bit_count() - 1 if coverable is None else -1
+    best = residual.bit_count() - 1 if coverable is None else -1
     memo: dict = {}  # residual key -> most covered it was finished with
     key = None
     while True:
         if budget is not None:
             budget.tick()
         verts = None
-        if (coverable is None or covered + coverable[mask.bit_count()] > best) and (
-            key is None or memo.get(key(mask), -1) < covered
+        if (coverable is None or covered + coverable[residual.bit_count()] > best) and (
+            key is None or memo.get(key(residual), -1) < covered
         ):
             if covered > best:
                 best = covered
                 yield tuple(parts)
-            if mask:
+            if residual:
                 k = 0  # the first option inline: one call fewer per node
-                copies = enumerate_copies(host, options[0], (mask & -mask).bit_length() - 1, mask)
+                v = (residual & -residual).bit_length() - 1
+                copies = enumerate_copies(host, options[0], v, residual)
                 verts = next(copies, None)
                 if verts is None and len(options) > 1:
-                    k, copies, verts = _open(host, options, 1, mask)
+                    k, copies, verts = _open(host, options, 1, residual)
         if verts is None:
             # drop the choice points that can no longer beat the incumbent
             while stack and coverable is not None and (
@@ -516,17 +511,16 @@ def _search(
             top = stack.pop()
             if key is None:
                 key = _residual_key(host)
-            _remember(memo, key, top, parts, mask)
-            mask, covered, depth, k, copies, verts = top
+            _remember(memo, key, top, parts, residual)
+            residual, covered, depth, k, copies, verts = top
             del parts[depth:]
         pat = options[k]
         following = next(copies, None)
         if following is None and k + 1 < len(options):
-            k, copies, following = _open(host, options, k + 1, mask)
+            k, copies, following = _open(host, options, k + 1, residual)
         if following is not None:
-            stack.append((mask, covered, len(parts), k, copies, following))
-        for u in verts:
-            mask &= ~(1 << u)
+            stack.append((residual, covered, len(parts), k, copies, following))
+        residual &= ~mask(verts)
         if pat is not None:
             parts.append((verts, pat))
             covered += len(verts)
@@ -543,8 +537,7 @@ def _remember(memo: dict, key, top: tuple, parts: list, leaf: int) -> None:
         low = m & -m
         if depth < len(parts) and parts[depth][0][0] == low.bit_length() - 1:
             verts = parts[depth][0]
-            for u in verts:
-                m &= ~(1 << u)
+            m &= ~mask(verts)
             c += len(verts)
             depth += 1
         else:
@@ -562,7 +555,7 @@ def _residual_key(host: Graph | Digraph):
     classes = []
     alone = 0
     for c in twin_partition(host):
-        cmask = sum(1 << v for v in c)
+        cmask = mask(c)
         if len(c) > 1:
             classes.append(cmask)
         else:
@@ -614,12 +607,10 @@ def perfect_parts_within(
     """
     if within.bit_count() % pattern.order:
         return None
-    for found in _search(host, (pattern,), budget, within):
+    for found in _search(host, (pattern,), budget, within, None):
         packing = Packing.uniform(host.n, (verts for verts, _ in found), pattern)
-        # the whole host is verified without building its vertex set
-        check = is_perfect_packing(
-            host, packing, None if within == host.full_mask() else bits(within)
-        )
+        # the whole host is verified without a universe test per vertex
+        check = is_perfect_packing(host, packing, None if within == host.full_mask() else within)
         assert check.ok, check.reason
         return list(packing.parts)
     return None
@@ -685,8 +676,7 @@ def greedy_parts(
         if not within >> anchor & 1:
             continue
         for verts in enumerate_copies(host, pattern, anchor, within):
-            for u in verts:
-                within &= ~(1 << u)
+            within &= ~mask(verts)
             parts.append(verts)
             break
     return parts
@@ -695,18 +685,33 @@ def greedy_parts(
 def is_perfect_packing(
     host: Graph | Digraph,
     packing: Packing,
-    universe: Iterable[int] | None = None,
+    universe: int | None = None,
 ) -> VerifyResult:
     """Check disjointness, coverage, and that each part spans its pattern.
 
-    ``universe`` defaults to all host vertices; pass a subset to verify a
-    perfect packing of an induced subgraph (e.g. host[M ∪ W]).  The
-    covered vertices are one bitmask, and every failure gives the reason of
-    the first vertex or part at fault.
+    ``universe`` is a vertex mask and defaults to all host vertices; pass
+    a subset's mask to verify a perfect packing of an induced subgraph
+    (e.g. host[M ∪ W]); a negative ``universe`` is a ValueError.  Every
+    failure gives the reason of the first vertex or part at fault.
     """
+    if universe is not None and universe < 0:
+        raise ValueError(f"universe {universe} is not a vertex mask")
+    return _verify(host, packing, universe, True)
+
+
+def verify_parts(host: Graph | Digraph, packing: Packing) -> VerifyResult:
+    """Disjointness and per-part spanning only (no coverage requirement)."""
+    return _verify(host, packing, None, False)
+
+
+def _verify(
+    host: Graph | Digraph, packing: Packing, universe: int | None, cover: bool
+) -> VerifyResult:
+    """`is_perfect_packing`, with the coverage test only when ``cover``.
+    The covered vertices are one bitmask, built as the parts are checked;
+    with no universe, a vertex in range needs no membership test."""
     n = host.n
     directed = isinstance(host, Digraph)
-    target = range(n) if universe is None else frozenset(universe)
     covered = 0
     for idx, (part, pat) in enumerate(zip(packing.parts, packing.patterns)):
         before = covered
@@ -715,9 +720,9 @@ def is_perfect_packing(
                 return VerifyResult(False, f"part {idx}: vertex {v!r} is not an integer")
             if not 0 <= v < n:
                 return VerifyResult(False, f"part {idx}: vertex {v} out of range")
-            if v not in target:
-                return VerifyResult(False, f"part {idx}: vertex {v} outside universe")
             bit = 1 << v
+            if universe is not None and not universe & bit:
+                return VerifyResult(False, f"part {idx}: vertex {v} outside universe")
             if covered & bit:
                 return VerifyResult(False, f"disjointness violated at vertex {v}")
             covered |= bit
@@ -738,13 +743,8 @@ def is_perfect_packing(
             return VerifyResult(
                 False, f"part {idx}: {tuple(part)} does not span {pat.name}"
             )
-    # every covered vertex is in the target, so equal counts mean equal sets
-    if covered.bit_count() != len(target):
-        missing = sorted(set(target).difference(bits(covered)))
+    target = host.full_mask() if universe is None else universe
+    if cover and covered != target:  # every covered vertex is in the target
+        missing = list(bits(target & ~covered))
         return VerifyResult(False, f"coverage violated: {missing} uncovered")
     return VerifyResult(True)
-
-
-def verify_parts(host: Graph | Digraph, packing: Packing) -> VerifyResult:
-    """Disjointness and per-part spanning only (no coverage requirement)."""
-    return is_perfect_packing(host, packing, universe=packing.covered())

@@ -11,7 +11,6 @@ from tilinglab.absorbing import (
     FamilyConstructionError,
     HPath,
     _almost_pack,
-    _mask,
     absorb,
     auxiliary_graph,
     build_absorbing_family,
@@ -37,7 +36,7 @@ from tilinglab.constructions import (
     transitive_pattern,
 )
 from tilinglab.degseq import check_margin_sequence
-from tilinglab.graphs import Digraph, Graph, bits, symmetrize
+from tilinglab.graphs import Digraph, Graph, bits, mask, symmetrize
 from tilinglab.packing import (
     Packing,
     find_perfect_packing,
@@ -302,13 +301,13 @@ def test_build_family_and_gadgets_verified():
     fam = build_absorbing_family(host, pat, t=1, sample_size=80, rng_seed=5)
     assert fam.capacity() % 3 == 0 and fam.capacity() >= 3
     m = fam.M
-    assert len(m) == fam.capacity() * 2
+    assert m.bit_count() == fam.capacity() * 2
     # every gadget absorbs some vertex outside M (re-verified via solver)
     for gadget in fam.gadgets:
         hits = [
             v
             for v in range(30)
-            if v not in m
+            if not m >> v & 1
             and find_perfect_packing(
                 host.induced(list(gadget.verts) + [v])[0], pat
             )
@@ -316,7 +315,7 @@ def test_build_family_and_gadgets_verified():
         ]
         assert hits
     # host[M] packs perfectly, as the build-time check requires
-    assert find_perfect_packing(host.induced(m)[0], pat) is not None
+    assert find_perfect_packing(host.induced(bits(m))[0], pat) is not None
 
 
 @pytest.mark.parametrize("name,t,n,p,samples", [
@@ -381,23 +380,23 @@ def test_absorb_scenarios():
     assert empty is not None
     assert is_perfect_packing(k9, empty, universe=fam.M).ok
 
-    w = sorted(set(range(9)) - fam.M)
+    w = list(bits(k9.full_mask() & ~fam.M))
     assert len(w) == 3
     full = absorb(k9, pat, fam, w)
     assert full is not None
-    assert is_perfect_packing(k9, full, universe=range(9)).ok
+    assert is_perfect_packing(k9, full, universe=k9.full_mask()).ok
 
     diag = {}
     k30 = complete_graph(30)
     fam30 = build_absorbing_family(k30, pat, sample_size=80, rng_seed=2, max_gadgets=3)
-    outside = sorted(set(range(30)) - fam30.M)
+    outside = list(bits(k30.full_mask() & ~fam30.M))
     assert absorb(k30, pat, fam30, outside[:6], diagnostics=diag) is None
     assert "capacity" in diag["reason"]
 
     with pytest.raises(ValueError, match="divisible"):
         absorb(k30, pat, fam30, outside[:2])
     with pytest.raises(ValueError, match="intersects"):
-        absorb(k30, pat, fam30, sorted(fam30.M)[:3])
+        absorb(k30, pat, fam30, list(bits(fam30.M))[:3])
 
 
 @pytest.mark.parametrize("name,t,n,p", [
@@ -420,7 +419,7 @@ def test_absorb_matches_recursive_reference(name, t, n, p):
             fam = build_absorbing_family(host, pattern, t=t, sample_size=100, rng_seed=i)
         except FamilyConstructionError:
             continue
-        rest = sorted(set(range(n)) - fam.M)
+        rest = list(bits(host.full_mask() & ~fam.M))
         for size in (0, h, 2 * h):
             for _ in range(2):
                 W = rng.sample(rest, size)
@@ -497,6 +496,13 @@ def test_family_json_shape():
     obj = fam.to_json_obj()
     assert set(obj) == {"M", "gadgets", "params", "seed"}
     assert all(set(g) == {"verts", "pairs_checked"} for g in obj["gadgets"])
+    assert obj["M"] == sorted(v for g in fam.gadgets for v in g.verts)
+    assert AbsorbingFamily.from_json_obj(fam.to_json_obj()) == fam
+    assert AbsorbingFamily.from_json_obj(json.loads(json.dumps(obj))) == fam
+    shapeless = {"gadgets": [{"verts": 5, "pairs_checked": 0}]}
+    for bad in ({}, [], {"gadgets": [{"verts": [0, 1]}]}, shapeless):
+        with pytest.raises(ValueError, match="^bad family file: "):
+            AbsorbingFamily.from_json_obj(bad)
 
 
 def test_star_blowup_minimal_r():
@@ -593,15 +599,15 @@ def test_almost_pack_matches_induced_regreedy(name, n, p):
         host = sample_digraph(rng, n, p) if pattern.is_digraph else sample_gnp(rng, n, p)
         full = host.full_mask()
         sizes = (h * rng.randrange(1, n // h + 1), h * rng.randrange(n // h) + 1)
-        masks = [full, *(_mask(rng.sample(range(n), size)) for size in sizes),
-                 full & ~_mask(rng.sample(range(n), h - 1))]
-        for mask in masks:
-            sub, mapping = host.induced(bits(mask))
+        masks = [full, *(mask(rng.sample(range(n), size)) for size in sizes),
+                 full & ~mask(rng.sample(range(n), h - 1))]
+        for within in masks:
+            sub, mapping = host.induced(bits(within))
             want = reference_almost_pack(sub, pattern)
-            got = _almost_pack(host, pattern, mask)
+            got = _almost_pack(host, pattern, within)
             assert got == Packing.uniform(
                 host.n, [[mapping[v] for v in part] for part in want.parts], pattern)
-            gained += len(got.parts) > len(greedy_parts(host, pattern, mask))
+            gained += len(got.parts) > len(greedy_parts(host, pattern, within))
     assert gained or not (pattern.clique_order or pattern.transitive_order)
 
 

@@ -34,8 +34,10 @@ from tilinglab.exchange import (
 from tilinglab.graphs import (
     Digraph,
     Graph,
+    bits,
     blow_up,
     degree_sequence,
+    mask,
     symmetrize,
 )
 from tilinglab.packing import (
@@ -384,14 +386,14 @@ def test_criterion_10_absorbing_end_to_end():
     fam = build_absorbing_family(
         fam_host, pat, t=1, sample_size=300, rng_seed=99, max_gadgets=6
     )
-    outside = sorted(set(range(36)) - fam.M)
+    outside = list(bits(fam_host.full_mask() & ~fam.M))
     absorb_ok = 0
     for k in range(20):
         rng = random.Random(split_seed(1011, k))
         w = rng.sample(outside, 3 if k % 2 == 0 else 6)
         packing = absorb(fam_host, pat, fam, w)
         if packing is not None and is_perfect_packing(
-            fam_host, packing, universe=fam.M | set(w)
+            fam_host, packing, universe=fam.M | mask(w)
         ).ok:
             absorb_ok += 1
     elapsed = time.time() - start

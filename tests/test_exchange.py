@@ -128,9 +128,9 @@ def test_swap_instance_exact_behaviour():
 
     # exhaustive exchange enumeration confirms this is the only move
     moves = []
-    covered = m.covered()
+    covered = m.covered_mask()
     for x in range(6):
-        if x in covered:
+        if covered >> x & 1:
             continue
         xmask = dominant_rows(d)[x]
         for part in m.parts:

@@ -9,12 +9,14 @@ from tilinglab.graphs import (
     Graph,
     GraphFormatError,
     PatternGraph,
+    bits,
     blow_up,
     degree_sequence,
     dominant_rows,
     format_edge_list,
     graph_from_json,
     graph_to_json,
+    mask,
     parse_edge_list,
     symmetrize,
 )
@@ -33,6 +35,19 @@ PETERSEN = Graph(
      (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
      (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
 )
+
+
+def test_mask_and_bits_are_inverse():
+    """A mask read back by `bits` and rebuilt by `mask` is itself, and
+    vertices made a mask come back sorted without repeats; the empty set
+    is the mask 0."""
+    rng = random.Random("mask-bits")
+    for _ in range(200):
+        m = rng.getrandbits(rng.randrange(130))
+        assert mask(bits(m)) == m
+        vs = [rng.randrange(130) for _ in range(rng.randrange(12))]
+        assert list(bits(mask(vs))) == sorted(set(vs))
+    assert mask([]) == 0 and list(bits(0)) == []
 
 
 def test_construction_validation():

@@ -19,7 +19,7 @@ from tilinglab.constructions import (
     transitive_pattern,
     transitive_tournament,
 )
-from tilinglab.graphs import Digraph, Graph, PatternGraph, symmetrize, twin_partition
+from tilinglab.graphs import Digraph, Graph, PatternGraph, mask, symmetrize, twin_partition
 from tilinglab.packing import (
     BudgetExhausted,
     Packing,
@@ -426,8 +426,10 @@ def test_verifier_violations():
     assert not res.ok and "coverage" in res.reason
 
     nonspan = Packing.uniform(5, [(0, 1, 3)], pat)
-    res = is_perfect_packing(C5, nonspan, universe=(0, 1, 3))
+    res = is_perfect_packing(C5, nonspan, universe=mask((0, 1, 3)))
     assert not res.ok and "span" in res.reason
+    with pytest.raises(ValueError, match="universe -1 is not a vertex mask"):
+        is_perfect_packing(C5, nonspan, universe=-1)
 
 
 class _Vertex(enum.IntEnum):
@@ -478,12 +480,15 @@ def _corrupted(n, parts, pats):
     swapped = [v for p in parts[:-1] for v in p if v != first[0]] + [last[0]]
     yield "a vertex outside a universe of its size", parts[:-1], pats[:-1], swapped
     yield "a universe vertex outside the host", parts, pats, list(range(n + 1))
+    yield "a universe vertex a word above the host", parts, pats, [*range(n), n + 64]
+    yield "an empty universe with no parts", [], [], []
 
 
 def test_verifier_matches_detailed_reference():
     """The bitmask verifier gives the result of the set-based verifier,
     reason included, on valid and corrupted uniform and mixed packings of
-    K_r, T_r and twin-class patterns, with and without a universe."""
+    K_r, T_r and twin-class patterns, with and without a universe, which
+    the bitmask verifier takes as a mask."""
     rng = random.Random(619)
     k2, k3, k4 = clique_pattern(2), clique_pattern(3), clique_pattern(4)
     t2, t3, t4 = transitive_pattern(2), transitive_pattern(3), transitive_pattern(4)
@@ -516,18 +521,21 @@ def test_verifier_matches_detailed_reference():
             for h, host in enumerate(hosts):
                 for label, vparts, vpats, universe in variants:
                     packing_ = Packing(n, tuple(vparts), tuple(vpats))
-                    got = is_perfect_packing(host, packing_, universe)
+                    got = is_perfect_packing(
+                        host, packing_, None if universe is None else mask(universe)
+                    )
                     want = reference_is_perfect_packing(host, packing_, universe)
                     assert got == want, (label, [pat.name for pat in pats], h)
                     if universe is None:
                         assert verify_parts(host, packing_) == reference_is_perfect_packing(
-                            host, packing_, packing_.covered()
+                            host, packing_, {v for part in vparts for v in part}
                         ), (label, h)
                     outcomes.setdefault((label, h), set()).add(got.ok)
     # the valid packings pass on their own host and fail without one pair
     valid = ("valid", "valid, every vertex as universe", "valid parts of a subset", "an IntEnum vertex")
     for label in valid:
         assert outcomes[label, 0] == {True} and outcomes[label, 1] == {False}
+    assert outcomes["an empty universe with no parts", 1] == {True}
     broken = ("a part", "a pattern", "overlapping", "a vertex", "a bool", "an uncovered", "a universe")
     for label, h in outcomes:
         if label.startswith(broken):
@@ -599,7 +607,7 @@ def test_greedy_never_beats_max():
         m = max_packing(host, pat)
         assert g.coverage() <= m.packing.coverage()
         # greedy output is a valid sub-packing
-        assert is_perfect_packing(host, g, universe=g.covered()).ok
+        assert is_perfect_packing(host, g, universe=g.covered_mask()).ok
 
 
 def test_mixed_packing_verifies_per_part():
