@@ -568,15 +568,16 @@ def build_absorbing_family(
 ) -> AbsorbingFamily:
     """Randomized greedy absorbing family, reproducible under the seed.
 
-    Candidates are (t*h-1)-sets drawn with per-index derived sub-seeds;
-    overlapping candidates are discarded and a survivor becomes a gadget
-    when it absorbs both endpoints of at least one sampled pair.  Each
-    candidate is asked once about all the sampled endpoints (`_absorbed`):
-    at t = 1 that is one twin-class search over the host, at t >= 2 one
-    exact search per endpoint outside the candidate.  Fails loudly when
-    too few disjoint gadgets survive or when the union has no perfect
-    packing under the verification budget.  A ``t``, ``sample_size`` or
-    given ``max_gadgets`` below 1 is a ValueError.
+    One generator, seeded from ``split_seed(rng_seed)``, draws the sampled
+    pairs and then each candidate (t*h-1)-set in turn, only as the loop
+    reaches it; overlapping candidates are discarded and a survivor becomes
+    a gadget when it absorbs both endpoints of at least one sampled pair.
+    Each candidate is asked once about all the sampled endpoints
+    (`_absorbed`): at t = 1 that is one twin-class search over the host,
+    at t >= 2 one exact search per endpoint outside the candidate.  Fails
+    loudly when too few disjoint gadgets survive or when the union has no
+    perfect packing under the verification budget.  A ``t``,
+    ``sample_size`` or given ``max_gadgets`` below 1 is a ValueError.
     """
     _check_family_counts(t, sample_size, max_gadgets)
     n = host.n
@@ -593,19 +594,18 @@ def build_absorbing_family(
         "max_gadgets": max_gadgets,
         "pair_sample_size": _PAIR_SAMPLES,
     }
+    rng = random.Random(split_seed(rng_seed))
     pairs = list(dict.fromkeys(  # distinct, in the order drawn
-        tuple(sorted(random.Random(split_seed(rng_seed, 2, j)).sample(range(n), 2)))
-        for j in range(_PAIR_SAMPLES)
+        tuple(sorted(rng.sample(range(n), 2))) for _ in range(_PAIR_SAMPLES)
     ))
     endpoints = mask(v for pair in pairs for v in pair)
 
     gadgets: list[AbsorbingGadget] = []
     used_mask = 0
     examined = 0
-    for i in range(sample_size):
+    for _ in range(sample_size):
         if len(gadgets) >= max_gadgets:
             break
-        rng = random.Random(split_seed(rng_seed, 1, i))
         cand = tuple(sorted(rng.sample(range(n), gsize)))
         examined += 1
         cmask = mask(cand)

@@ -254,7 +254,11 @@ def cmd_absorbfam(args) -> int:
 def cmd_absorb(args) -> int:
     g, pat = _host_and_pattern(args)
     with open(args.family) as fh:
-        fam = absorbing.AbsorbingFamily.from_json_obj(json.load(fh))
+        try:
+            obj = json.load(fh)
+        except RecursionError as exc:  # nested deeper than the decoder follows
+            raise ValueError(f"bad family file: {exc}") from exc
+    fam = absorbing.AbsorbingFamily.from_json_obj(obj)
     diag: dict = {}
     result = absorbing.absorb(g, pat, fam, _int_list(args.w), diagnostics=diag)
     if result is None:
@@ -438,10 +442,11 @@ def run_trial(spec: ExperimentSpec, trial: int) -> tuple:
     n = spec.n
     # a spec that even K_n fails gives up without sampling
     attempts = 0 if spec._feasible else spec.max_attempts
+    # one generator per trial: each attempt draws on from where the last stopped
+    rng = random.Random(split_seed(spec.seed, trial))
     while True:
         if attempts >= spec.max_attempts:
             return (trial, n, "", attempts, "sampling-failed", "no-instance", 0, "")
-        rng = random.Random(split_seed(spec.seed, trial, attempts))
         # density schedule: push p upward every 200 rejections, to at most
         # 0.98 unless p itself is higher
         p_eff = min(max(spec.p, 0.98), spec.p + 0.05 * (attempts // 200))
@@ -469,8 +474,9 @@ def run_trial(spec: ExperimentSpec, trial: int) -> tuple:
 def experiment_csv(spec: "ExperimentSpec | dict", jobs: int = 1) -> str:
     """Per-trial CSV plus a summary row; byte-identical for a fixed spec.
 
-    Trials are independent (seeds derive from the trial index), so they may
-    run in parallel; rows are always emitted in trial order.
+    Trials are independent (each seeds its own generator from the trial
+    index), so they may run in parallel; rows are always emitted in trial
+    order.
     """
     if not isinstance(spec, ExperimentSpec):
         spec = ExperimentSpec(**spec)

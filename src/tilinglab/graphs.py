@@ -34,7 +34,10 @@ class GraphFormatError(ValueError):
 
 
 def bits(mask: int) -> Iterator[int]:
-    """Iterate set bit positions of ``mask`` in increasing order."""
+    """Iterate set bit positions of ``mask`` in increasing order; a negative
+    mask, which has infinitely many set bits, is a ValueError."""
+    if mask < 0:
+        raise ValueError(f"negative vertex mask {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

@@ -416,17 +416,18 @@ def reference_absorbing_family(host, pattern, t, sample_size, rng_seed, max_gadg
     gsize = t * h - 1
     if max_gadgets is None:
         max_gadgets = 2 * h
+    rng = random.Random(split_seed(rng_seed))
     pairs = []
-    for j in range(absorbing._PAIR_SAMPLES):
-        pair = tuple(sorted(random.Random(split_seed(rng_seed, 2, j)).sample(range(n), 2)))
+    for _ in range(absorbing._PAIR_SAMPLES):
+        pair = tuple(sorted(rng.sample(range(n), 2)))
         if pair not in pairs:
             pairs.append(pair)
     gadgets = []
     used = set()
-    for i in range(sample_size):
+    for _ in range(sample_size):
         if len(gadgets) >= max_gadgets:
             break
-        cand = tuple(sorted(random.Random(split_seed(rng_seed, 1, i)).sample(range(n), gsize)))
+        cand = tuple(sorted(rng.sample(range(n), gsize)))
         if used & set(cand):
             continue
         hit = 0

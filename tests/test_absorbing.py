@@ -622,46 +622,51 @@ def test_almost_pack_at_order_one_stays_in_its_mask(name):
     assert _almost_pack(host, pattern, mask).parts == tuple((v,) for v in bits(mask))
 
 
+# (name, n, p, seed, max_gadgets) and the pinned (success, stage, leftover,
+# digest); test ids name only the inputs, so a planned re-pin keeps them
+PIPELINE_PINS = [
+    (("K3", 30, 0.7, 2, None), (True, None, 0,
+     "86721b425bdbc41ab3c698b89d17d54f30cd86ce388f42a6d608fddd48a7c43a")),
+    (("K3", 30, 0.7, 5, None), (True, None, 0,
+     "138acd4659ceb80e89bc3250d353a602c6931ef35301ea182d8c057473936aff")),
+    (("K3", 36, 0.6, 3, 8), (True, None, 0,
+     "7266e76a40db5a4c088e9f892b54aac2749d785b707f3e9abcd10ffa99fc714a")),
+    (("K3", 24, 0.5, 5, None), (False, "absorb", 3,
+     "96a30962f7fab58c82e64eb19120d6d2948532b61b30d68431b3902d04330649")),
+    (("K3", 24, 0.5, 3, None), (False, "absorb", 6,
+     "6be6028178206c254c18edba45c3de4fde9093172c1c8b479c5c283878dbb6a2")),
+    (("K3", 24, 0.5, 2, None), (True, None, 3,
+     "627283162ff33f5530888fdf169ef11bad4aa815cd770de6a36f56b8bd5e7f77")),
+    (("K3", 21, 0.3, 1, None), (False, "absorbing-family", None,
+     "b98267bce8b9eaa73f1a2f28ae058435164f79a995d89e802911666b3c7a0611")),
+    (("T3", 30, 0.7, 1, None), (True, None, 0,
+     "6e9285502bc2b0d4b91a9462e4a028aac545128a07ef8926174ffee4d623895a")),
+    (("T3", 36, 0.65, 4, 8), (True, None, 0,
+     "f2f0f2d4db148d61d57d9cc8d05d5682988e68f76adcae2b253d1fd7a924ba32")),
+    (("T3", 24, 0.45, 2, None), (True, None, 0,
+     "09be53da8f592fa66d5d7af4f94b492b9c7290d8e6f7cfe2fd2daf6e9f63d2c9")),
+    (("T3", 21, 0.4, 5, None), (True, None, 3,
+     "c0dbdda60b94eb31e6bbbffbca5b4c86308c4b582f4a472cff8d0a39a0ed535f")),
+    (("K2,2", 24, 0.7, 1, None), (True, None, 4,
+     "a62e7d9c4b2addb0478b950b7289b37e160b8698f0701d69072fd58da94541c8")),
+    (("K2,2", 24, 0.7, 4, None), (True, None, 0,
+     "617722e31bae7f548d9a7e83769a78c92fbf6e3b18403f5551bd9fffc0db9288")),
+]
+
+
 @pytest.mark.parametrize(
-    "name, n, p, seed, max_gadgets, success, stage, leftover, digest",
-    [
-        ("K3", 30, 0.7, 2, None, True, None, 0,
-         "a3b4a2231841c5d6d1c5a9c5575e02b307649846f59f87e38b0056a8782d59b9"),
-        ("K3", 30, 0.7, 5, None, True, None, 0,
-         "59c02e79b9cdc622e731dd1e5db3d9ce521f76a13d17c6c0327f46fc1d2fd84c"),
-        ("K3", 36, 0.6, 3, 8, True, None, 0,
-         "7ee6f88c1295ab008f10636fc33ff5195b2da6d1b848888e08d4eb847af82953"),
-        ("K3", 24, 0.5, 5, None, True, None, 3,
-         "c3909bab0e97e741848650753bb21b1b1a70181495ba74708718e4cb801c4cbf"),
-        ("K3", 24, 0.5, 3, None, False, "absorb", 3,
-         "bba6edbeeca073ff4f7859fb49220a9fb93d3371d19b7720a931177c10c52e85"),
-        ("K3", 24, 0.5, 2, None, False, "absorbing-family", None,
-         "cfcf68450c9b140f22bba370ef4b2fc94788d324e155a88feeacead51836de60"),
-        ("K3", 21, 0.3, 1, None, False, "absorb", 6,
-         "a251b44f3b065c9799b581646181b7a9bc696f98ff9231492beb9d9ec9825c2c"),
-        ("T3", 30, 0.7, 1, None, True, None, 0,
-         "df3a0cd902f5c3068a8ce4d3d1d6b067d89a0b443bd2fd6a998975e41b3a6ce6"),
-        ("T3", 36, 0.65, 4, 8, True, None, 0,
-         "eafc3370ecd705c51549394b990bd2d5968e609b54a53a89a6e4687212c8c05a"),
-        ("T3", 24, 0.45, 2, None, True, None, 3,
-         "2927183e48df31264899ebb5e094083298040862806a92ba72efe0831550479c"),
-        ("T3", 21, 0.4, 5, None, False, "absorb", 3,
-         "06a4b802f07790a82dc225a67ddfb01a59b554de78c49a17f1cf50f2d6f70733"),
-        ("K2,2", 24, 0.7, 1, None, True, None, 4,
-         "1fb17ab65bce2fbed98f0fddcae05681bebf0ef73431dacdc799e42c59c39cf2"),
-        ("K2,2", 24, 0.7, 4, None, False, "absorb", 4,
-         "34d660113f7c409a4473b8e320d55ec99c417882ee8676206921fc4f5b45e9df"),
-    ],
+    "case, pinned", PIPELINE_PINS, ids=["-".join(map(str, case)) for case, _ in PIPELINE_PINS]
 )
-def test_pipeline_output_is_pinned(name, n, p, seed, max_gadgets, success, stage, leftover,
-                                   digest):
+def test_pipeline_output_is_pinned(case, pinned):
     """Seeded hosts through `pipeline`: K3 and T3 hosts whose almost-perfect
-    stage takes exchange steps, a K2,2 host (greedy only), and failures in
+    stage takes exchange steps, K2,2 hosts (greedy only), and failures in
     the family and absorb stages.  Success, stage and the leftover count
     are pinned, and the parts and diagnostics through a digest, so a
     rewrite of the almost-perfect stage must give the same packing."""
     import hashlib
 
+    name, n, p, seed, max_gadgets = case
+    success, stage, leftover, digest = pinned
     pattern = pattern_from_name(name)
     rng = random.Random(seed)
     host = sample_digraph(rng, n, p) if pattern.is_digraph else sample_gnp(rng, n, p)

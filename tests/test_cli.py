@@ -246,6 +246,17 @@ def test_absorb_rejects_vertices_outside_the_host(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_absorb_family_nested_too_deep_exits_2(tmp_path, capsys):
+    # deeper than the JSON decoder follows: an input error, as for graph files
+    k12 = write_graph(tmp_path, "k12.json", complete_graph(12))
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    assert main(["absorb", k12, "--pattern", "K3", "--family", str(deep),
+                 "--w", "0,1,2"]) == 2
+    err = capsys.readouterr().err
+    assert "input error: bad family file:" in err and "Traceback" not in err
+
+
 def test_pipeline_command(tmp_path):
     k24 = write_graph(tmp_path, "k24.json", complete_graph(24))
     out = tmp_path / "pipe.json"
@@ -291,21 +302,22 @@ def test_experiment_deterministic(tmp_path):
     "sampler, n, gamma, p, pattern, summary, digest",
     [
         ("gnp-min-degree", 24, "0", 0.8, "K3",
-         "found=60,none=0,exhausted=0,attempts=343,accept-rate=0.1749,",
-         "7f5c1d887dd5032bfa832b86544672d90b81ec0f7fb89b752ace4990befb6c85"),
+         "found=60,none=0,exhausted=0,attempts=223,accept-rate=0.2691,",
+         "f48cbc4528723f262510c0633969948c942f47ceaccee9ec8ff5385548d277fd"),
         ("gnp-margin", 24, "1/20", 0.75, "K3",
-         "found=60,none=0,exhausted=0,attempts=230,accept-rate=0.2609,",
-         "8d917513485f6e71c78438fea5a1854a8e1834485e84c1bd6d7518fe2cf01b4d"),
+         "found=60,none=0,exhausted=0,attempts=244,accept-rate=0.2459,",
+         "135b1946cd1626349f00a62586af6fd4e3bc81de5b47ad6c90fcafb26026fc85"),
         ("gnp-dominant", 15, "0", 0.7, "T3",
-         "found=60,none=0,exhausted=0,attempts=61,accept-rate=0.9836,",
-         "c7ace6f3d41cb4f4378f5cf8681a4cbede5813422392da23cb66d2a34e2b58db"),
+         "found=60,none=0,exhausted=0,attempts=60,accept-rate=1.0000,",
+         "ba85f6f303ece7be334c733b01405626b393bc79b8560f5302313899ac19df5e"),
     ],
 )
 def test_experiment_bytes_are_pinned(sampler, n, gamma, p, pattern, summary, digest):
     """The benchmark's three experiment specs at seed 1, 60 trials: the CSV
     bytes, pinned, so a faster sampler or check must draw and decide the
-    same hosts.  The one planned change that re-pins them is ROADMAP item 1
-    (the `split_seed` fix), which redraws every host."""
+    same hosts.  Each trial draws all its attempts from one generator,
+    seeded by ``split_seed(seed, trial)``; a change to that derivation or
+    to the order of the draws redraws every host and re-pins them."""
     import hashlib
 
     from tilinglab.cli import experiment_csv
@@ -396,6 +408,10 @@ def test_experiment_parallel_matches_serial(tmp_path):
         "budget_nodes": 10_000_000, "max_attempts": 100_000,
     }
     assert experiment_csv(spec, jobs=1) == experiment_csv(spec, jobs=2)
+    # the benchmark's first spec at seed 1, whose trials take many attempts
+    spec = dict(sampler="gnp-min-degree", n=24, r=3, gamma="0", p=0.8, pattern="K3",
+                trials=60, seed=1)
+    assert experiment_csv(spec, jobs=1) == experiment_csv(spec, jobs=2)
 
 
 def test_experiment_accept_rate_counts_accepted_trials(tmp_path):
@@ -473,7 +489,7 @@ def test_experiment_accepts_exactly_the_hosts_meeting_the_condition(sampler, gam
     rows = experiment_csv(spec).strip().split("\n")[1:-1]
     accepted = []
     for trial, row in enumerate(rows):
-        g = _sample(random.Random(split_seed(spec.seed, trial, 0)), kind, 12, p)
+        g = _sample(random.Random(split_seed(spec.seed, trial)), kind, 12, p)
         _, _, m, _, conditions, *_ = row.split(",")
         assert conditions in ("satisfied", "sampling-failed")
         accepted.append(conditions == "satisfied")

@@ -50,6 +50,13 @@ def test_mask_and_bits_are_inverse():
     assert mask([]) == 0 and list(bits(0)) == []
 
 
+def test_bits_refuses_a_negative_mask():
+    # a negative int has infinitely many set bits: refused at the first step
+    for m in (-1, -2, -(1 << 70)):
+        with pytest.raises(ValueError, match=f"negative vertex mask {m}"):
+            next(bits(m))
+
+
 def test_construction_validation():
     with pytest.raises(GraphFormatError):
         Graph(3, [(0, 0)])

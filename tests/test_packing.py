@@ -413,6 +413,13 @@ def test_round_trip_verification():
             assert is_perfect_packing(g, p).ok
 
 
+def test_greedy_parts_refuses_a_negative_mask():
+    # -1 is no vertex set: the error is the mask's, before any copy is
+    # sought, not a late out-of-range vertex from an endless walk of its bits
+    with pytest.raises(ValueError, match="negative vertex mask -1"):
+        packing.greedy_parts(complete_graph(4), clique_pattern(2), -1)
+
+
 def test_verifier_violations():
     g = complete_graph(6)
     pat = clique_pattern(3)
