@@ -1,10 +1,12 @@
 import itertools
 import json
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+import tilinglab.absorbing as absorbing_module
 from tilinglab.absorbing import (
     AbsorbingFamily,
     AbsorbingGadget,
@@ -654,10 +656,64 @@ PIPELINE_PINS = [
 ]
 
 
+# The same hosts with the absorbing families that the first `split_seed`
+# (one generator per candidate and per sampled pair, the master seed XORed
+# into the first path element) drew, kept in a fixture: given its family,
+# `pipeline` must still give the output pinned under that derivation.  These
+# ids name the pinned outputs too, as the pins of that derivation were named.
+FIRST_SPLIT_SEED_PINS = [
+    (("K3", 30, 0.7, 2, None), (True, None, 0,
+     "a3b4a2231841c5d6d1c5a9c5575e02b307649846f59f87e38b0056a8782d59b9")),
+    (("K3", 30, 0.7, 5, None), (True, None, 0,
+     "59c02e79b9cdc622e731dd1e5db3d9ce521f76a13d17c6c0327f46fc1d2fd84c")),
+    (("K3", 36, 0.6, 3, 8), (True, None, 0,
+     "7ee6f88c1295ab008f10636fc33ff5195b2da6d1b848888e08d4eb847af82953")),
+    (("K3", 24, 0.5, 5, None), (True, None, 3,
+     "c3909bab0e97e741848650753bb21b1b1a70181495ba74708718e4cb801c4cbf")),
+    (("K3", 24, 0.5, 3, None), (False, "absorb", 3,
+     "bba6edbeeca073ff4f7859fb49220a9fb93d3371d19b7720a931177c10c52e85")),
+    (("K3", 24, 0.5, 2, None), (False, "absorbing-family", None,
+     "cfcf68450c9b140f22bba370ef4b2fc94788d324e155a88feeacead51836de60")),
+    (("K3", 21, 0.3, 1, None), (False, "absorb", 6,
+     "a251b44f3b065c9799b581646181b7a9bc696f98ff9231492beb9d9ec9825c2c")),
+    (("T3", 30, 0.7, 1, None), (True, None, 0,
+     "df3a0cd902f5c3068a8ce4d3d1d6b067d89a0b443bd2fd6a998975e41b3a6ce6")),
+    (("T3", 36, 0.65, 4, 8), (True, None, 0,
+     "eafc3370ecd705c51549394b990bd2d5968e609b54a53a89a6e4687212c8c05a")),
+    (("T3", 24, 0.45, 2, None), (True, None, 3,
+     "2927183e48df31264899ebb5e094083298040862806a92ba72efe0831550479c")),
+    (("T3", 21, 0.4, 5, None), (False, "absorb", 3,
+     "06a4b802f07790a82dc225a67ddfb01a59b554de78c49a17f1cf50f2d6f70733")),
+    (("K2,2", 24, 0.7, 1, None), (True, None, 4,
+     "1fb17ab65bce2fbed98f0fddcae05681bebf0ef73431dacdc799e42c59c39cf2")),
+    (("K2,2", 24, 0.7, 4, None), (False, "absorb", 4,
+     "34d660113f7c409a4473b8e320d55ec99c417882ee8676206921fc4f5b45e9df")),
+]
+FIRST_SPLIT_SEED_FAMILIES = pathlib.Path(__file__).parent / "fixtures" / (
+    "pipeline_families_first_split_seed.json")
+
+
+def _kept_family(case):
+    """A stand-in for `build_absorbing_family` that returns, or fails with,
+    the family kept for `case` in FIRST_SPLIT_SEED_FAMILIES."""
+    obj = json.loads(FIRST_SPLIT_SEED_FAMILIES.read_text())["-".join(map(str, case))]
+
+    def build(*args, **kwargs):
+        if "error" in obj:
+            raise FamilyConstructionError(obj["error"])
+        return AbsorbingFamily.from_json_obj(obj)
+
+    return build
+
+
 @pytest.mark.parametrize(
-    "case, pinned", PIPELINE_PINS, ids=["-".join(map(str, case)) for case, _ in PIPELINE_PINS]
+    "case, pinned, kept_family",
+    [(case, pinned, False) for case, pinned in PIPELINE_PINS]
+    + [(case, pinned, True) for case, pinned in FIRST_SPLIT_SEED_PINS],
+    ids=["-".join(map(str, case)) for case, _ in PIPELINE_PINS]
+    + ["-".join(map(str, case + pinned)) for case, pinned in FIRST_SPLIT_SEED_PINS],
 )
-def test_pipeline_output_is_pinned(case, pinned):
+def test_pipeline_output_is_pinned(case, pinned, kept_family, monkeypatch):
     """Seeded hosts through `pipeline`: K3 and T3 hosts whose almost-perfect
     stage takes exchange steps, K2,2 hosts (greedy only), and failures in
     the family and absorb stages.  Success, stage and the leftover count
@@ -667,6 +723,8 @@ def test_pipeline_output_is_pinned(case, pinned):
 
     name, n, p, seed, max_gadgets = case
     success, stage, leftover, digest = pinned
+    if kept_family:
+        monkeypatch.setattr(absorbing_module, "build_absorbing_family", _kept_family(case))
     pattern = pattern_from_name(name)
     rng = random.Random(seed)
     host = sample_digraph(rng, n, p) if pattern.is_digraph else sample_gnp(rng, n, p)
