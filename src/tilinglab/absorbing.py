@@ -538,7 +538,8 @@ class AbsorbingFamily:
     @staticmethod
     def from_json_obj(obj: dict) -> "AbsorbingFamily":
         """The family of a `to_json_obj` object, whose "M" is not read.  A
-        missing key or a value of the wrong type is a ValueError; the
+        missing key, a value of the wrong type or a ``pairs_checked`` that
+        `int` refuses (JSON reads 1e400 as ``inf``) is a ValueError; the
         vertices are checked where the family is used."""
         try:
             gadgets = tuple(
@@ -546,7 +547,7 @@ class AbsorbingFamily:
                 for g in obj["gadgets"]
             )
             return AbsorbingFamily(gadgets, obj.get("params", {}), obj.get("seed", 0))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"bad family file: {exc}") from exc
 
 

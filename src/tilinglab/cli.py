@@ -152,6 +152,7 @@ def cmd_check(args) -> int:
     if args.format == "json":
         _write(args.out, json.dumps([r.to_json_obj() for r in reports], indent=2))
     else:
+        lines = []
         for rep in reports:
             state = "satisfied" if rep.satisfied else "NOT satisfied"
             extra = f" ({rep.detail})" if rep.detail else ""
@@ -160,7 +161,8 @@ def cmd_check(args) -> int:
                 if rep.first_violating_index
                 else ""
             )
-            _say(args, f"{rep.name}: {state}{extra}{bad}")
+            lines.append(f"{rep.name}: {state}{extra}{bad}")
+        _write(args.out, "\n".join(lines))
     return EXIT_OK if all(r.satisfied for r in reports) else EXIT_UNSATISFIED
 
 
@@ -475,16 +477,17 @@ def experiment_csv(spec: "ExperimentSpec | dict", jobs: int = 1) -> str:
     """Per-trial CSV plus a summary row; byte-identical for a fixed spec.
 
     Trials are independent (each seeds its own generator from the trial
-    index), so they may run in parallel; rows are always emitted in trial
-    order.
+    index), so they may run in parallel, in at most one process per trial;
+    rows are always emitted in trial order.
     """
     if not isinstance(spec, ExperimentSpec):
         spec = ExperimentSpec(**spec)
     trials = range(spec.trials)
-    if jobs > 1:
+    workers = min(jobs, spec.trials)
+    if workers > 1:
         import multiprocessing
 
-        with multiprocessing.Pool(jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             rows = pool.starmap(run_trial, [(spec, t) for t in trials])
     else:
         rows = [run_trial(spec, t) for t in trials]

@@ -2,12 +2,12 @@
 
 This module is the ground-truth oracle of the package: `find_perfect_packing`
 (exhaustive backtracking) and `max_packing` (branch-and-bound) share one
-explicit-stack search branching on the lowest-index uncovered vertex, and
-`is_perfect_packing` re-verifies every structure any other module produces.
-The search starts from a vertex mask, so `perfect_parts_within` asks
-whether a vertex subset packs perfectly by searching the host within it,
-with no induced copy and no id map; `greedy_parts` is the greedy pass
-within a mask.
+explicit-stack search, whose exhaustion certifies NONE whichever uncovered
+vertex it branches on; `is_perfect_packing` re-verifies every structure
+any other module produces.  The search starts from a vertex mask, so
+`perfect_parts_within` asks whether a vertex subset packs perfectly by
+searching the host within it, with no induced copy and no id map;
+`greedy_parts` is the greedy pass within a mask.
 A vertex set is a mask (`graphs.mask` builds one, `graphs.bits` reads one
 back), but for parts and copies, which are sorted tuples: the verifier
 takes its universe as a mask and keeps the covered vertices as one.  The
@@ -456,29 +456,31 @@ def _search(
     budget: SearchBudget | None,
     residual: int,
     coverable: list[int] | None,
-) -> Iterator[tuple[tuple[tuple[int, ...], PatternGraph], ...]]:
+) -> Iterator[tuple[tuple[tuple[int, ...], PatternGraph | None], ...]]:
     """Depth-first search over residual vertex masks from ``residual``,
-    yielding each packing of host[residual], as (part, pattern) pairs, that
-    covers more vertices than any before it.  Every node ticks the budget,
-    if any, and branches on its lowest uncovered vertex v: every copy
-    through v, pattern by pattern, then, given ``coverable`` (not None),
-    leaving v uncovered.  Without it only a perfect packing counts; with it
-    a node is pruned when its covered count plus ``coverable[uncovered]``
-    cannot beat the incumbent, and so is a popped choice point, with all its
-    remaining branches.  The stack holds only open choice points: a one-part
-    look-ahead finds a node's last branch, and the node is popped before the
-    search descends into it.
+    yielding the steps down to each packing of host[residual] that covers
+    more vertices than any before it: a part as (part, pattern), a vertex
+    left uncovered as ((v,), None).  Every node ticks the budget, if any,
+    and branches on one uncovered vertex v, chosen here alone (the lowest):
+    every copy through v, pattern by pattern, then, given ``coverable`` (not
+    None), leaving v uncovered, so exhaustion certifies NONE whichever v is
+    chosen.  Without it only a perfect packing counts; with it a node is
+    pruned when its covered count plus ``coverable[uncovered]`` cannot beat
+    the incumbent, and so is a popped choice point, with all its remaining
+    branches.  The stack holds only open choice points, each with its v: a
+    one-part look-ahead finds a node's last branch, and the node is popped
+    before the search descends into it.
 
     A node is also pruned when a finished residual with the same key (see
     `_residual_key`) had at least its covered count: a permutation of host
     twins maps one residual onto the other, and ancestors have larger
     residuals, so the earlier one was searched to the end and nothing here
     can beat the incumbent.  Residuals are remembered when the search
-    backtracks past them, from the parts taken below the popped choice
-    point; a search that never backtracks keeps no memo."""
+    backtracks past them, by replaying the steps taken below the popped
+    choice point; a search that never backtracks keeps no memo."""
     options = list(patterns) + ([] if coverable is None else [None])  # None skips v
-    parts: list[tuple[tuple[int, ...], PatternGraph]] = []
-    stack = []  # (residual, covered, len(parts), option, its copies, its next part)
+    steps: list[tuple[tuple[int, ...], PatternGraph | None]] = []
+    stack = []  # (residual, covered, len(steps), v, option, its copies, its next part)
     covered = 0
     best = residual.bit_count() - 1 if coverable is None else -1
     memo: dict = {}  # residual key -> most covered it was finished with
@@ -492,14 +494,14 @@ def _search(
         ):
             if covered > best:
                 best = covered
-                yield tuple(parts)
+                yield tuple(steps)
             if residual:
+                v = (residual & -residual).bit_length() - 1  # the branch vertex
                 k = 0  # the first option inline: one call fewer per node
-                v = (residual & -residual).bit_length() - 1
                 copies = enumerate_copies(host, options[0], v, residual)
                 verts = next(copies, None)
                 if verts is None and len(options) > 1:
-                    k, copies, verts = _open(host, options, 1, residual)
+                    k, copies, verts = _open(host, options, 1, residual, v)
         if verts is None:
             # drop the choice points that can no longer beat the incumbent
             while stack and coverable is not None and (
@@ -511,37 +513,30 @@ def _search(
             top = stack.pop()
             if key is None:
                 key = _residual_key(host)
-            _remember(memo, key, top, parts, residual)
-            residual, covered, depth, k, copies, verts = top
-            del parts[depth:]
+            _remember(memo, key, top, steps)
+            residual, covered, depth, v, k, copies, verts = top
+            del steps[depth:]
         pat = options[k]
         following = next(copies, None)
         if following is None and k + 1 < len(options):
-            k, copies, following = _open(host, options, k + 1, residual)
+            k, copies, following = _open(host, options, k + 1, residual, v)
         if following is not None:
-            stack.append((residual, covered, len(parts), k, copies, following))
+            stack.append((residual, covered, len(steps), v, k, copies, following))
         residual &= ~mask(verts)
+        steps.append((verts, pat))
         if pat is not None:
-            parts.append((verts, pat))
             covered += len(verts)
 
 
-def _remember(memo: dict, key, top: tuple, parts: list, leaf: int) -> None:
+def _remember(memo: dict, key, top: tuple, steps: list) -> None:
     """Record as finished, with its covered count, every residual below the
-    choice point ``top`` on the path down to the finished node ``leaf``,
-    which has no open choice point.  Each step down took the next part,
-    whose lowest vertex is the step's lowest uncovered vertex, or left that
-    vertex uncovered."""
+    choice point ``top`` on the path down to the finished last node, which
+    has no open choice point, by replaying the steps taken below ``top``."""
     m, c, depth = top[:3]
-    while m != leaf:
-        low = m & -m
-        if depth < len(parts) and parts[depth][0][0] == low.bit_length() - 1:
-            verts = parts[depth][0]
-            m &= ~mask(verts)
+    for verts, pat in steps[depth:]:
+        m &= ~mask(verts)
+        if pat is not None:
             c += len(verts)
-            depth += 1
-        else:
-            m ^= low
         k = key(m)
         if memo.get(k, -1) < c:
             memo[k] = c
@@ -565,10 +560,9 @@ def _residual_key(host: Graph | Digraph):
     return lambda m: (m & alone, *[(m & c).bit_count() for c in classes])
 
 
-def _open(host: Graph | Digraph, options: list, k: int, mask: int) -> tuple:
-    """(option, its copies, first part) of the first branch from option k
-    on at the node of ``mask``; the part is None when no branch is left."""
-    v = (mask & -mask).bit_length() - 1
+def _open(host: Graph | Digraph, options: list, k: int, mask: int, v: int) -> tuple:
+    """(option, its copies, first part) of the first branch through v from
+    option k on at the node of ``mask``; the part is None when none is left."""
     for k in range(k, len(options)):
         pat = options[k]
         copies = iter([(v,)]) if pat is None else enumerate_copies(host, pat, v, mask)
@@ -586,9 +580,9 @@ def find_perfect_packing(
     """Exact perfect-packing decision by backtracking.
 
     Returns a verified packing, or None only after exhausting the search
-    space.  Branches on the lowest-index uncovered vertex so that exhaustion
-    certifies nonexistence.  Raises BudgetExhausted if a node budget runs
-    out (never silently reported as None).
+    space, which certifies nonexistence whichever uncovered vertex the
+    search branches on.  Raises BudgetExhausted if a node budget runs out
+    (never silently reported as None).
     """
     parts = perfect_parts_within(host, pattern, host.full_mask(), budget)
     return None if parts is None else Packing(host.n, tuple(parts), (pattern,) * len(parts))
@@ -655,7 +649,8 @@ def max_packing(
             pass
     except BudgetExhausted:
         optimal = False
-    return MaxPackingResult(Packing.tagged(host.n, best), optimal, own_budget.nodes)
+    parts = (step for step in best if step[1] is not None)  # drop the skipped vertices
+    return MaxPackingResult(Packing.tagged(host.n, parts), optimal, own_budget.nodes)
 
 
 def greedy_packing(host: Graph | Digraph, pattern: PatternGraph) -> Packing:

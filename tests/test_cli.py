@@ -58,6 +58,15 @@ def test_check_names_failing_clause(tmp_path, capsys):
     assert code == 1 and "(b)" in out
 
 
+def test_check_csv_goes_to_out(tmp_path, capsys):
+    k33 = write_graph(tmp_path, "k33.json", complete_multipartite(3, 3))
+    out = tmp_path / "check.csv"
+    code = main(["check", k33, "--condition", "exact", "--r", "3",
+                 "--format", "csv", "--out", str(out)])
+    assert code == 1 and "(b)" in out.read_text()
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("gamma", ["0", "1/10", "-1/5"])
 def test_check_baseline_conditions(tmp_path, capsys, monkeypatch, gamma):
     rng = random.Random(f"baselines:{gamma}")
@@ -257,6 +266,17 @@ def test_absorb_family_nested_too_deep_exits_2(tmp_path, capsys):
     assert "input error: bad family file:" in err and "Traceback" not in err
 
 
+def test_absorb_family_count_too_large_exits_2(tmp_path, capsys):
+    # JSON reads 1e400 as inf, which no integer count can hold
+    k12 = write_graph(tmp_path, "k12.json", complete_graph(12))
+    fam = tmp_path / "fam.json"
+    fam.write_text('{"gadgets": [{"verts": [3, 4, 5, 6, 7], "pairs_checked": 1e400}]}')
+    assert main(["absorb", k12, "--pattern", "K3", "--family", str(fam),
+                 "--w", "0,1,2"]) == 2
+    err = capsys.readouterr().err
+    assert "input error: bad family file:" in err and "Traceback" not in err
+
+
 def test_pipeline_command(tmp_path):
     k24 = write_graph(tmp_path, "k24.json", complete_graph(24))
     out = tmp_path / "pipe.json"
@@ -412,6 +432,37 @@ def test_experiment_parallel_matches_serial(tmp_path):
     spec = dict(sampler="gnp-min-degree", n=24, r=3, gamma="0", p=0.8, pattern="K3",
                 trials=60, seed=1)
     assert experiment_csv(spec, jobs=1) == experiment_csv(spec, jobs=2)
+
+
+def test_experiment_pool_has_at_most_one_process_per_trial(monkeypatch):
+    import multiprocessing
+
+    from tilinglab.cli import experiment_csv
+
+    sizes = []
+
+    class InProcessPool:
+        """Records its size and runs starmap in this process."""
+
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, func, args):
+            return [func(*a) for a in args]
+
+    spec = {"sampler": "gnp-min-degree", "n": 6, "r": 3, "gamma": "0", "p": 0.75,
+            "pattern": "K3", "trials": 3, "seed": 5}
+    serial = experiment_csv(spec, jobs=1)
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    assert experiment_csv(spec, jobs=8) == serial and sizes == [3]
+    assert experiment_csv(dict(spec, trials=1), jobs=8) == experiment_csv(dict(spec, trials=1))
+    assert sizes == [3]  # one trial runs in this process, with no pool
 
 
 def test_experiment_accept_rate_counts_accepted_trials(tmp_path):

@@ -879,6 +879,10 @@ def test_memo_is_sound_on_twin_rich_hosts():
     # twins: decisions and coverage agree with the brute-force oracles, and
     # packings with the search without the memo
     patterns = {"K2": clique_pattern(2), "K3": clique_pattern(3), "T3": transitive_pattern(3)}
+    # a family has several options per node: the memo replays their steps
+    # and the vertices left uncovered
+    families = {Digraph: [patterns["T3"], transitive_pattern(4)],
+                Graph: [patterns["K2"], patterns["K3"]]}
     for host in _twin_rich_hosts(30, 12):
         assert any(len(c) > 1 for c in twin_partition(host))
         for name in ("T3",) if isinstance(host, Digraph) else ("K2", "K3"):
@@ -896,6 +900,9 @@ def test_memo_is_sound_on_twin_rich_hosts():
                 assert got[:2] == _plain(reference_max_packing)(host, pattern)[:2]
                 assert got[1] and verify_parts(host, Packing.tagged(host.n, got[0])).ok
                 assert sum(len(part) for part, _ in got[0]) == oracle_max_coverage(host, name)
+        if host.n <= 10:
+            family = families[type(host)]
+            assert _maximise(host, family, None) == reference_max_packing(host, family)
 
 
 def test_twin_partition_matches_pairwise_swaps():
