@@ -178,7 +178,9 @@ def cmd_pack(args) -> int:
         _say(args, "budget exhausted before a decision")
         return EXIT_BUDGET
     if result is None:
-        _say(args, "no perfect packing exists (search exhausted)")
+        reason = packing.barrier(g, pat, g.full_mask())
+        _say(args, "no perfect packing exists "
+             + ("(search exhausted)" if reason is None else f"(barrier: {reason})"))
         return EXIT_NONE
     _write(args.out, json.dumps(result.to_json_obj()))
     return EXIT_OK

@@ -4,7 +4,12 @@ This module is the ground-truth oracle of the package: `find_perfect_packing`
 (exhaustive backtracking) and `max_packing` (branch-and-bound) share one
 explicit-stack search, whose exhaustion certifies NONE whichever uncovered
 vertex it branches on; `is_perfect_packing` re-verifies every structure
-any other module produces.  The search starts from a vertex mask, so
+any other module produces.  A perfect-packing search also stops at
+certified barriers, which only a residual without a perfect packing meets:
+a vertex with fewer neighbours than the pattern's least degree, or an
+independent twin class too large for the pattern's independence number;
+`barrier` names the one that holds at the root.  So NONE comes after
+exhaustion or a certified barrier.  The search starts from a vertex mask, so
 `perfect_parts_within` asks whether a vertex subset packs perfectly by
 searching the host within it, with no induced copy and no id map;
 `greedy_parts` is the greedy pass within a mask.
@@ -460,16 +465,18 @@ def _search(
     """Depth-first search over residual vertex masks from ``residual``,
     yielding the steps down to each packing of host[residual] that covers
     more vertices than any before it: a part as (part, pattern), a vertex
-    left uncovered as ((v,), None).  Every node ticks the budget, if any,
-    and branches on one uncovered vertex v, chosen here alone (the lowest):
-    every copy through v, pattern by pattern, then, given ``coverable`` (not
-    None), leaving v uncovered, so exhaustion certifies NONE whichever v is
-    chosen.  Without it only a perfect packing counts; with it a node is
-    pruned when its covered count plus ``coverable[uncovered]`` cannot beat
-    the incumbent, and so is a popped choice point, with all its remaining
-    branches.  The stack holds only open choice points, each with its v: a
-    one-part look-ahead finds a node's last branch, and the node is popped
-    before the search descends into it.
+    left uncovered as ((v,), None), recorded only while a choice point is
+    open (no later pop replays it otherwise).  Every node ticks the budget,
+    if any, and branches on one uncovered vertex v, chosen here alone (the
+    lowest): every copy through v, pattern by pattern, then, given
+    ``coverable`` (not None), leaving v uncovered, so exhaustion certifies
+    NONE whichever v is chosen.  Without it only a perfect packing counts;
+    with it a node is pruned when its covered count plus
+    ``coverable[uncovered]`` cannot beat the incumbent, and so is a popped
+    choice point, with all its remaining branches.  The stack holds only
+    open choice points, each with its v: a one-part look-ahead finds a
+    node's last branch, and the node is popped before the search descends
+    into it.
 
     A node is also pruned when a finished residual with the same key (see
     `_residual_key`) had at least its covered count: a permutation of host
@@ -477,20 +484,31 @@ def _search(
     residuals, so the earlier one was searched to the end and nothing here
     can beat the incumbent.  Residuals are remembered when the search
     backtracks past them, by replaying the steps taken below the popped
-    choice point; a search that never backtracks keeps no memo."""
+    choice point; a search that never backtracks keeps no memo.
+
+    Without ``coverable`` the search also stops at certified barriers,
+    which only a residual with no perfect packing meets, from the same
+    first backtrack on: it ends when a vertex of the root residual has too
+    few neighbours in it (`_local_barrier`), and prunes each node and each
+    popped choice point whose key shows the space barrier (`_residual_key`).
+    So NONE comes after exhaustion or a certified barrier, and every
+    packing found is the one the search without barriers finds first."""
     options = list(patterns) + ([] if coverable is None else [None])  # None skips v
     steps: list[tuple[tuple[int, ...], PatternGraph | None]] = []
     stack = []  # (residual, covered, len(steps), v, option, its copies, its next part)
+    root = residual
     covered = 0
     best = residual.bit_count() - 1 if coverable is None else -1
     memo: dict = {}  # residual key -> most covered it was finished with
-    key = None
+    key = space = None
     while True:
         if budget is not None:
             budget.tick()
         verts = None
         if (coverable is None or covered + coverable[residual.bit_count()] > best) and (
-            key is None or memo.get(key(residual), -1) < covered
+            key is None
+            or memo.get(rkey := key(residual), -1) < covered
+            and not (space and space(rkey, residual))
         ):
             if covered > best:
                 best = covered
@@ -508,11 +526,16 @@ def _search(
                 stack[-1][1] + coverable[stack[-1][0].bit_count()] <= best
             ):
                 stack.pop()
+            if stack and key is None:  # the first backtrack
+                perfect = patterns[0] if coverable is None else None
+                key, space = _residual_key(host, perfect)
+                if perfect is not None and _local_barrier(host, perfect, root) is not None:
+                    return
+            while stack and space and space(key(stack[-1][0]), stack[-1][0]):
+                stack.pop()
             if not stack:
                 return
             top = stack.pop()
-            if key is None:
-                key = _residual_key(host)
             _remember(memo, key, top, steps)
             residual, covered, depth, v, k, copies, verts = top
             del steps[depth:]
@@ -523,9 +546,10 @@ def _search(
         if following is not None:
             stack.append((residual, covered, len(steps), v, k, copies, following))
         residual &= ~mask(verts)
-        steps.append((verts, pat))
         if pat is not None:
             covered += len(verts)
+        if pat is not None or stack:  # only a pop replays a skipped vertex
+            steps.append((verts, pat))
 
 
 def _remember(memo: dict, key, top: tuple, steps: list) -> None:
@@ -542,22 +566,92 @@ def _remember(memo: dict, key, top: tuple, steps: list) -> None:
             memo[k] = c
 
 
-def _residual_key(host: Graph | Digraph):
-    """The memo key of a residual mask: its vertices outside nontrivial twin
-    classes, plus how many it keeps of each such class.  Residuals with equal
-    keys map onto each other under a permutation of twins, which is a host
-    automorphism.  A host without twins keys a residual by its mask."""
+def _residual_key(host: Graph | Digraph, pattern: PatternGraph | None) -> tuple:
+    """(key, space) from one twin partition of the host.
+
+    ``key`` gives the memo key of a residual mask: its vertices outside
+    nontrivial twin classes, plus how many it keeps of each such class.
+    Residuals with equal keys map onto each other under a permutation of
+    twins, which is a host automorphism.  A host without twins keys a
+    residual by its mask.
+
+    ``space(k, m)`` reads the space barrier of ``pattern`` off the key
+    ``k`` of a residual m: the count of some independent twin class I,
+    when |I ∩ m|·h > α·|m| for the pattern's order h and independence
+    number α.  A copy meets I in at most α vertices and a perfect packing
+    of m has |m|/h copies, so m has none.  It is None (no test) without a
+    pattern, for a pattern whose α is not read off its classification (see
+    `_independence`), and for a host without an independent nontrivial
+    twin class, so such a host pays nothing per node."""
     classes = []
     alone = 0
+    independent = []  # places in the key of the independent classes' counts
+    fwd, back = arc_rows(host)
     for c in twin_partition(host):
         cmask = mask(c)
         if len(c) > 1:
             classes.append(cmask)
+            if not (fwd[c[0]] | back[c[0]]) >> c[1] & 1:  # twins: one pair tells
+                independent.append(len(classes))
         else:
             alone |= cmask
     if not classes:
-        return lambda m: m
-    return lambda m: (m & alone, *[(m & c).bit_count() for c in classes])
+        return (lambda m: m), None
+    alpha = pattern and _independence(pattern)
+    space = None
+    if alpha and independent:
+        h = pattern.order
+
+        def space(k: tuple, m: int) -> int:
+            room = alpha * m.bit_count()
+            return next((k[j] for j in independent if k[j] * h > room), 0)
+
+    return (lambda m: (m & alone, *[(m & c).bit_count() for c in classes])), space
+
+
+def _independence(pattern: PatternGraph) -> int | None:
+    """The independence number of a clique, transitive tournament or complete
+    multipartite pattern (its largest part), else None: no other pattern's
+    is computed."""
+    if pattern.clique_order or pattern.transitive_order:
+        return 1
+    return pattern.multipartite[0] if pattern.multipartite else None
+
+
+def _local_barrier(host: Graph | Digraph, pattern: PatternGraph, residual: int) -> int | None:
+    """The lowest vertex of ``residual`` with fewer neighbours in it (by an
+    arc either way) than the pattern's least degree δ(H), or None.  Such a
+    vertex is in no copy within the residual.  Counting over every host row
+    first gives a lower bound of the least residual degree, so a residual
+    with no such vertex costs one popcount per row (and one AND, unless it
+    is the whole host)."""
+    fwd, back = arc_rows(host)
+    rows = fwd if fwd is back else tuple(map(int.__or__, fwd, back))
+    prow, pback = arc_rows(pattern.base)
+    least = min(map(int.bit_count, prow if prow is pback else map(int.__or__, prow, pback)))
+    inside = rows if residual == host.full_mask() else map(residual.__and__, rows)
+    if min(map(int.bit_count, inside), default=least) >= least:
+        return None
+    return next((v for v in bits(residual) if (rows[v] & residual).bit_count() < least), None)
+
+
+def barrier(host: Graph | Digraph, pattern: PatternGraph, within: int) -> str | None:
+    """The certified barrier that shows at once that host[within] has no
+    perfect packing, named, or None: the pattern order not dividing its
+    size, a vertex in no copy by its degree (`_local_barrier`), or an
+    independent twin class too large for the pattern (`_residual_key`'s
+    space test), the checks the exact search makes."""
+    size = within.bit_count()
+    if size % pattern.order:
+        return f"divisibility, {size} vertices"
+    v = _local_barrier(host, pattern, within)
+    if v is not None:
+        return f"local vertex {v}"
+    key, space = _residual_key(host, pattern)
+    count = space and space(key(within), within)
+    if count:
+        return f"space, an independent twin class of {count} of {size} vertices"
+    return None
 
 
 def _open(host: Graph | Digraph, options: list, k: int, mask: int, v: int) -> tuple:
@@ -579,10 +673,11 @@ def find_perfect_packing(
 ) -> Packing | None:
     """Exact perfect-packing decision by backtracking.
 
-    Returns a verified packing, or None only after exhausting the search
-    space, which certifies nonexistence whichever uncovered vertex the
-    search branches on.  Raises BudgetExhausted if a node budget runs out
-    (never silently reported as None).
+    Returns a verified packing, or None after exhaustion or a certified
+    barrier, either of which certifies nonexistence whichever uncovered
+    vertex the search branches on (`barrier` names a barrier of the whole
+    host).  Raises BudgetExhausted if a node budget runs out (never
+    silently reported as None).
     """
     parts = perfect_parts_within(host, pattern, host.full_mask(), budget)
     return None if parts is None else Packing(host.n, tuple(parts), (pattern,) * len(parts))
@@ -593,8 +688,8 @@ def perfect_parts_within(
 ) -> list[tuple[int, ...]] | None:
     """The verified parts of a perfect packing of host[within], for a mask
     ``within`` of host vertices; None at once when the pattern order does
-    not divide its size, else only after exhausting the search.  The search
-    runs on the host from the residual ``within``, so it finds the packing
+    not divide its size, else after exhaustion or a certified barrier.  The
+    search runs on the host from the residual ``within``, so it finds the packing
     `find_perfect_packing` finds on the induced subgraph, in host ids.
     Raises BudgetExhausted, and ValueError when a nonempty ``within`` meets
     a pattern of the other kind.

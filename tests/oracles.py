@@ -50,6 +50,7 @@ from tilinglab.constructions import (
     ExtremalInstance,
     ExtremalParams,
     clique_pattern,
+    pattern_from_name,
     preset_star_sizes,
     transitive_pattern,
 )
@@ -175,13 +176,20 @@ def partitions_into(vs: list[int], h: int):
 
 
 def oracle_perfect_decision(host, name: str) -> bool:
-    """Perfect-packing decision by enumerating every set partition."""
-    h = {"K2": 2, "K3": 3, "T3": 3}[name]
+    """Perfect-packing decision by enumerating every set partition, each
+    part tested by `brute_spans` for K2, K3 and T3 and by `brute_embeds`
+    for any other pattern name."""
+    base = None if name in ("K2", "K3", "T3") else pattern_from_name(name).base
+    h = int(name[1]) if base is None else base.n
     if host.n % h != 0:
         return False
     pairs = raw_pairs(host)
+
+    def spans(part):
+        return brute_spans(pairs, part, name) if base is None else brute_embeds(pairs, part, base)
+
     for parts in partitions_into(list(range(host.n)), h):
-        if all(brute_spans(pairs, part, name) for part in parts):
+        if all(spans(part) for part in parts):
             return True
     return False
 
@@ -299,25 +307,94 @@ def twin_count_key(host):
     return key
 
 
+def reference_independence(pattern) -> int | None:
+    """The independence number of a pattern whose non-adjacency is an
+    equivalence (a complete multipartite graph or a clique: its largest
+    class) or of a tournament without a directed cycle (1), from its raw
+    pairs; None for every other pattern."""
+    base = pattern.base
+    pairs = raw_pairs(base)
+    vs = range(base.n)
+    if isinstance(base, Digraph):
+        tournament = all(((u, v) in pairs) != ((v, u) in pairs) for u in vs for v in vs if u < v)
+        acyclic = any(
+            all((a, b) in pairs for i, a in enumerate(order) for b in order[i + 1:])
+            for order in itertools.permutations(vs)
+        )
+        return 1 if tournament and acyclic else None
+    apart = [{v for v in vs if v == u or (min(u, v), max(u, v)) not in pairs} for u in vs]
+    if any(apart[v] != apart[u] for u in vs for v in apart[u]):
+        return None
+    return max(len(a) for a in apart)
+
+
+def reference_barriers(host, pattern):
+    """(local, space) as written from the raw pairs: ``local`` is whether a
+    host vertex has fewer neighbours (by an arc either way) than the
+    pattern's least degree; ``space(mask)`` is whether some independent
+    nontrivial twin class of `brute_twin_classes` holds more than
+    α·|mask|/h of the mask, for α from `reference_independence` (never
+    without it)."""
+    h = pattern.order
+    pairs = raw_pairs(host)
+
+    def degree(g, gpairs, v):
+        return sum(1 for u in range(g.n) if (u, v) in gpairs or (v, u) in gpairs)
+
+    least = min(degree(pattern.base, raw_pairs(pattern.base), v) for v in range(h))
+    local = any(degree(host, pairs, v) < least for v in range(host.n))
+    alpha = reference_independence(pattern)
+    independent = [
+        c for c in brute_twin_classes(host)
+        if len(c) > 1 and not any((u, v) in pairs for u in c for v in c)
+    ]
+
+    def space(mask):
+        size = bin(mask).count("1")
+        return alpha is not None and any(
+            sum(mask >> v & 1 for v in c) * h > alpha * size for c in independent
+        )
+
+    return local, space
+
+
+class _Refuted(Exception):
+    """The root's local barrier, seen at the first backtrack."""
+
+
 def reference_perfect_packing(host, pattern, budget=None, memo=True):
     """The recursive perfect-packing search, branching on the lowest
     uncovered vertex: its parts in the order chosen, or None.  With
-    ``memo`` a residual whose twin-count key failed before fails at once."""
+    ``memo``, from the first backtrack on (a node trying its second copy),
+    a residual whose twin-count key failed before fails at once, and so
+    does one with a space barrier (`reference_barriers`), at each node and
+    before each copy after the first; at that first backtrack a local
+    barrier of the whole host ends the search with None."""
     if host.n % pattern.order != 0:
         return None
     chosen = []
     key = twin_count_key(host) if memo else None
+    local, space = reference_barriers(host, pattern) if memo else (False, None)
     failed = set()
+    started = False
 
     def rec(mask):
+        nonlocal started
         if budget is not None:
             budget.tick()
         if mask == 0:
             return True
-        if memo and key(mask) in failed:
+        if memo and (key(mask) in failed or started and space(mask)):
             return False
         v = (mask & -mask).bit_length() - 1
-        for verts in enumerate_copies(host, pattern, v, mask):
+        for i, verts in enumerate(enumerate_copies(host, pattern, v, mask)):
+            if memo and i:
+                if not started:
+                    started = True
+                    if local:
+                        raise _Refuted
+                if space(mask):
+                    break
             part_mask = 0
             for u in verts:
                 part_mask |= 1 << u
@@ -329,7 +406,10 @@ def reference_perfect_packing(host, pattern, budget=None, memo=True):
             failed.add(key(mask))
         return False
 
-    return chosen if rec(host.full_mask()) else None
+    try:
+        return chosen if rec(host.full_mask()) else None
+    except _Refuted:
+        return None
 
 
 def reference_max_packing(host, pattern, budget=None, memo=True):

@@ -8,7 +8,7 @@ from tilinglab import degseq
 from tilinglab.cli import main
 from tilinglab.degseq import check_baselines
 from tilinglab.util import as_fraction
-from tilinglab.constructions import complete_graph, complete_multipartite
+from tilinglab.constructions import complete_graph, complete_multipartite, hs_tight_instance
 from tilinglab.graphs import Graph, graph_from_json, graph_to_json
 
 
@@ -103,6 +103,25 @@ def test_pack_exit_codes(tmp_path):
     k9 = write_graph(tmp_path, "k9.json", complete_graph(9))
     assert main(["pack", k9, "--pattern", "K3", "--budget-nodes", "1",
                  "--quiet"]) == 4
+
+
+def test_pack_none_names_its_barrier(tmp_path, capsys):
+    # the root barrier that refutes the host, or an exhausted search when
+    # none does: two triangles have no perfect matching, yet no barrier
+    # the search checks holds
+    pendant = Graph(12, [(u, v) for u in range(11) for v in range(u + 1, 11)] + [(0, 11)])
+    triangles = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
+    cases = [
+        (hs_tight_instance(3, 18), "K3",
+         "barrier: space, an independent twin class of 7 of 18 vertices"),
+        (pendant, "K2,2", "barrier: local vertex 11"),
+        (complete_graph(7), "K3", "barrier: divisibility, 7 vertices"),
+        (triangles, "K2", "search exhausted"),
+    ]
+    for i, (g, name, reason) in enumerate(cases):
+        path = write_graph(tmp_path, f"none{i}.json", g)
+        assert main(["pack", path, "--pattern", name]) == 3
+        assert capsys.readouterr().out == f"no perfect packing exists ({reason})\n"
 
 
 def test_maxpack(tmp_path, capsys):

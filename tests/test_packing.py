@@ -1,5 +1,6 @@
 import enum
 import itertools
+import pathlib
 import random
 import tracemalloc
 
@@ -19,7 +20,9 @@ from tilinglab.constructions import (
     transitive_pattern,
     transitive_tournament,
 )
-from tilinglab.graphs import Digraph, Graph, PatternGraph, mask, symmetrize, twin_partition
+from tilinglab.graphs import (
+    Digraph, Graph, PatternGraph, bits, load_graph, mask, symmetrize, twin_partition
+)
 from tilinglab.packing import (
     BudgetExhausted,
     Packing,
@@ -30,6 +33,7 @@ from tilinglab.packing import (
     greedy_packing,
     is_perfect_packing,
     max_packing,
+    perfect_parts_within,
     spans_pattern,
     transitive_order,
     verify_parts,
@@ -47,6 +51,7 @@ from oracles import (
     reference_is_perfect_packing,
     reference_max_packing,
     recursion_room,
+    reference_perfect_on_subset,
     reference_perfect_packing,
     reference_transitive_copies,
     reference_twin_copies,
@@ -825,6 +830,9 @@ def test_deep_hosts_search_without_recursion():
     # Both hosts are far deeper than Python's recursion limit.  Every node
     # but the cycle's root has one branch, so the stack holds at most one
     # frame; a frame per level (0.4 to 0.8 MB more) breaks the memory bounds.
+    # The edgeless host's search peaks near 46 KB on Python 3.11; keeping a
+    # step for each vertex left uncovered with no choice point open took it
+    # to 98 KB, and to 230 KB on a process's first call.
     n = 3000
     cycle = Graph(n, [(i, (i + 1) % n) for i in range(n)])
     k2 = clique_pattern(2)
@@ -836,7 +844,7 @@ def test_deep_hosts_search_without_recursion():
     edgeless = Graph(1500)
     res, peak = _peak_bytes(lambda: max_packing(edgeless, k2))
     assert res.packing.coverage() == 0 and res.optimal and res.nodes == 1500
-    assert peak < 256 * 1024
+    assert peak < 128 * 1024
 
 
 def _blow_up(base, sizes, joined):
@@ -913,9 +921,10 @@ def test_twin_partition_matches_pairwise_swaps():
         assert twin_partition(host) == brute_twin_classes(host)
 
 
-# nodes of the `exact` benchmark rows; without the memo and the bound
-# re-check the search takes 137,431, 93,505, 109,601 and 112,038
-EXACT_NODES = {(3, 18): 71, (5, 20): 255, (2, 18): 37}
+# nodes of the `exact` benchmark rows; without the barriers the search
+# takes 71, 255 and 37, and without the memo and the bound re-check as well
+# 137,431, 93,505, 109,601 and 112,038
+EXACT_NODES = {(3, 18): 6, (5, 20): 4, (2, 18): 9}
 
 
 def test_exact_rows_node_counts():
@@ -960,13 +969,88 @@ def test_copy_engine_work_counts(monkeypatch):
     assert calls == TWIN_ADVANCES["max_packing"]
 
 
-@pytest.mark.parametrize("n,nodes", [(21, 113), (60, 2661)])
+@pytest.mark.parametrize("n,nodes", [(21, 7), (60, 20)])
 def test_hs_tight_none_proofs(n, nodes):
-    # without the memo the search takes 5.77M nodes at n=21; a budget one
-    # node short of the proof is reported as exhausted, never as NONE
+    # without the space barrier the search takes 113 and 2,661 nodes, and
+    # without the memo as well 5.77M at n=21; a budget one node short of
+    # the proof is reported as exhausted, never as NONE
     host, k3 = hs_tight_instance(3, n), clique_pattern(3)
     budget = SearchBudget(nodes)
     assert find_perfect_packing(host, k3, budget) is None and budget.nodes == nodes
     for limit in (1, nodes // 2, nodes - 1):
         with pytest.raises(BudgetExhausted):
             find_perfect_packing(host, k3, SearchBudget(limit))
+
+
+def _pendant_host(n):
+    """K_{n-1} less its pairs u, v with 5 dividing u + v, and vertex n - 1
+    joined to vertex 0 alone."""
+    pairs = [(u, v) for u in range(n - 1) for v in range(u + 1, n - 1) if (u + v) % 5]
+    return Graph(n, pairs + [(0, n - 1)])
+
+
+# planted barriers: a pendant vertex is in no copy of a pattern of least
+# degree 2; a part of 5 of 12 vertices is an independent twin class that
+# K3 (at most 12/3 = 4 of it) and K2,2,2 (at most 2 * 12/6 = 4) cannot
+# cover; equal parts hold no barrier
+SPACE_5_OF_12 = "space, an independent twin class of 5 of 12 vertices"
+BARRIER_CASES = {
+    "K2,2 pendant": ("K2,2", _pendant_host(12), "local vertex 11"),
+    "K3 pendant": ("K3", _pendant_host(12), "local vertex 11"),
+    "K3 part too large": ("K3", complete_multipartite(5, 4, 3), SPACE_5_OF_12),
+    "K2,2,2 part too large": ("K2,2,2", complete_multipartite(5, 4, 3), SPACE_5_OF_12),
+    "K3 equal parts": ("K3", complete_multipartite(4, 4, 4), None),
+    "K2,2,2 equal parts": ("K2,2,2", complete_multipartite(4, 4, 4), None),
+}
+
+
+@pytest.mark.parametrize("case", list(BARRIER_CASES))
+def test_planted_barriers(case):
+    name, host, reason = BARRIER_CASES[case]
+    pattern = pattern_from_name(name)
+    assert packing.barrier(host, pattern, host.full_mask()) == reason
+    got = _decide(find_perfect_packing, host, pattern, None)
+    assert got == _decide(reference_perfect_packing, host, pattern, None)
+    plain = _decide(_plain(reference_perfect_packing), host, pattern, None)
+    assert got[0] == plain[0] and (got[0] is None) == (reason is not None)
+    assert (got[0] is not None) == oracle_perfect_decision(host, name)
+    if reason is not None:  # the barrier ends the proof early
+        assert got[1] < plain[1]
+
+
+def test_barriers_of_a_vertex_mask():
+    # the residual's own degrees and class counts decide, not the host's
+    host = complete_multipartite(4, 4, 4)  # parts 0-3, 4-7 and 8-11
+    k3, k22 = clique_pattern(3), pattern_from_name("K2,2")
+    assert packing.barrier(host, k3, host.full_mask()) is None
+    uneven = mask([0, 1, 2, 3, 4, 5, 6, 8, 9])
+    assert packing.barrier(host, k3, uneven) == "space, an independent twin class of 4 of 9 vertices"
+    star = mask([0, 1, 2, 4])  # 0, 1 and 2 each have one neighbour in it
+    assert packing.barrier(host, k22, star) == "local vertex 0"
+    for pattern, within in ((k3, uneven), (k22, star)):
+        verts = list(bits(within))
+        assert perfect_parts_within(host, pattern, within, SearchBudget()) is None
+        assert reference_perfect_on_subset(host, pattern, verts) is None
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+# by exhaustion with the memo these took 678,567, 569,999, 1,757,581,
+# 637,750 and 283,275 nodes
+FRONTIER_NONE = {
+    "hs_tight(5, 100)": (lambda: hs_tight_instance(5, 100), "K5", 20),
+    "hs_tight(6, 72)": (lambda: hs_tight_instance(6, 72), "K6", 12),
+    "hs_tight(7, 70)": (lambda: hs_tight_instance(7, 70), "K7", 10),
+    "K2,2 s7": (lambda: load_graph(str(FIXTURES / "frontier_k22_n24_margin_s7.txt")), "K2,2", 4),
+    "K2,2 s13": (lambda: load_graph(str(FIXTURES / "frontier_k22_n24_margin_s13.txt")), "K2,2", 3),
+}
+
+
+@pytest.mark.parametrize("row", list(FRONTIER_NONE))
+def test_frontier_none_proofs_end_at_a_barrier(row):
+    # a budget one node short of the proof is still exhausted
+    build, name, nodes = FRONTIER_NONE[row]
+    host, pattern = build(), pattern_from_name(name)
+    budget = SearchBudget(100)
+    assert find_perfect_packing(host, pattern, budget) is None and budget.nodes == nodes
+    with pytest.raises(BudgetExhausted):
+        find_perfect_packing(host, pattern, SearchBudget(nodes - 1))
