@@ -14,9 +14,10 @@ the solver.  One test, `_absorbed`, answers which vertices a gadget
 absorbs, for scoring and for absorption alike.  A gadget of t*h-1 vertices
 plus one vertex is a single pattern copy when t = 1, so the answer is then
 one completion mask (`packing.completion_mask`: every vertex that completes
-it to a copy); for t >= 2 the gadget plus a vertex must be packed, and each
-vertex asked about takes an exact search.  Every subset question is one
-search of the host within the subset's vertex mask
+it to a copy, which for a clique or transitive tournament is a union of a
+few intersections of host rows); for t >= 2 the gadget plus a vertex must
+be packed, and each vertex asked about takes an exact search.  Every
+subset question is one search of the host within the subset's vertex mask
 (`packing.perfect_parts_within`).  The family keeps a multiple
 of |pattern| many gadgets so that the idle part of the family always has
 the right divisibility, and the union is solver-checked for a perfect

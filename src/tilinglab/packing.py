@@ -20,18 +20,23 @@ search remembers the residuals it has finished, keyed by their counts in
 the host's twin classes, so residuals that a permutation of host twins maps
 onto each other are searched once; it finds the same packings, with the
 same verdicts, as a search without the memo (within a mask as well, where
-the host's classes may be finer than those of the induced subgraph).
+the host's classes may be finer than those of the induced subgraph).  A
+host whose rows show it has no twins keys a residual by its mask, and no
+twin partition is built.
 
 A vertex set "spans" a pattern when the host contains the pattern as a
-subgraph on that set (extra edges are fine).  Spanning tests and copy
-enumeration take one of three routes, chosen by the pattern's
-classification: cliques and transitive tournaments keep their own
-mask-based loops (a clique spans when each vertex's adjacency row holds
-the rest of the set), and every other pattern goes through one search
-over the pattern's twin classes (`PatternGraph.twin_classes`), which fills the classes of a complete multipartite pattern as it fills
-any other.  That search drops a state as soon as some class allows fewer
-host vertices than it still has room for; such a state has no completion,
-so the copies and their order are those of the search without the check.
+subgraph on that set (extra edges are fine).  Spanning tests, completion
+masks and copy enumeration take one of three routes, chosen by the
+pattern's classification: cliques and transitive tournaments keep their
+own mask-based loops and closed forms (a clique spans when each vertex's
+adjacency row holds the rest of the set, and the vertices completing a
+joined set to a clique are its common neighbours), and every other
+pattern goes through one search over the pattern's twin classes
+(`PatternGraph.twin_classes`), which fills the classes of a complete
+multipartite pattern as it fills any other.  That search drops a state as
+soon as some class allows fewer host vertices than it still has room for;
+such a state has no completion, so the copies and their order are those of
+the search without the check.
 Each of the three enumerators is one flat loop over an explicit stack.
 """
 
@@ -311,13 +316,23 @@ def completion_mask(host: Graph | Digraph, pattern: PatternGraph, verts: Sequenc
     """Bitmask of the host vertices w for which ``verts`` plus w spans the
     pattern, for h-1 distinct host vertices ``verts`` (else ValueError).
 
-    One run of the twin-class search over the whole host puts each vertex
-    of ``verts`` in every class that allows it, in no order, as the
-    ``through`` vertex of `_twin_copies` goes in.  Each surviving state
-    has one slot left, and a full class allows nothing, so the union of
-    the allowed masks is exactly the set of completing vertices; no vertex
-    of ``verts`` is in it.  Every pattern takes this route, cliques and
-    transitive tournaments too.
+    Cliques and transitive tournaments have closed forms.  For K_r it is
+    the common neighbourhood of ``verts``, when they are pairwise joined,
+    else nothing.  For T_r, ``verts`` must be orderable, and then w fits
+    exactly when ``verts`` splits into a set P before w and a set Q after
+    it with an arc from every vertex of P to every vertex of Q (any subset
+    of an orderable set is orderable).  So the mask is the union, over
+    those of the 2^(h-1) splits that have these arcs, of the vertices with
+    an arc from all of P and an arc to all of Q; arcs both ways are
+    allowed anywhere.
+
+    Every other pattern takes one run of the twin-class search over the
+    whole host, which puts each vertex of ``verts`` in every class that
+    allows it, in no order, as the ``through`` vertex of `_twin_copies`
+    goes in.  Each surviving state has one slot left, and a full class
+    allows nothing, so the union of the allowed masks is exactly the set
+    of completing vertices.  No route puts a vertex of ``verts`` in the
+    mask.
     """
     if pattern.is_digraph != isinstance(host, Digraph):
         raise ValueError("pattern and host kinds differ")
@@ -329,6 +344,35 @@ def completion_mask(host: Graph | Digraph, pattern: PatternGraph, verts: Sequenc
     for v in verts:
         if not 0 <= v < host.n:
             raise _out_of_range(v, host.n)
+    if pattern.clique_order:
+        if not _joined(host, verts, mask(verts)):
+            return 0
+        fits = host.full_mask()
+        for v in verts:
+            fits &= host.adj[v]
+        return fits
+    if pattern.transitive_order:
+        if transitive_order(host, verts) is None:
+            return 0
+        out, inn = host.out, host.inn
+        whole, full = mask(verts), host.full_mask()
+        fits = 0
+        before = whole  # P: every submask of ``whole``, down to 0
+        while True:
+            after = whole ^ before
+            between = full
+            for v in verts:
+                if before >> v & 1:
+                    if out[v] & after != after:
+                        break  # P -> Q incomplete
+                    between &= out[v]
+                else:
+                    between &= inn[v]
+            else:
+                fits |= between
+            if not before:
+                return fits
+            before = (before - 1) & whole
     tw = pattern.twin_classes()
     rows = arc_rows(host)
     states = _twin_start(tw, host.full_mask())
@@ -407,7 +451,8 @@ def _transitive_copies(
             cand ^= low
             v = low.bit_length() - 1
             current.append(v)
-            if transitive_order(d, current) is not None:
+            # one or two vertices joined by an arc are always orderable
+            if len(current) < 3 or transitive_order(d, current) is not None:
                 if len(current) < r:
                     stack.append(cand)
                     cand &= out[v] | inn[v]  # the level below: the same, joined to v
@@ -573,7 +618,9 @@ def _residual_key(host: Graph | Digraph, pattern: PatternGraph | None) -> tuple:
     nontrivial twin classes, plus how many it keeps of each such class.
     Residuals with equal keys map onto each other under a permutation of
     twins, which is a host automorphism.  A host without twins keys a
-    residual by its mask.
+    residual by its mask: `_twin_free` tells such a host by comparing its
+    rows, as they are and with each vertex's own bit added, and then no
+    twin partition is built.
 
     ``space(k, m)`` reads the space barrier of ``pattern`` off the key
     ``k`` of a residual m: the count of some independent twin class I,
@@ -583,6 +630,8 @@ def _residual_key(host: Graph | Digraph, pattern: PatternGraph | None) -> tuple:
     pattern, for a pattern whose α is not read off its classification (see
     `_independence`), and for a host without an independent nontrivial
     twin class, so such a host pays nothing per node."""
+    if _twin_free(host):
+        return (lambda m: m), None
     classes = []
     alone = 0
     independent = []  # places in the key of the independent classes' counts
@@ -595,8 +644,6 @@ def _residual_key(host: Graph | Digraph, pattern: PatternGraph | None) -> tuple:
                 independent.append(len(classes))
         else:
             alone |= cmask
-    if not classes:
-        return (lambda m: m), None
     alpha = pattern and _independence(pattern)
     space = None
     if alpha and independent:
@@ -607,6 +654,31 @@ def _residual_key(host: Graph | Digraph, pattern: PatternGraph | None) -> tuple:
             return next((k[j] for j in independent if k[j] * h > room), 0)
 
     return (lambda m: (m & alone, *[(m & c).bit_count() for c in classes])), space
+
+
+def _twin_free(host: Graph | Digraph) -> bool:
+    """True when the host has no two twins (see `graphs.twin_partition`).
+
+    Twins have equal rows, or equal rows once each has its own bit added
+    (arcs both ways between them).  So a host whose forward rows are
+    distinct, and distinct again with each vertex's own bit added, has no
+    twins of either kind: two set builds.  Only a digraph can still be
+    twin-free when this fails (equal out-rows, different in-rows); it is
+    then decided on each vertex's out- and in-row together, one int of 2n
+    bits."""
+    fwd, back = arc_rows(host)
+    n = host.n
+    if _distinct_rows(fwd, 1, n):
+        return True
+    if fwd is back:
+        return False
+    return _distinct_rows([f | b << n for f, b in zip(fwd, back)], 1 | 1 << n, n)
+
+
+def _distinct_rows(rows: Sequence[int], own: int, n: int) -> bool:
+    """True when the n rows are distinct, and distinct again with
+    ``own << v`` added to row v."""
+    return len(set(rows)) == n and len({r | own << v for v, r in enumerate(rows)}) == n
 
 
 def _independence(pattern: PatternGraph) -> int | None:

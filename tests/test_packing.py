@@ -339,9 +339,26 @@ def test_copies_where_dead_states_are_dropped(pattern):
 
 
 COMPLETION_PATTERNS = [
-    *(pattern_from_name(name) for name in ("K2", "K3", "K4", "T3", "T4", "K1,2", "K2,2,2", "K2,3")),
+    *(
+        pattern_from_name(name)
+        for name in ("K1", "K2", "K3", "K4", "K5", "T1", "T2", "T3", "T4", "T5",
+                     "K1,2", "K2,2,2", "K2,3")
+    ),
     PatternGraph(Digraph(3, [(0, 1), (1, 2), (2, 0)]), name="C3"),  # no twins, not transitive
 ]
+
+
+def _completion_hosts(rng, pattern, n):
+    """Seeded hosts of order n for `test_completion_mask_matches_spanning_scan`:
+    G(n, p) or random digraphs at two densities and, for a digraph pattern,
+    a tournament (no arcs both ways) and the complete symmetric digraph
+    (arcs both ways everywhere)."""
+    if not pattern.is_digraph:
+        return [sample_gnp(rng, n, p) for p in (0.6, 0.9)]
+    every = [(u, v) for u in range(n) for v in range(n) if u != v]
+    return [sample_digraph(rng, n, p) for p in (0.6, 0.9)] + [
+        sample_tournament(rng, n), Digraph(n, every)
+    ]
 
 
 @pytest.mark.parametrize("pattern", COMPLETION_PATTERNS, ids=lambda pat: pat.name)
@@ -353,8 +370,7 @@ def test_completion_mask_matches_spanning_scan(pattern):
     h = pattern.order
     hits = misses = 0
     for n in range(max(3, h), 11):
-        for p in (0.6, 0.9):
-            host = sample_digraph(rng, n, p) if pattern.is_digraph else sample_gnp(rng, n, p)
+        for host in _completion_hosts(rng, pattern, n):
             for base in itertools.combinations(range(n), h - 1):
                 verts = list(base)
                 rng.shuffle(verts)
@@ -365,7 +381,8 @@ def test_completion_mask_matches_spanning_scan(pattern):
                 assert completion_mask(host, pattern, verts) == want, (n, verts)
                 hits += want.bit_count()
                 misses += n - h + 1 - want.bit_count()
-    assert hits and misses
+    # every vertex completes the empty set to a one-vertex pattern
+    assert hits and (misses or h == 1)
     other = Graph(h) if pattern.is_digraph else Digraph(h)
     with pytest.raises(ValueError, match="kinds differ"):
         completion_mask(other, pattern, list(range(h - 1)))
@@ -373,8 +390,8 @@ def test_completion_mask_matches_spanning_scan(pattern):
         with pytest.raises(ValueError, match="distinct vertices"):
             completion_mask(host, pattern, bad)
     # a vertex outside the host is refused and named, not wrapped to the last
-    # row or failing on a negative shift
-    for bad in (-1, host.n):
+    # row or failing on a negative shift (a one-vertex pattern takes none)
+    for bad in (-1, host.n) if h > 1 else ():
         verts = list(range(h - 2)) + [bad]
         with pytest.raises(ValueError, match=f"vertex {bad} out of range"):
             completion_mask(host, pattern, verts)
@@ -919,6 +936,52 @@ def test_twin_partition_matches_pairwise_swaps():
     hosts += [sample_gnp(rng, 9, 0.5), sample_digraph(rng, 8, 0.5), Graph(5), complete_graph(5)]
     for host in hosts:
         assert twin_partition(host) == brute_twin_classes(host)
+
+
+def _twin_free_cases():
+    """Seeded hosts with and without twins, among them hosts whose rows are
+    distinct but agree once each vertex's own bit is added (K_n, the
+    complete symmetric digraph and blow-ups with classes joined both ways),
+    edgeless hosts, tournaments (which have no twins), and a digraph whose
+    out-rows agree but whose in-rows tell its vertices apart."""
+    rng = random.Random("twin-free")
+    hosts = list(_twin_rich_hosts(10, 12))
+    for n in (1, 2, 5, 9):
+        every = [(u, v) for u in range(n) for v in range(n) if u != v]
+        hosts += [Graph(n), complete_graph(n), Digraph(n), Digraph(n, every),
+                  sample_tournament(rng, n), transitive_tournament(n)]
+    for n in range(3, 10):
+        for p in (0.3, 0.5, 0.8):
+            hosts += [sample_gnp(rng, n, p), sample_digraph(rng, n, p)]
+    base = sample_tournament(rng, 4)
+    hosts += [_blow_up(base, [1, 2, 1, 3], [True, True, False, True]),
+              _blow_up(complete_graph(3), [2, 1, 2], [True, False, True])]
+    hosts.append(Digraph(4, [(2, 0), (3, 1)]))  # 0 and 1 are sinks
+    return hosts
+
+
+def test_twin_free_shortcut_matches_pairwise_swaps(monkeypatch):
+    """`_twin_free` says a host has no twins exactly when the brute-force
+    twin classes are all single vertices; `_residual_key` then keys a
+    residual by its mask, with no space test and no twin partition."""
+    verdicts = set()
+    for host in _twin_free_cases():
+        verdict = packing._twin_free(host)
+        assert verdict == (len(brute_twin_classes(host)) == host.n), host
+        verdicts.add(verdict)
+        if verdict:
+            pattern = transitive_pattern(3) if isinstance(host, Digraph) else clique_pattern(3)
+            with monkeypatch.context() as m:
+                m.setattr(packing, "twin_partition", None)  # not to be called
+                key, space = packing._residual_key(host, pattern)
+            assert space is None
+            assert all(key(r) == r for r in range(1 << host.n))
+    assert verdicts == {False, True}
+    # only the second test catches these twins: the rows are distinct
+    symmetric = Digraph(4, [(u, v) for u in range(4) for v in range(4) if u != v])
+    for host in (complete_graph(5), symmetric):
+        assert len(set(host.adj if isinstance(host, Graph) else host.out)) == host.n
+        assert not packing._twin_free(host)
 
 
 # nodes of the `exact` benchmark rows; without the barriers the search
