@@ -37,8 +37,7 @@ and no id map.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .constructions import clique_pattern, pattern_power, transitive_pattern
 from .exchange import swap_to_fixpoint
@@ -61,8 +60,7 @@ from .util import split_seed
 # -- pattern paths -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class HPath:
+class HPath(NamedTuple):
     """Blocks X_1..X_t of size h-1 with connectors y_1..y_{t+1}.
 
     Each X_i spans the pattern together with y_i and with y_{i+1}; the
@@ -304,8 +302,7 @@ def clique_path(r: int, t: int) -> tuple[Graph, HPath]:
     return g, path
 
 
-@dataclass(frozen=True)
-class StarBlowup:
+class StarBlowup(NamedTuple):
     """The h-expanded clique path: blocks become balanced multipartite
     stacks, inner connectors become h-sets, the second-to-last connector a
     (2h-1)-set, and the two endpoints stay single vertices (absent in the
@@ -497,14 +494,12 @@ class FamilyConstructionError(RuntimeError):
     """Absorbing-family construction failed; the message carries diagnostics."""
 
 
-@dataclass(frozen=True)
-class AbsorbingGadget:
+class AbsorbingGadget(NamedTuple):
     verts: tuple[int, ...]
     pairs_checked: int
 
 
-@dataclass(frozen=True)
-class AbsorbingFamily:
+class AbsorbingFamily(NamedTuple):
     """Disjoint gadget sets whose union is the absorbing set M, a vertex mask.
 
     Each gadget has t*h-1 vertices, so a gadget plus one absorbed vertex
@@ -746,8 +741,7 @@ def absorb(
 # -- the absorb-then-pack pipeline ---------------------------------------------
 
 
-@dataclass
-class PipelineResult:
+class PipelineResult(NamedTuple):
     success: bool
     packing: Packing | None
     stage: str | None

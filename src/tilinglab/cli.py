@@ -29,8 +29,8 @@ import json
 import math
 import random
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import absorbing, constructions, degseq, exchange, packing
 from .graphs import Digraph, Graph, degree_sequence, graph_to_json, load_graph
@@ -323,8 +323,20 @@ _SAMPLERS = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentSpec:
+class _ExperimentSpecFields(NamedTuple):
+    sampler: str
+    n: int
+    r: int
+    gamma: str
+    p: float
+    pattern: str
+    trials: int
+    seed: int
+    budget_nodes: int = 10_000_000
+    max_attempts: int = 100_000
+
+
+class ExperimentSpec(_ExperimentSpecFields):
     """A fully determined batch experiment: sampler, condition parameters,
     pattern, budgets, trial count and the master seed.
 
@@ -337,18 +349,8 @@ class ExperimentSpec:
     p outside [0, 1] under any sampler.
     """
 
-    sampler: str
-    n: int
-    r: int
-    gamma: str
-    p: float
-    pattern: str
-    trials: int
-    seed: int
-    budget_nodes: int = 10_000_000
-    max_attempts: int = 100_000
-
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 0:
             raise ValueError(f"vertex count {self.n} is not a nonnegative integer")
         if not 0 <= self.p <= 1:
@@ -375,9 +377,15 @@ class ExperimentSpec:
             # no host of order n has larger degrees than K_n: if K_n fails
             # the condition, every sample would
             feasible = degseq.first_violation([self.n - 1] * self.n, thresholds) is None
-        object.__setattr__(self, "_pattern", pat)
-        object.__setattr__(self, "_thresholds", thresholds)
-        object.__setattr__(self, "_feasible", feasible)
+        self._pattern = pat
+        self._thresholds = thresholds
+        self._feasible = feasible
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through here, so it validates too
+        return cls(*iterable)
 
 
 def _sample(rng: random.Random, kind: type, n: int, p: float) -> Graph | Digraph:
@@ -653,10 +661,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=float, default=0.7)
     p.add_argument("--pattern", required=True)
     p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--max-attempts", type=int, default=ExperimentSpec.max_attempts)
+    defaults = ExperimentSpec._field_defaults
+    p.add_argument("--max-attempts", type=int, default=defaults["max_attempts"])
     p.add_argument("--jobs", type=_positive_int, default=1)
     common(p, "--seed", "--budget-nodes", "--out")
-    p.set_defaults(func=cmd_experiment, budget_nodes=ExperimentSpec.budget_nodes)
+    p.set_defaults(func=cmd_experiment, budget_nodes=defaults["budget_nodes"])
 
     return parser
 

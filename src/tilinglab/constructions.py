@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graphs import Digraph, Graph, PatternGraph, blow_up
 from .packing import Packing, enumerate_copies, is_perfect_packing
@@ -109,8 +109,7 @@ class ExtremalParamError(ValueError):
     """A parameter set violating one of the structural identities."""
 
 
-@dataclass(frozen=True)
-class ExtremalParams:
+class ExtremalParams(NamedTuple):
     """Parameters for the layered no-packing construction.
 
     The graph has classes V_1..V_r with |V_1| = 1, |V_2| = n/r + 1 + C*r,
@@ -125,7 +124,7 @@ class ExtremalParams:
     part_sizes: tuple[int, ...]  # class sizes of the pattern K_{t_1..t_r}
     n: int
     C: int
-    star_sizes: tuple[int, ...] = field(default=())
+    star_sizes: tuple[int, ...] = ()
 
     def class_sizes(self) -> list[int]:
         base = self.n // self.r
@@ -189,8 +188,7 @@ def preset_star_sizes(n: int, v2_size: int) -> tuple[int, ...]:
     return tuple([low + 1] * high_count + [low] * (count - high_count))
 
 
-@dataclass(frozen=True)
-class ExtremalInstance:
+class ExtremalInstance(NamedTuple):
     graph: Graph
     v: int  # the distinguished vertex (always 0)
     classes: tuple[tuple[int, ...], ...]
@@ -236,8 +234,7 @@ def extremal_instance(params: ExtremalParams) -> ExtremalInstance:
     )
 
 
-@dataclass(frozen=True)
-class UncoverableResult:
+class UncoverableResult(NamedTuple):
     """Outcome of the exhaustive search for a pattern copy through a vertex.
 
     ``uncoverable`` means the search exhausted with no copy; when the host

@@ -19,31 +19,41 @@ non-adjacent pairs, is the one pairwise checker.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import compress, count, repeat
 from operator import lt
+from typing import NamedTuple
 
 from .graphs import Digraph, Graph, degree_sequence
 from .util import as_fraction
 
 
-@dataclass(frozen=True)
-class DegreeCondition:
+class _DegreeConditionFields(NamedTuple):
+    name: str
+    r: int
+    gamma: Fraction = Fraction(0)
+
+
+class DegreeCondition(_DegreeConditionFields):
     """A named, parameterised predicate on (dominant) degree sequences.
 
     The name is one of the condition table's and fixes the host kind.
     """
 
-    name: str
-    r: int
-    gamma: Fraction = Fraction(0)
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.r < 2:
             raise ValueError("r >= 2 required")
         if self.gamma < 0:
             raise ValueError("gamma >= 0 required")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        # `_replace` builds through here, so it validates too
+        return cls(*iterable)
 
     def thresholds(self, n: int) -> list[int]:
         """The integer vector t_1..t_n of this condition at order n, for
@@ -54,8 +64,7 @@ class DegreeCondition:
         return vector(n, self.r, self.gamma)[0]
 
 
-@dataclass(frozen=True)
-class ConditionReport:
+class ConditionReport(NamedTuple):
     """Outcome of a degree-sequence check.
 
     ``slack_profile`` lists exact rational slacks; ``slack_min`` is their
@@ -74,7 +83,7 @@ class ConditionReport:
     satisfied: bool
     vacuous: bool = False
     first_violating_index: int | None = None
-    slack_profile: tuple[Fraction, ...] = field(default=())
+    slack_profile: tuple[Fraction, ...] = ()
     detail: str | None = None
 
     @property

@@ -27,8 +27,8 @@ desk-scale orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .constructions import blowup_tournament_packing, transitive_pattern
 from .graphs import Digraph, bits, blow_up, dominant_rows, mask
@@ -44,8 +44,7 @@ from .packing import (
 from .util import as_fraction
 
 
-@dataclass(frozen=True)
-class ConsistentCopy:
+class ConsistentCopy(NamedTuple):
     """An ordered T_{r'} copy split by a turning point.
 
     The first ``turning_point`` vertices have out-degree >= threshold, the
@@ -121,8 +120,7 @@ def greedy_transitive(
     return copy
 
 
-@dataclass(frozen=True)
-class IndexBijection:
+class IndexBijection(NamedTuple):
     """Vertex order realising the sorted dominant degree sequence.
 
     rank[x] = i means the dominant degree of x equals the i-th smallest
@@ -189,13 +187,14 @@ def _swap_step(
     was uncovered, so a valid packing stays valid.
     """
     covered = m.covered_mask()
+    rank = I.rank
     for x in I.order:
         xmask = rows[x]
         if covered >> x & 1 or xmask.bit_count() < r - 1:
             continue
         for pi, part in enumerate(m.parts):
             for y in part:
-                if I[y] <= I[x]:
+                if rank[y] <= rank[x]:
                     continue
                 rest_mask = pmasks[pi] ^ 1 << y
                 if xmask & rest_mask != rest_mask:
@@ -277,8 +276,7 @@ def extend_mixed(d: Digraph, r: int, m: Packing, gamma) -> Packing | None:
     return out
 
 
-@dataclass(frozen=True)
-class TraceRow:
+class TraceRow(NamedTuple):
     round: int
     phase: str
     covered: int
@@ -327,8 +325,7 @@ def convert_to_blowup_packing(
     return blown, packing
 
 
-@dataclass
-class BlowupResult:
+class BlowupResult(NamedTuple):
     """The last host and packing, with round 0's ``seed_optimal``: None for
     a greedy seed, and False when the budget cut its exact seed search
     short."""

@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphFormatError(ValueError):
@@ -302,8 +301,7 @@ def _is_transitive_tournament(d: Digraph) -> bool:
     )
 
 
-@dataclass(frozen=True)
-class TwinClasses:
+class TwinClasses(NamedTuple):
     """A pattern's vertices split into twin classes.
 
     Two vertices are twins when swapping them is an automorphism: the same

@@ -42,8 +42,7 @@ Each of the three enumerators is one flat loop over an explicit stack.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .graphs import (
     Digraph, Graph, PatternGraph, TwinClasses, arc_rows, bits, mask, twin_partition
@@ -73,8 +72,7 @@ class SearchBudget:
             raise BudgetExhausted(f"node budget {self.limit} exhausted")
 
 
-@dataclass(frozen=True)
-class Packing:
+class Packing(NamedTuple):
     """A vertex-disjoint family of pattern copies in a host of order n.
 
     ``parts[i]`` spans ``patterns[i]``.  Uniform packings have one distinct
@@ -122,8 +120,7 @@ class Packing:
         }
 
 
-@dataclass(frozen=True)
-class VerifyResult:
+class VerifyResult(NamedTuple):
     ok: bool
     reason: str | None = None
 
@@ -191,6 +188,8 @@ def _twin_advance(
     back = rows[1][v] & above
     keep = (above, fwd, back, fwd & back)
     bit = 1 << v
+    need = tw.need  # record fields are read once per call, not per state
+    groups = tw.groups
     out: dict[object, _TwinState] = {}
     for rooms, masks, members in states.values():
         for i, m in enumerate(masks):
@@ -199,7 +198,7 @@ def _twin_advance(
             nrooms = rooms.copy()
             nrooms[i] -= 1
             nmasks = []
-            for x, c, room in zip(masks, tw.need[i], nrooms):
+            for x, c, room in zip(masks, need[i], nrooms):
                 x &= keep[c]
                 if x.bit_count() < room:
                     break
@@ -209,7 +208,7 @@ def _twin_advance(
             if not nrooms[i]:
                 nmasks[i] = 0
             pairs = list(zip(nrooms, nmasks))
-            for a, b in tw.groups:
+            for a, b in groups:
                 pairs[a:b] = sorted(pairs[a:b])
             key = tuple(pairs)
             if key not in out:
@@ -777,8 +776,7 @@ def perfect_parts_within(
     return None
 
 
-@dataclass(frozen=True)
-class MaxPackingResult:
+class MaxPackingResult(NamedTuple):
     packing: Packing
     optimal: bool
     nodes: int

@@ -1,6 +1,5 @@
 import json
 import random
-from dataclasses import asdict
 
 import pytest
 
@@ -657,7 +656,7 @@ def test_experiment_spec_validation():
     with pytest.raises(ValueError, match="max attempts"):
         ExperimentSpec("gnp", 6, 3, "0", 0.5, "K3", 5, 1, max_attempts=0)
     spec = ExperimentSpec("gnp-min-degree", 6, 3, "0", 0.75, "K3", 5, 9)
-    assert experiment_csv(spec) == experiment_csv(asdict(spec))
+    assert experiment_csv(spec) == experiment_csv(spec._asdict())
     assert main(["experiment", "--sampler", "warp", "--n", "6", "--pattern",
                  "K3", "--trials", "2", "--quiet"]) == 2
 

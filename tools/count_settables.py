@@ -4,7 +4,8 @@ A settable value is one of:
 
 * a keyword parameter with a default, in any function or method under
   ``src/tilinglab``;
-* a dataclass field with a default, under ``src/tilinglab``;
+* a record field with a default, under ``src/tilinglab``: a field of a
+  ``NamedTuple`` class or of a ``@dataclass`` class;
 * a CLI flag slot: one optional flag on one subcommand of
   ``tilinglab.cli.build_parser()``, ``--help`` excluded.
 
@@ -25,17 +26,23 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PACKAGE = os.path.join(ROOT, "src", "tilinglab")
 
 
-def _is_dataclass(node: ast.ClassDef) -> bool:
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
-        if name == "dataclass":
-            return True
-    return False
+def _name(expr: ast.expr) -> str | None:
+    """The last name of ``dataclass``, ``dataclasses.dataclass(...)``,
+    ``typing.NamedTuple`` and the like."""
+    if isinstance(expr, ast.Call):
+        expr = expr.func
+    return expr.attr if isinstance(expr, ast.Attribute) else getattr(expr, "id", None)
+
+
+def _is_record(node: ast.ClassDef) -> bool:
+    """A ``@dataclass`` class or a direct ``NamedTuple`` subclass."""
+    return "dataclass" in map(_name, node.decorator_list) or "NamedTuple" in map(
+        _name, node.bases
+    )
 
 
 def source_counts(package: str = PACKAGE) -> tuple[int, int, int]:
-    """(keyword parameters with a default, dataclass fields with a default,
+    """(keyword parameters with a default, record fields with a default,
     lines of the package's Python files as ``wc -l`` counts them)."""
     keywords = fields = lines = 0
     for name in sorted(os.listdir(package)):
@@ -49,7 +56,7 @@ def source_counts(package: str = PACKAGE) -> tuple[int, int, int]:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 keywords += len(node.args.defaults)
                 keywords += sum(d is not None for d in node.args.kw_defaults)
-            elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            elif isinstance(node, ast.ClassDef) and _is_record(node):
                 fields += sum(
                     isinstance(stmt, ast.AnnAssign) and stmt.value is not None
                     for stmt in node.body
@@ -77,7 +84,7 @@ def main() -> int:
     keywords, fields, lines = source_counts()
     flags = flag_slots()
     print(f"keyword defaults: {keywords}")
-    print(f"dataclass field defaults: {fields}")
+    print(f"record field defaults: {fields}")
     print(f"CLI flag slots: {flags}")
     print(f"source lines: {lines}")
     print(f"settable values: {keywords + fields + flags}")
